@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from . import examples as ex
 from . import jsonio
+from .jsonio import InputError
 from .fundthm import (
     WitnessPoint,
     check_equivalence,
@@ -27,10 +28,6 @@ from .puiseux import INF, PuiseuxScalar, ValuedPolynomial, parse_weight
 from .render import render_ascii, render_svg
 from .spherical import validate_colored_fan
 from .troposphere import tropicalize_embedding
-
-
-class InputError(Exception):
-    pass
 
 
 class DomainError(Exception):
@@ -49,11 +46,10 @@ def _load_json(path: str) -> dict:
 
 def _load_pair(args):
     try:
-        datum = jsonio.datum_from_json(_load_json(args.datum))
-        fan = jsonio.fan_from_json(_load_json(args.fan), datum.rank)
+        return jsonio.pair_from_json(_load_json(args.datum),
+                                     _load_json(args.fan))
     except (KeyError, ValueError, TypeError) as e:
         raise InputError(f"bad datum/fan structure: {e}")
-    return datum, fan
 
 
 def _load_poly(source: str, laurent: bool) -> ValuedPolynomial:
@@ -215,11 +211,17 @@ def cmd_examples(args) -> int:
 
 def cmd_render(args) -> int:
     try:
+        extent = Fraction(args.extent)
+    except (ValueError, ZeroDivisionError):
+        extent = None
+    if extent is None or extent <= 0:
+        raise InputError(f"--extent must be a positive rational, "
+                         f"got {args.extent!r}")
+    try:
         trop = jsonio.trop_from_json(_load_json(args.trop))
     except (KeyError, ValueError, TypeError) as e:
         raise InputError(f"bad tropicalization file: {e}")
     try:
-        extent = Fraction(args.extent)
         if args.format == "svg":
             _emit(render_svg(trop, extent), args.out)
         else:

@@ -21,7 +21,7 @@ from .puiseux import (
     ValuedPolynomial,
     is_finite,
 )
-from .spherical import ColoredCone, ColoredFan, SphericalDatum, validate_colored_fan
+from .spherical import ColoredFan, SphericalDatum, validate_colored_fan
 from .troposphere import ExtendedTrop, Stratum, StratumKey, stratum_key
 
 
@@ -72,19 +72,6 @@ def graded_initial_form(f: ValuedPolynomial, v: Sequence[ExtendedRational]
         residue=f.initial_form(v))
 
 
-@dataclass(frozen=True)
-class GrobnerStratumSet:
-    """Admissible extended valuations attached to one colored face."""
-
-    face: ColoredCone
-    admissible: Cone
-    union_over_borels: bool = True
-
-    @property
-    def key(self) -> StratumKey:
-        return stratum_key(self.face)
-
-
 def grobner_tropicalize_embedding(datum: SphericalDatum, fan: ColoredFan
                                   ) -> ExtendedTrop:
     """Stratified set of extended valuations finite exactly on tau-perp.
@@ -105,10 +92,9 @@ def grobner_tropicalize_embedding(datum: SphericalDatum, fan: ColoredFan
             [project_to_chart(chart, g)
              for g in datum.valuation_cone.generators],
             len(chart))
-        gset = GrobnerStratumSet(cc, admissible)
-        strata[gset.key] = Stratum(face=cc, chart=chart,
-                                   valuation_cone_image=gset.admissible,
-                                   labels=cc.colors)
+        strata[stratum_key(cc)] = Stratum(face=cc, chart=chart,
+                                          valuation_cone_image=admissible,
+                                          labels=cc.colors)
 
     # Adjacency from the pairwise polyhedral face relation plus the color
     # inheritance rule, independent of the recursive face enumeration.

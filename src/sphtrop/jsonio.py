@@ -19,6 +19,10 @@ from .spherical import Color, ColoredCone, ColoredFan, SphericalDatum
 from .troposphere import ExtendedTrop, Stratum, stratum_key
 
 
+class InputError(ValueError):
+    """Malformed input data, reported with a one-line message on load."""
+
+
 def frac_to_json(q: Fraction) -> str:
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
@@ -103,6 +107,18 @@ def fan_from_json(data, rank: int) -> ColoredFan:
     return ColoredFan(tuple(cones))
 
 
+def pair_from_json(datum_data, fan_data) -> tuple[SphericalDatum, ColoredFan]:
+    """A datum and a fan on it; every fan color must name a palette color."""
+    datum = datum_from_json(datum_data)
+    fan = fan_from_json(fan_data, datum.rank)
+    unknown = (frozenset().union(*(cc.colors for cc in fan.cones))
+               - {c.name for c in datum.palette})
+    if unknown:
+        raise InputError("fan names colors missing from the palette: "
+                         + ", ".join(map(repr, sorted(unknown))))
+    return datum, fan
+
+
 # -- extended tropicalizations -------------------------------------------
 
 def trop_to_json(t: ExtendedTrop) -> dict:
@@ -139,6 +155,10 @@ def trop_from_json(data) -> ExtendedTrop:
             labels=face.colors))
     adjacency = {}
     for item, s in zip(data["strata"], strata):
+        for i in item["adjacent"]:
+            if type(i) is not int or not 0 <= i < len(strata):
+                raise InputError(f"adjacent entry {i!r} is not a stratum "
+                                 f"index in 0..{len(strata) - 1}")
         adjacency[s.key] = frozenset(strata[i].key for i in item["adjacent"])
     return ExtendedTrop(rank, strata, adjacency)
 

@@ -2,27 +2,25 @@
 
 All matrices are lists/tuples of row vectors whose entries are
 ``fractions.Fraction``.  Nothing here is numerically approximate.
+``primitive_ints`` is the bridge to integer rows, for callers that run on
+``int`` arithmetic and convert back to ``Fraction`` at their boundary.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 
 
 def vec(entries: Iterable) -> Vector:
-    return tuple(Fraction(e) for e in entries)
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
 def zero_vec(dim: int) -> Vector:
     return (Fraction(0),) * dim
-
-
-def unit_vec(i: int, dim: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(dim))
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
@@ -49,6 +47,23 @@ def is_zero_vec(u: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in u)
 
 
+def primitive_ints(u: Sequence, fix_sign: bool = False) -> tuple[int, ...]:
+    """The primitive integer vector on the ray of a rational vector.
+
+    Entries may be ``int`` or ``Fraction``.  The scaling factor is positive,
+    so ray directions are preserved; with ``fix_sign`` the first nonzero
+    entry is additionally made positive.  The zero vector stays zero.
+    """
+    den = lcm(*(a.denominator for a in u))
+    ints = [a.numerator * (den // a.denominator) for a in u]
+    g = gcd(*ints)
+    if g == 0:
+        return tuple(ints)
+    if fix_sign and next(n for n in ints if n) < 0:
+        g = -g
+    return tuple(n // g for n in ints)
+
+
 def primitive(u: Sequence[Fraction], fix_sign: bool = False) -> Vector:
     """Scale a nonzero rational vector to a primitive integer vector.
 
@@ -56,24 +71,7 @@ def primitive(u: Sequence[Fraction], fix_sign: bool = False) -> Vector:
     ``fix_sign`` the first nonzero entry is additionally made positive
     (canonical form for lines and hyperplane normals).
     """
-    u = vec(u)
-    if is_zero_vec(u):
-        return u
-    denom_lcm = 1
-    for a in u:
-        denom_lcm = denom_lcm * a.denominator // gcd(denom_lcm, a.denominator)
-    ints = [int(a * denom_lcm) for a in u]
-    g = 0
-    for n in ints:
-        g = gcd(g, abs(n))
-    ints = [n // g for n in ints]
-    if fix_sign:
-        for n in ints:
-            if n != 0:
-                if n < 0:
-                    ints = [-m for m in ints]
-                break
-    return tuple(Fraction(n) for n in ints)
+    return tuple(Fraction(n) for n in primitive_ints(vec(u), fix_sign))
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Vector], list[int]]:

@@ -182,14 +182,14 @@ def render_ascii(t: ExtendedTrop, extent: Fraction = Fraction(2),
 
     pieces = _embedded_pieces(t, extent)
     for dim, anchor, dirs, labels in pieces:
-        if dim != 2:
+        if dim != 2 or not dirs:
             continue
+        cone = Cone.from_generators(dirs, 2)
         for i in range(n):
             for j in range(n):
                 p = (Fraction(-cells + j) * step, Fraction(cells - i) * step)
                 q = (p[0] - anchor[0], p[1] - anchor[1])
-                cone = Cone.from_generators(dirs, 2) if dirs else None
-                if cone is not None and cone.contains(q):
+                if cone.contains(q):
                     grid[i][j] = "."
     for dim, anchor, dirs, labels in pieces:
         if dim != 1:

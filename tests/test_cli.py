@@ -140,3 +140,40 @@ def test_golden_corpus_matches_committed_trop(corpus, capsys):
         fresh = jsonio.dumps(jsonio.trop_to_json(
             tropicalize_embedding(datum, fan)))
         assert committed == fresh, name
+
+
+def one_line_error(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("extent", ["0", "-1", "abc", "1/0"])
+def test_render_bad_extent_exits_2(corpus, capsys, extent):
+    rc = main(["render", "--trop", str(corpus / "blowup-a4.trop.json"),
+               "--format", "ascii", f"--extent={extent}"])
+    assert rc == 2 and one_line_error(capsys)
+
+
+def test_fan_color_missing_from_palette_exits_2(corpus, capsys, tmp_path):
+    fan = json.loads((corpus / "table1.P2.fan.json").read_text())
+    fan["cones"][-1]["colors"].append("nope")
+    bad = tmp_path / "bad.fan.json"
+    bad.write_text(json.dumps(fan))
+    for command in ("validate", "trop"):
+        rc = main([command, "--datum", str(corpus / "table1.datum.json"),
+                   "--fan", str(bad)])
+        assert rc == 2 and one_line_error(capsys)
+
+
+@pytest.mark.parametrize("index", [99, -1, True])
+def test_trop_adjacent_index_out_of_range_exits_2(corpus, capsys, tmp_path,
+                                                  index):
+    good = corpus / "blowup-a4.trop.json"
+    trop = json.loads(good.read_text())
+    trop["strata"][0]["adjacent"].append(index)
+    bad = tmp_path / "bad.trop.json"
+    bad.write_text(json.dumps(trop))
+    rc = main(["compare", str(good), str(bad)])
+    assert rc == 2 and one_line_error(capsys)
+    rc = main(["render", "--trop", str(bad)])
+    assert rc == 2 and one_line_error(capsys)

@@ -1,10 +1,13 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sphtrop.linalg import vec
+from sphtrop.linalg import dot, vec
 from sphtrop.polyhedra import (
     Cone,
+    _dd,
     affine_feasible,
     embed_from_chart,
     project_to_chart,
@@ -96,3 +99,87 @@ def test_affine_feasible():
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         Cone.from_generators([(1, 0, 0)], 2)
+
+
+# -- properties --------------------------------------------------------------
+
+def rows(dim, max_size):
+    return st.lists(st.tuples(*[st.integers(-3, 3)] * dim), max_size=max_size)
+
+
+@st.composite
+def cones(draw, dim=None):
+    dim = dim or draw(st.integers(1, 4))
+    return Cone.from_generators(draw(rows(dim, 6)), dim)
+
+
+@st.composite
+def cone_pairs(draw):
+    """Two cones of one dimension; often the second is the first rebuilt
+    from shuffled, rescaled and redundant generators."""
+    a = draw(cones())
+    if draw(st.booleans()):
+        return a, draw(cones(a.ambient_dim))
+    gens = list(a.generators)
+    scales = draw(st.lists(st.integers(1, 4), min_size=len(gens),
+                           max_size=len(gens)))
+    gens = [tuple(k * x for x in g) for k, g in zip(scales, gens)]
+    if len(gens) >= 2:
+        gens.append(tuple(x + y for x, y in zip(gens[0], gens[1])))
+    return a, Cone.from_generators(draw(st.permutations(gens)),
+                                   a.ambient_dim)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cones())
+def test_property_inequalities_round_trip(c):
+    assert Cone.from_inequalities(c.inequalities, c.ambient_dim,
+                                  c.equations) == c
+
+
+@settings(max_examples=150, deadline=None)
+@given(cone_pairs())
+def test_property_eq_is_mutual_containment(pair):
+    a, b = pair
+    assert (a == b) == (a.contains_cone(b) and b.contains_cone(a))
+    assert (a == b) == (hash(a) == hash(b) and a.canonical_key()
+                        == b.canonical_key())
+
+
+def in_conic_hull(x, gens):
+    """Fourier-Motzkin test, independent of double description."""
+    k = len(gens)
+    combination = [([g[i] for g in gens], x[i]) for i in range(len(x))]
+    nonneg = [(vec(int(i == j) for i in range(k)), F(0)) for j in range(k)]
+    return affine_feasible(combination, nonneg, [], k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(st.just(d),
+                                                     rows(d, 4))))
+def test_property_generators_span_the_input(system):
+    dim, gens = system
+    c = Cone.from_generators(gens, dim)
+    assert all(in_conic_hull(vec(g), c.generators) for g in gens)
+    assert all(in_conic_hull(g, [vec(h) for h in gens])
+               for g in c.generators)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cones())
+def test_property_dual_of_dual(c):
+    assert c.dual().dual() == c
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    st.just(d), rows(d, 2), rows(d, 6))))
+def test_property_dd_generators_satisfy_every_row(system):
+    dim, equations, inequalities = system
+    lin, rays = _dd([vec(e) for e in equations],
+                    [vec(a) for a in inequalities], dim)
+    for e in equations:
+        assert all(dot(vec(e), g) == 0 for g in lin + rays)
+    for a in inequalities:
+        assert all(dot(vec(a), l) == 0 for l in lin)
+        assert all(dot(vec(a), r) >= 0 for r in rays)
