@@ -1,7 +1,7 @@
 """Exact-arithmetic colored fans and extended tropicalization of
 spherical embeddings, with Puiseux-coefficient tropical polynomials."""
 
-from .polyhedra import Cone, quotient_chart, quotient_project
+from .polyhedra import Cone, quotient_chart
 from .puiseux import (
     INF,
     PuiseuxScalar,
@@ -49,7 +49,7 @@ from .grobtrop import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cone", "quotient_chart", "quotient_project",
+    "Cone", "quotient_chart",
     "INF", "PuiseuxScalar", "ResiduePolynomial", "ValuedPolynomial",
     "parse_weight",
     "Color", "ColoredCone", "ColoredFan", "SphericalDatum",

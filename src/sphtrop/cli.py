@@ -167,44 +167,42 @@ def _parse_scalar(text: str) -> PuiseuxScalar:
     return f.terms[0][1]
 
 
+def _embedding_files(name: str, datum, fans: dict):
+    """The datum, then a fan file and a tropicalization file per fan suffix."""
+    yield f"{name}.datum.json", jsonio.datum_to_json(datum)
+    for suffix, fan in fans.items():
+        yield f"{name}{suffix}.fan.json", jsonio.fan_to_json(fan)
+        yield (f"{name}{suffix}.trop.json",
+               jsonio.trop_to_json(tropicalize_embedding(datum, fan)))
+
+
+def _table_files(name: str, datum, fans: dict):
+    return _embedding_files(
+        name, datum, {f".{f}": fan for f, (fan, _) in fans.items()})
+
+
+def _pair_files(name: str, datum, fan):
+    return _embedding_files(name, datum, {"": fan})
+
+
+# Example name -> the (file name, JSON payload) pairs it writes, in order.
+EXAMPLES = {
+    "table1": lambda n: _table_files(n, ex.table1_datum(), ex.table1_fans()),
+    "table2": lambda n: _table_files(n, ex.table2_datum(), ex.table2_fans()),
+    "blowup-a4": lambda n: _pair_files(n, *ex.blowup_a4()),
+    "p1xp1": lambda n: _pair_files(n, *ex.p1xp1()),
+    "e3": lambda n: [(f"{n}.poly.json",
+                      jsonio.polynomial_to_json(ex.e3_polynomial()))],
+}
+
+
 def cmd_examples(args) -> int:
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
-    written = []
-
-    def write(name: str, payload: dict):
+    for name, payload in EXAMPLES[args.name](args.name):
         path = os.path.join(outdir, name)
         with open(path, "w") as fh:
             fh.write(jsonio.dumps(payload))
-        written.append(path)
-
-    name = args.name
-    if name == "e3":
-        write("e3.poly.json",
-              jsonio.polynomial_to_json(ex.e3_polynomial()))
-    elif name in ("table1", "table2"):
-        datum = ex.table1_datum() if name == "table1" else ex.table2_datum()
-        fans = ex.table1_fans() if name == "table1" else ex.table2_fans()
-        write(f"{name}.datum.json", jsonio.datum_to_json(datum))
-        for fname, (fan, _) in fans.items():
-            write(f"{name}.{fname}.fan.json", jsonio.fan_to_json(fan))
-            write(f"{name}.{fname}.trop.json",
-                  jsonio.trop_to_json(tropicalize_embedding(datum, fan)))
-    elif name == "blowup-a4":
-        datum, fan = ex.blowup_a4()
-        write("blowup-a4.datum.json", jsonio.datum_to_json(datum))
-        write("blowup-a4.fan.json", jsonio.fan_to_json(fan))
-        write("blowup-a4.trop.json",
-              jsonio.trop_to_json(tropicalize_embedding(datum, fan)))
-    elif name == "p1xp1":
-        datum, fan = ex.p1xp1()
-        write("p1xp1.datum.json", jsonio.datum_to_json(datum))
-        write("p1xp1.fan.json", jsonio.fan_to_json(fan))
-        write("p1xp1.trop.json",
-              jsonio.trop_to_json(tropicalize_embedding(datum, fan)))
-    else:
-        raise InputError(f"unknown example {name!r}")
-    for path in written:
         print(path)
     return 0
 
@@ -284,8 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_ftt)
 
     sp = sub.add_parser("examples", help="write the builtin corpus")
-    sp.add_argument("name",
-                    choices=["table1", "table2", "blowup-a4", "p1xp1", "e3"])
+    sp.add_argument("name", choices=list(EXAMPLES))
     sp.add_argument("--out", help="output directory (default cwd)")
     sp.set_defaults(func=cmd_examples)
 

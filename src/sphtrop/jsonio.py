@@ -16,7 +16,7 @@ from .linalg import Vector, vec
 from .polyhedra import Cone
 from .puiseux import INF, ExtendedRational, PuiseuxScalar, ValuedPolynomial
 from .spherical import Color, ColoredCone, ColoredFan, SphericalDatum
-from .troposphere import ExtendedTrop, Stratum, stratum_key
+from .troposphere import ExtendedTrop, Stratum
 
 
 class InputError(ValueError):
@@ -26,10 +26,6 @@ class InputError(ValueError):
 def frac_to_json(q: Fraction) -> str:
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def frac_from_json(s) -> Fraction:
-    return Fraction(s)
 
 
 def vector_to_json(v: Sequence[Fraction]) -> list[str]:
@@ -42,10 +38,6 @@ def vector_from_json(data) -> Vector:
 
 def weight_to_json(w: Sequence[ExtendedRational]) -> list[str]:
     return ["inf" if x is INF else frac_to_json(x) for x in w]
-
-
-def weight_from_json(data) -> tuple[ExtendedRational, ...]:
-    return tuple(INF if x == "inf" else Fraction(x) for x in data)
 
 
 # -- cones, data, fans ---------------------------------------------------
@@ -149,10 +141,12 @@ def trop_from_json(data) -> ExtendedTrop:
                                   for g in item["face_generators"]], rank),
             frozenset(item["colors"]))
         chart = quotient_chart(face.cone.generators, rank)
-        strata.append(Stratum(
-            face=face, chart=chart,
-            valuation_cone_image=cone_from_json(item["valuation_cone_image"]),
-            labels=face.colors))
+        qdim = item["quotient_dim"]
+        if type(qdim) is not int or qdim != len(chart):
+            raise InputError(f"quotient_dim {qdim!r} is not the face's "
+                             f"quotient dimension {len(chart)}")
+        strata.append(Stratum(face, chart,
+                              cone_from_json(item["valuation_cone_image"])))
     adjacency = {}
     for item, s in zip(data["strata"], strata):
         for i in item["adjacent"]:

@@ -1,4 +1,5 @@
-"""Exact rational linear algebra: row reduction, kernels, solving.
+"""Exact rational linear algebra: row reduction, kernels, solving, and
+coordinates in a chart (one Gram solve shared by ``project_off``).
 
 All matrices are lists/tuples of row vectors whose entries are
 ``fractions.Fraction``.  Nothing here is numerically approximate.
@@ -17,10 +18,6 @@ Vector = tuple[Fraction, ...]
 
 def vec(entries: Iterable) -> Vector:
     return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
-
-
-def zero_vec(dim: int) -> Vector:
-    return (Fraction(0),) * dim
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
@@ -133,14 +130,28 @@ def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vector
     return tuple(sol)
 
 
+def project_to_chart(chart: Sequence[Vector], x: Sequence) -> Vector:
+    """Coordinates in the chart of the component of x in span(chart)."""
+    x = vec(x)
+    if not chart:
+        return ()
+    gram = [[dot(b1, b2) for b2 in chart] for b1 in chart]
+    coords = solve(gram, [dot(b, x) for b in chart])
+    assert coords is not None
+    return coords
+
+
+def embed_from_chart(chart: Sequence[Vector], value: Sequence) -> Vector:
+    dim = len(chart[0]) if chart else 0
+    v = vec([0] * dim)
+    for c, b in zip(value, chart, strict=True):
+        v = vadd(v, vscale(Fraction(c), b))
+    return v
+
+
 def project_off(v: Sequence[Fraction], basis: Sequence[Vector]) -> Vector:
     """Component of v orthogonal to span(basis), w.r.t. the standard form."""
     v = vec(v)
     if not basis:
         return v
-    gram = [[dot(b1, b2) for b2 in basis] for b1 in basis]
-    coeffs = solve(gram, [dot(b, v) for b in basis])
-    assert coeffs is not None
-    for c, b in zip(coeffs, basis):
-        v = vsub(v, vscale(c, b))
-    return v
+    return vsub(v, embed_from_chart(basis, project_to_chart(basis, v)))

@@ -17,6 +17,10 @@ the set of nonzero input generators in a module-level LRU cache of at most
 object.  ``from_inequalities`` keeps no cache of its own: keying one on
 inequality systems raised the peak memory of the toric-arrangement
 benchmark by about 13% for little gain, as its cones end in the cache above.
+
+``quotient_chart`` fixes the canonical basis of the orthogonal complement of
+a span; coordinates in such a chart come from ``linalg.project_to_chart``,
+and ``troposphere.Stratum.of`` is the one place a cone is projected into one.
 """
 
 from __future__ import annotations
@@ -36,11 +40,9 @@ from .linalg import (
     primitive_ints,
     project_off,
     rref,
-    solve,
     vadd,
     vec,
     vneg,
-    vscale,
 )
 
 
@@ -305,38 +307,6 @@ def quotient_chart(subspace_gens: Sequence[Sequence], ambient_dim: int
         if len(g) != ambient_dim:
             raise ValueError("dimension mismatch")
     return tuple(kernel_basis(gens, ambient_dim))
-
-
-def project_to_chart(chart: Sequence[Vector], x: Sequence) -> Vector:
-    """Coordinates in the chart of the component of x orthogonal to the kernel."""
-    x = vec(x)
-    if not chart:
-        return ()
-    gram = [[dot(b1, b2) for b2 in chart] for b1 in chart]
-    coords = solve(gram, [dot(b, x) for b in chart])
-    assert coords is not None
-    return coords
-
-
-def embed_from_chart(chart: Sequence[Vector], value: Sequence) -> Vector:
-    dim = len(chart[0]) if chart else 0
-    v = vec([0] * dim)
-    for c, b in zip(value, chart, strict=True):
-        v = vadd(v, vscale(Fraction(c), b))
-    return v
-
-
-def quotient_project(subspace_gens: Sequence[Sequence], x, ambient_dim: int | None = None):
-    """Project a vector or cone to the canonical chart modulo span(subspace_gens)."""
-    if isinstance(x, Cone):
-        dim = x.ambient_dim
-        chart = quotient_chart(subspace_gens, dim)
-        return Cone.from_generators(
-            [project_to_chart(chart, g) for g in x.generators], len(chart))
-    x = vec(x)
-    dim = ambient_dim if ambient_dim is not None else len(x)
-    chart = quotient_chart(subspace_gens, dim)
-    return project_to_chart(chart, x)
 
 
 # -- affine feasibility (Fourier-Motzkin) --------------------------------

@@ -11,8 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Vector, dot, is_zero_vec, primitive, vadd, vec, vscale
-from .polyhedra import Cone, embed_from_chart
+from .linalg import (Vector, dot, embed_from_chart, is_zero_vec, primitive,
+                     vadd, vec, vscale)
+from .polyhedra import Cone
 from .troposphere import ExtendedTrop, Stratum
 
 
@@ -48,12 +49,9 @@ def _embedded_pieces(t: ExtendedTrop, extent: Fraction):
     for key in sorted(t.strata):
         s = t.strata[key]
         img = s.valuation_cone_image
-        dirs = [embed_from_chart(s.chart, g) for g in img.rays]
-        dirs += [embed_from_chart(s.chart, l) for l in img.lineality]
-        dirs += [vscale(Fraction(-1), embed_from_chart(s.chart, l))
-                 for l in img.lineality]
-        pieces.append((img.dim(), _pad2(_anchor(s, extent)),
-                       [_pad2(d) for d in dirs], sorted(s.labels)))
+        dirs = [_pad2(embed_from_chart(s.chart, g)) for g in img.generators]
+        pieces.append((img.dim(), _pad2(_anchor(s, extent)), dirs,
+                       sorted(s.labels)))
     return pieces
 
 

@@ -6,6 +6,11 @@ in the quotient N_Q / span(tau).  Strata shared by several maximal cones are
 glued by identifying equal colored faces.  Points of a stratum are stored in
 a canonical chart on tau-perp, and evaluation against lattice functionals
 recovers the extended (rational or infinite) semigroup homomorphism.
+
+``Stratum.of`` is the one builder of V_tau: it fixes the chart of a face and
+projects the valuation cone into it.  Both the face-wise construction here and
+the Groebner-side one in ``grobtrop`` build their strata with it; they differ
+only in how they traverse the faces.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import Vector, dot, vec
-from .polyhedra import Cone, embed_from_chart, project_to_chart, quotient_chart
+from .linalg import Vector, dot, embed_from_chart, project_to_chart, vec
+from .polyhedra import Cone, quotient_chart
 from .puiseux import INF, ExtendedRational
 from .spherical import (
     ColoredCone,
@@ -37,10 +42,7 @@ def stratum_valuation_cone(datum: SphericalDatum, tau: Cone) -> Cone:
     """Image of the valuation cone in the canonical chart modulo span(tau)."""
     if not relint_meets_valuation_cone(datum, tau):
         raise ValueError("face interior does not meet the valuation cone")
-    chart = quotient_chart(tau.generators, datum.rank)
-    return Cone.from_generators(
-        [project_to_chart(chart, g) for g in datum.valuation_cone.generators],
-        len(chart))
+    return Stratum.of(datum, ColoredCone(tau)).valuation_cone_image
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,23 @@ class Stratum:
     face: ColoredCone
     chart: tuple[Vector, ...]
     valuation_cone_image: Cone
-    labels: frozenset[str]
+
+    def __post_init__(self):
+        if self.valuation_cone_image.ambient_dim != len(self.chart):
+            raise ValueError("valuation-cone image does not live in the "
+                             "stratum chart")
+
+    @classmethod
+    def of(cls, datum: SphericalDatum, face: ColoredCone) -> "Stratum":
+        """V_tau: the valuation cone in the canonical chart modulo span(tau)."""
+        chart = quotient_chart(face.cone.generators, datum.rank)
+        return cls(face, chart, Cone.from_generators(
+            [project_to_chart(chart, g)
+             for g in datum.valuation_cone.generators], len(chart)))
+
+    @property
+    def labels(self) -> frozenset[str]:
+        return self.face.colors
 
     @property
     def key(self) -> StratumKey:
@@ -87,9 +105,6 @@ class ExtendedTrop:
         self.strata: dict[StratumKey, Stratum] = {s.key: s for s in strata}
         self.adjacency = {k: frozenset(v) for k, v in adjacency.items()}
 
-    def stratum(self, key: StratumKey) -> Stratum:
-        return self.strata[key]
-
     def stratum_of_face(self, tau: Cone) -> Stratum:
         for s in self.strata.values():
             if s.face.cone == tau:
@@ -99,31 +114,14 @@ class ExtendedTrop:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExtendedTrop):
             return NotImplemented
-        if (self.ambient_rank != other.ambient_rank
-                or set(self.strata) != set(other.strata)
-                or self.adjacency != other.adjacency):
-            return False
-        for key, s in self.strata.items():
-            o = other.strata[key]
-            if (s.labels != o.labels or s.chart != o.chart
-                    or s.valuation_cone_image != o.valuation_cone_image):
-                return False
-        return True
+        return (self.ambient_rank == other.ambient_rank
+                and self.strata == other.strata
+                and self.adjacency == other.adjacency)
 
     def __repr__(self):
         dims = sorted((s.quotient_dim for s in self.strata.values()),
                       reverse=True)
         return f"ExtendedTrop(rank={self.ambient_rank}, stratum_dims={dims})"
-
-
-def _build_stratum(datum: SphericalDatum, face: ColoredCone) -> Stratum:
-    tau = face.cone
-    chart = quotient_chart(tau.generators, datum.rank)
-    image = Cone.from_generators(
-        [project_to_chart(chart, g) for g in datum.valuation_cone.generators],
-        len(chart))
-    return Stratum(face=face, chart=chart, valuation_cone_image=image,
-                   labels=face.colors)
 
 
 def tropicalize_embedding(datum: SphericalDatum, fan: ColoredFan
@@ -142,7 +140,7 @@ def tropicalize_embedding(datum: SphericalDatum, fan: ColoredFan
         for f in faces:
             key = stratum_key(f)
             if key not in strata:
-                strata[key] = _build_stratum(datum, f)
+                strata[key] = Stratum.of(datum, f)
         for f in faces:
             sub = frozenset(stratum_key(g)
                             for g in colored_faces(datum, f))

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -165,15 +167,67 @@ def test_fan_color_missing_from_palette_exits_2(corpus, capsys, tmp_path):
         assert rc == 2 and one_line_error(capsys)
 
 
-@pytest.mark.parametrize("index", [99, -1, True])
-def test_trop_adjacent_index_out_of_range_exits_2(corpus, capsys, tmp_path,
-                                                  index):
+def assert_corrupt_trop_exits_2(corpus, capsys, tmp_path, corrupt):
+    """compare and render reject a blowup-a4.trop.json edited by corrupt."""
     good = corpus / "blowup-a4.trop.json"
     trop = json.loads(good.read_text())
-    trop["strata"][0]["adjacent"].append(index)
+    corrupt(trop["strata"])
     bad = tmp_path / "bad.trop.json"
     bad.write_text(json.dumps(trop))
     rc = main(["compare", str(good), str(bad)])
     assert rc == 2 and one_line_error(capsys)
     rc = main(["render", "--trop", str(bad)])
     assert rc == 2 and one_line_error(capsys)
+
+
+@pytest.mark.parametrize("index", [99, -1, True])
+def test_trop_adjacent_index_out_of_range_exits_2(corpus, capsys, tmp_path,
+                                                  index):
+    assert_corrupt_trop_exits_2(
+        corpus, capsys, tmp_path,
+        lambda strata: strata[0]["adjacent"].append(index))
+
+
+def stored_quotient_dim(value):
+    def corrupt(strata):
+        strata[0]["quotient_dim"] = value
+    return corrupt
+
+
+def image_off_the_chart(strata):
+    """Give a 1-dimensional stratum the 2-dimensional open stratum's image."""
+    line = next(s for s in strata if s["quotient_dim"] == 1)
+    line["valuation_cone_image"] = next(
+        s for s in strata if s["quotient_dim"] == 2)["valuation_cone_image"]
+
+
+@pytest.mark.parametrize("corrupt", [
+    stored_quotient_dim(7), stored_quotient_dim("2"), image_off_the_chart],
+    ids=["quotient_dim=7", "quotient_dim-str", "image-off-chart"])
+def test_trop_stratum_dimension_mismatch_exits_2(corpus, capsys, tmp_path,
+                                                 corrupt):
+    assert_corrupt_trop_exits_2(corpus, capsys, tmp_path, corrupt)
+
+
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "cli_digests.json"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_cli_outputs_match_recorded_digests(tmp_path, monkeypatch, capsys):
+    """Every recorded CLI call but ftt (whose witnesses hold spaces) prints,
+    and every examples call writes, the recorded bytes."""
+    recorded = json.loads(DIGESTS.read_text())
+    monkeypatch.chdir(tmp_path)
+    labels = sorted((label for label in recorded["stdout"]
+                     if not label.startswith("ftt ")),
+                    key=lambda label: not label.startswith("examples "))
+    assert len(labels) == 85
+    for label in labels:
+        main(label.split())
+        out = capsys.readouterr().out
+        assert sha256(out.encode()) == recorded["stdout"][label], label
+    written = {p.name: sha256(p.read_bytes()) for p in tmp_path.iterdir()}
+    assert written == recorded["files"]

@@ -17,9 +17,7 @@ def roundtrip(obj, to_json, from_json):
 def test_fraction_strings():
     assert jsonio.frac_to_json(F(3, 2)) == "3/2"
     assert jsonio.frac_to_json(F(-4)) == "-4"
-    assert jsonio.frac_from_json("3/2") == F(3, 2)
     assert jsonio.weight_to_json((F(1), INF)) == ["1", "inf"]
-    assert jsonio.weight_from_json(["1", "inf"]) == (F(1), INF)
 
 
 def test_cone_round_trip():

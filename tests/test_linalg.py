@@ -1,14 +1,20 @@
 from fractions import Fraction as F
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from sphtrop.linalg import (
     dot,
+    embed_from_chart,
     kernel_basis,
     primitive,
     project_off,
+    project_to_chart,
     rank,
     rref,
     solve,
     vec,
+    vsub,
 )
 
 
@@ -44,3 +50,17 @@ def test_project_off():
     assert dot(v, vec([1, 1])) == 0
     assert v == vec([1, -1])
     assert project_off(vec([3, 1]), []) == vec([3, 1])
+
+
+def vectors(dim):
+    return st.tuples(*[st.integers(-3, 3)] * dim).map(vec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    vectors(d), st.lists(vectors(d), min_size=1, max_size=3))))
+def test_property_project_off_shares_the_chart_solve(system):
+    v, basis = system
+    w = project_off(v, basis)
+    assert all(dot(w, b) == 0 for b in basis)
+    assert vsub(v, w) == embed_from_chart(basis, project_to_chart(basis, v))

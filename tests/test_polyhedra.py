@@ -4,16 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphtrop.linalg import dot, vec
-from sphtrop.polyhedra import (
-    Cone,
-    _dd,
-    affine_feasible,
-    embed_from_chart,
-    project_to_chart,
-    quotient_chart,
-    quotient_project,
-)
+from sphtrop.linalg import dot, embed_from_chart, project_to_chart, vec
+from sphtrop.polyhedra import Cone, _dd, affine_feasible, quotient_chart
 
 
 def test_generators_inequalities_round_trip():
@@ -74,14 +66,6 @@ def test_quotient_chart_and_projection():
     # (3,1) = (2,2) + (1,-1): chart coordinate 1
     assert project_to_chart(chart, (3, 1)) == vec([1])
     assert embed_from_chart(chart, [F(2)]) == vec([2, -2])
-
-
-def test_quotient_project_cone():
-    v = Cone.from_generators([(1, 1), (-1, -1), (1, -1)], 2)
-    line = quotient_project([(1, 0)], v)
-    assert line.dim() == 1 and len(line.lineality) == 1
-    ray = quotient_project([(1, 1)], v)
-    assert ray.dim() == 1 and ray.is_strictly_convex()
 
 
 def test_affine_feasible():
@@ -183,3 +167,21 @@ def test_property_dd_generators_satisfy_every_row(system):
     for a in inequalities:
         assert all(dot(vec(a), l) == 0 for l in lin)
         assert all(dot(vec(a), r) >= 0 for r in rays)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cones())
+def test_property_euler_relation(c):
+    euler = sum((-1) ** f.dim() for f in c.faces())
+    assert euler == (0 if c.rays else (-1) ** c.dim())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    st.just(d), rows(d, 3),
+    st.lists(st.fractions(max_denominator=5), min_size=d, max_size=d))))
+def test_property_chart_coordinates_round_trip(system):
+    dim, gens, coords = system
+    chart = quotient_chart(gens, dim)
+    c = vec(coords[:len(chart)])
+    assert project_to_chart(chart, embed_from_chart(chart, c)) == c
