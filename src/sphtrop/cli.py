@@ -11,19 +11,16 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import examples as ex
 from . import jsonio
-from .jsonio import InputError
 from .fundthm import (
     WitnessPoint,
     check_equivalence,
-    membership_set1,
-    membership_set2,
     trop_hypersurface,
 )
 from .grobtrop import compare_tropicalizations, grobner_tropicalize_embedding
+from .linalg import InputError, rational_from_input
 from .puiseux import INF, PuiseuxScalar, ValuedPolynomial, parse_weight
 from .render import render_ascii, render_svg
 from .spherical import validate_colored_fan
@@ -209,8 +206,8 @@ def cmd_examples(args) -> int:
 
 def cmd_render(args) -> int:
     try:
-        extent = Fraction(args.extent)
-    except (ValueError, ZeroDivisionError):
+        extent = rational_from_input(args.extent)
+    except InputError:
         extent = None
     if extent is None or extent <= 0:
         raise InputError(f"--extent must be a positive rational, "

@@ -79,7 +79,7 @@ def trop_hypersurface(f: ValuedPolynomial) -> TropicalComplex:
     """The locus where the minimum of v(a_u) + u.w is attained at least twice.
 
     One cell per pair of terms achieving a common minimum; empty cells are
-    pruned by exact Fourier-Motzkin feasibility.
+    pruned by exact feasibility on the double-description sweep.
     """
     if f.is_zero():
         raise ValueError("tropical hypersurface of the zero polynomial")

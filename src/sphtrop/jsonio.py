@@ -12,15 +12,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .fundthm import Cell, TropicalComplex
-from .linalg import Vector, vec
+from .linalg import InputError, Vector, rational_from_input
 from .polyhedra import Cone
 from .puiseux import INF, ExtendedRational, PuiseuxScalar, ValuedPolynomial
 from .spherical import Color, ColoredCone, ColoredFan, SphericalDatum
 from .troposphere import ExtendedTrop, Stratum
-
-
-class InputError(ValueError):
-    """Malformed input data, reported with a one-line message on load."""
 
 
 def frac_to_json(q: Fraction) -> str:
@@ -33,7 +29,7 @@ def vector_to_json(v: Sequence[Fraction]) -> list[str]:
 
 
 def vector_from_json(data) -> Vector:
-    return vec(Fraction(x) for x in data)
+    return tuple(map(rational_from_input, data))
 
 
 def weight_to_json(w: Sequence[ExtendedRational]) -> list[str]:
@@ -56,12 +52,9 @@ def cone_from_json(data) -> Cone:
     if "generators" in data:
         return Cone.from_generators(
             [vector_from_json(g) for g in data["generators"]], dim)
-    ineqs = [vector_from_json(h) for h in data.get("inequalities", [])]
-    for e in data.get("equations", []):
-        h = vector_from_json(e)
-        ineqs.append(h)
-        ineqs.append(tuple(-x for x in h))
-    return Cone.from_inequalities(ineqs, dim)
+    return Cone.from_inequalities(
+        [vector_from_json(h) for h in data.get("inequalities", [])], dim,
+        [vector_from_json(e) for e in data.get("equations", [])])
 
 
 def datum_to_json(d: SphericalDatum) -> dict:
@@ -166,7 +159,8 @@ def scalar_to_json(s: PuiseuxScalar) -> list[dict]:
 
 def scalar_from_json(data) -> PuiseuxScalar:
     return PuiseuxScalar.from_terms(
-        (Fraction(t["exponent"]), Fraction(t["coeff"])) for t in data)
+        (rational_from_input(t["exponent"]), rational_from_input(t["coeff"]))
+        for t in data)
 
 
 def polynomial_to_json(f: ValuedPolynomial) -> dict:
@@ -198,7 +192,7 @@ def complex_to_json(cx: TropicalComplex) -> dict:
 
 def complex_from_json(data) -> TropicalComplex:
     def constraint(c):
-        return (vector_from_json(c["coeffs"]), Fraction(c["rhs"]))
+        return (vector_from_json(c["coeffs"]), rational_from_input(c["rhs"]))
     cells = tuple(
         Cell(data["ambient_dim"],
              tuple(constraint(c) for c in cell["equalities"]),

@@ -2,7 +2,8 @@
 coordinates in a chart (one Gram solve shared by ``project_off``).
 
 All matrices are lists/tuples of row vectors whose entries are
-``fractions.Fraction``.  Nothing here is numerically approximate.
+``fractions.Fraction``.  Nothing here is numerically approximate, and
+``rational_from_input`` keeps it so at the input boundary.
 ``primitive_ints`` is the bridge to integer rows, for callers that run on
 ``int`` arithmetic and convert back to ``Fraction`` at their boundary.
 """
@@ -14,6 +15,26 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
+
+
+class InputError(ValueError):
+    """Malformed input data, reported with a one-line message on load."""
+
+
+def rational_from_input(x) -> Fraction:
+    """An exact rational from input: an int, or a string "p", "p/q" or "0.5".
+
+    Floats are refused: a JSON number such as 1e5000 arrives as an inexact
+    or infinite float.  So is exponent notation, since "1e999999999" would
+    build a billion-digit integer.
+    """
+    try:
+        if type(x) is int or type(x) is str and not set(x) & {"e", "E"}:
+            return Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise InputError(f"expected an exact rational such as 3, \"-1/2\" or "
+                     f"\"0.25\" (no floats, no exponents), got {x!r}")
 
 
 def vec(entries: Iterable) -> Vector:

@@ -18,6 +18,9 @@ object.  ``from_inequalities`` keeps no cache of its own: keying one on
 inequality systems raised the peak memory of the toric-arrangement
 benchmark by about 13% for little gain, as its cones end in the cache above.
 
+``affine_feasible`` decides an affine system of equations, weak and strict
+inequalities on the same sweep, so ``_dd`` is the one polyhedral algorithm.
+
 ``quotient_chart`` fixes the canonical basis of the orthogonal complement of
 a span; coordinates in such a chart come from ``linalg.project_to_chart``,
 and ``troposphere.Stratum.of`` is the one place a cone is projected into one.
@@ -309,7 +312,7 @@ def quotient_chart(subspace_gens: Sequence[Sequence], ambient_dim: int
     return tuple(kernel_basis(gens, ambient_dim))
 
 
-# -- affine feasibility (Fourier-Motzkin) --------------------------------
+# -- affine feasibility --------------------------------------------------
 
 def affine_feasible(equalities: Sequence[tuple[Sequence, Fraction]],
                     weak: Sequence[tuple[Sequence, Fraction]],
@@ -317,42 +320,16 @@ def affine_feasible(equalities: Sequence[tuple[Sequence, Fraction]],
                     dim: int) -> bool:
     """Exact feasibility of {x : A x = a, B x >= b, C x > c} over the rationals.
 
-    Constraints are (coefficient vector, rhs) pairs.  Equalities are folded
-    into pairs of weak inequalities; variables are eliminated one at a time.
+    Constraints are (coefficient vector, rhs) pairs.  The system is
+    homogenized with one more coordinate s >= 0: a row (c, r) becomes
+    c.x - r s = 0 or >= 0.  It is feasible exactly when s and every strict
+    row are positive on some extreme ray of that cone: all of them are
+    nonnegative on the cone, so the sum of the rays is then one witness.
     """
-    rows: list[tuple[list[Fraction], Fraction, bool]] = []
-    for coeffs, rhs in equalities:
-        coeffs = list(vec(coeffs))
-        rows.append((coeffs, Fraction(rhs), False))
-        rows.append(([-c for c in coeffs], -Fraction(rhs), False))
-    for coeffs, rhs in weak:
-        rows.append((list(vec(coeffs)), Fraction(rhs), False))
-    for coeffs, rhs in strict:
-        rows.append((list(vec(coeffs)), Fraction(rhs), True))
+    def homogenize(rows):
+        return [vec((*c, -r)) for c, r in rows]
 
-    for var in range(dim):
-        pos = [r for r in rows if r[0][var] > 0]
-        neg = [r for r in rows if r[0][var] < 0]
-        rest = [r for r in rows if r[0][var] == 0]
-        new = rest
-        for cp, bp, sp in pos:
-            for cn, bn, sn in neg:
-                lam, mu = -cn[var], cp[var]
-                coeffs = [lam * a + mu * b for a, b in zip(cp, cn)]
-                new.append((coeffs, lam * bp + mu * bn, sp or sn))
-        # dedup keeps the blowup in check on small systems
-        seen = set()
-        rows = []
-        for coeffs, rhs, st in new:
-            key = (tuple(coeffs), rhs, st)
-            if key not in seen:
-                seen.add(key)
-                rows.append((list(coeffs), rhs, st))
-
-    for coeffs, rhs, st in rows:
-        if st:
-            if not 0 > rhs:
-                return False
-        elif not 0 >= rhs:
-            return False
-    return True
+    positive = homogenize(strict) + [vec((0,) * dim + (1,))]
+    _, rays = _dd(homogenize(equalities), homogenize(weak) + positive,
+                  dim + 1)
+    return all(any(dot(f, r) > 0 for r in rays) for f in positive)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .linalg import rational_from_input
+
 
 class _Infinity:
     """The point at infinity in Q-bar, a comparable singleton."""
@@ -561,7 +563,7 @@ def parse_weight(text: str, nvars: int | None = None) -> ExtendedWeight:
         if e.lower() in ("inf", "infinity", "oo", "∞"):
             out.append(INF)
         else:
-            out.append(Fraction(e))
+            out.append(rational_from_input(e))
     if nvars is not None and len(out) != nvars:
         raise ValueError("weight length mismatch")
     return tuple(out)

@@ -9,7 +9,6 @@ the same image vector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 from .linalg import Vector, vec
 from .polyhedra import Cone
@@ -158,10 +157,13 @@ def validate_colored_fan(datum: SphericalDatum, fan: ColoredFan,
         if not rep.strictly_convex:
             strict = False
 
-    members = {(cc.cone.canonical_key(), cc.colors) for cc in fan.cones}
+    # fan members, then each missing face once it has been reported
+    seen = {(cc.cone.canonical_key(), cc.colors) for cc in fan.cones}
     for cc in valid_members:
         for face in colored_faces(datum, cc):
-            if (face.cone.canonical_key(), face.colors) not in members:
+            key = (face.cone.canonical_key(), face.colors)
+            if key not in seen:
+                seen.add(key)
                 failures.append(
                     f"face-closure: missing face {face.cone.rays} "
                     f"with colors {sorted(face.colors)}")

@@ -149,7 +149,7 @@ def one_line_error(capsys):
     return err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("extent", ["0", "-1", "abc", "1/0"])
+@pytest.mark.parametrize("extent", ["0", "-1", "abc", "1/0", "1e5"])
 def test_render_bad_extent_exits_2(corpus, capsys, extent):
     rc = main(["render", "--trop", str(corpus / "blowup-a4.trop.json"),
                "--format", "ascii", f"--extent={extent}"])
@@ -165,6 +165,24 @@ def test_fan_color_missing_from_palette_exits_2(corpus, capsys, tmp_path):
         rc = main([command, "--datum", str(corpus / "table1.datum.json"),
                    "--fan", str(bad)])
         assert rc == 2 and one_line_error(capsys)
+
+
+@pytest.mark.parametrize("generator", ['[1e5000, 0]', '["1e5000", "0"]',
+                                       '[0.5, 0]', '["1/0", "0"]'])
+def test_inexact_fan_number_exits_2(corpus, capsys, tmp_path, generator):
+    fan = json.loads((corpus / "blowup-a4.fan.json").read_text())
+    fan["cones"][1]["generators"][0] = "GENERATOR"
+    bad = tmp_path / "bad.fan.json"
+    bad.write_text(json.dumps(fan).replace('"GENERATOR"', generator))
+    rc = main(["validate", "--datum", str(corpus / "blowup-a4.datum.json"),
+               "--fan", str(bad)])
+    assert rc == 2 and one_line_error(capsys)
+
+
+@pytest.mark.parametrize("action", ["trop", "init"])
+def test_weight_in_exponent_notation_exits_2(capsys, action):
+    rc = main(["poly", action, "--poly", E3, "--weight", "1e5,0"])
+    assert rc == 2 and one_line_error(capsys)
 
 
 def assert_corrupt_trop_exits_2(corpus, capsys, tmp_path, corrupt):

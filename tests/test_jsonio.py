@@ -31,6 +31,14 @@ def test_cone_from_inequalities_form():
             "equations": [["0", "1"]]}
     c = jsonio.cone_from_json(data)
     assert c == Cone.from_generators([(1, 0)], 2)
+    # the quadrant x, y >= 0 lifted into the plane z = y - x
+    data = {"ambient_dim": 3,
+            "inequalities": [["1", "0", "0"], ["0", "1", "0"]],
+            "equations": [["1", "-1", "1"]]}
+    c = jsonio.cone_from_json(data)
+    assert c == Cone.from_generators([(1, 0, -1), (0, 1, 1)], 3)
+    line = jsonio.cone_from_json({"ambient_dim": 2, "equations": [["1", "1"]]})
+    assert line == Cone.from_generators([(1, -1), (-1, 1)], 2)
 
 
 def test_datum_and_fan_round_trip():

@@ -1,9 +1,11 @@
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphtrop.linalg import (
+    InputError,
     dot,
     embed_from_chart,
     kernel_basis,
@@ -11,6 +13,7 @@ from sphtrop.linalg import (
     project_off,
     project_to_chart,
     rank,
+    rational_from_input,
     rref,
     solve,
     vec,
@@ -64,3 +67,23 @@ def test_property_project_off_shares_the_chart_solve(system):
     w = project_off(v, basis)
     assert all(dot(w, b) == 0 for b in basis)
     assert vsub(v, w) == embed_from_chart(basis, project_to_chart(basis, v))
+
+
+def test_rational_from_input_accepts_exact_forms():
+    assert rational_from_input(3) == 3
+    assert rational_from_input("-1/2") == F(-1, 2)
+    assert rational_from_input(" 0.25 ") == F(1, 4)
+
+
+@pytest.mark.parametrize("x", [0.5, float("inf"), True, None, "inf", "nan",
+                               "1/0", "", [1]])
+def test_rational_from_input_rejects_inexact_and_malformed(x):
+    with pytest.raises(InputError, match="exact rational"):
+        rational_from_input(x)
+
+
+@pytest.mark.parametrize("x", ["1e5", "2E-3", "1.5e2"])
+def test_rational_from_input_rejects_exponent_notation(x):
+    # refused before Fraction sees it, so a huge exponent costs nothing
+    with pytest.raises(InputError, match="no exponents"):
+        rational_from_input(x)

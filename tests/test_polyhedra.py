@@ -130,12 +130,56 @@ def test_property_eq_is_mutual_containment(pair):
                         == b.canonical_key())
 
 
+def fm_feasible(equalities, weak, strict, dim):
+    """Reference for ``affine_feasible`` by Fourier-Motzkin elimination.
+
+    Constraints are (coefficient vector, rhs) pairs.  Equalities are folded
+    into pairs of weak inequalities; variables are eliminated one at a time.
+    """
+    rows = []
+    for coeffs, rhs in equalities:
+        coeffs = list(vec(coeffs))
+        rows.append((coeffs, F(rhs), False))
+        rows.append(([-c for c in coeffs], -F(rhs), False))
+    for coeffs, rhs in weak:
+        rows.append((list(vec(coeffs)), F(rhs), False))
+    for coeffs, rhs in strict:
+        rows.append((list(vec(coeffs)), F(rhs), True))
+
+    for var in range(dim):
+        pos = [r for r in rows if r[0][var] > 0]
+        neg = [r for r in rows if r[0][var] < 0]
+        rest = [r for r in rows if r[0][var] == 0]
+        new = rest
+        for cp, bp, sp in pos:
+            for cn, bn, sn in neg:
+                lam, mu = -cn[var], cp[var]
+                coeffs = [lam * a + mu * b for a, b in zip(cp, cn)]
+                new.append((coeffs, lam * bp + mu * bn, sp or sn))
+        # dedup keeps the blowup in check on small systems
+        seen = set()
+        rows = []
+        for coeffs, rhs, st in new:
+            key = (tuple(coeffs), rhs, st)
+            if key not in seen:
+                seen.add(key)
+                rows.append((list(coeffs), rhs, st))
+
+    for coeffs, rhs, st in rows:
+        if st:
+            if not 0 > rhs:
+                return False
+        elif not 0 >= rhs:
+            return False
+    return True
+
+
 def in_conic_hull(x, gens):
     """Fourier-Motzkin test, independent of double description."""
     k = len(gens)
     combination = [([g[i] for g in gens], x[i]) for i in range(len(x))]
     nonneg = [(vec(int(i == j) for i in range(k)), F(0)) for j in range(k)]
-    return affine_feasible(combination, nonneg, [], k)
+    return fm_feasible(combination, nonneg, [], k)
 
 
 @settings(max_examples=100, deadline=None)
@@ -185,3 +229,19 @@ def test_property_chart_coordinates_round_trip(system):
     chart = quotient_chart(gens, dim)
     c = vec(coords[:len(chart)])
     assert project_to_chart(chart, embed_from_chart(chart, c)) == c
+
+
+@st.composite
+def affine_systems(draw):
+    """Equalities, weak rows and strict rows in dimension 1-3."""
+    dim = draw(st.integers(1, 3))
+    row = st.tuples(st.tuples(*[st.integers(-3, 3)] * dim),
+                    st.fractions(-3, 3, max_denominator=3))
+    return (draw(st.lists(row, max_size=2)), draw(st.lists(row, max_size=4)),
+            draw(st.lists(row, max_size=3)), dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(affine_systems())
+def test_property_affine_feasible_agrees_with_fourier_motzkin(system):
+    assert affine_feasible(*system) == fm_feasible(*system)

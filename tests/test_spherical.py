@@ -72,6 +72,16 @@ def test_face_closure_violation():
     assert any(f.startswith("face-closure") for f in report.failures)
 
 
+def test_face_closure_reports_each_missing_face_once():
+    # the shared ray (1,1) and the zero cone are faces of both members
+    datum = SphericalDatum(2, Cone.from_inequalities([], 2), ())
+    fan = ColoredFan((ColoredCone(Cone.from_generators([(1, 0), (1, 1)], 2)),
+                      ColoredCone(Cone.from_generators([(1, 1), (0, 1)], 2))))
+    failures = validate_colored_fan(datum, fan).failures
+    assert len(failures) == len(set(failures)) == 4
+    assert all(f.startswith("face-closure: missing face") for f in failures)
+
+
 def test_relint_overlap_detected():
     datum = table2_datum()
     a = ColoredCone(Cone.from_generators([(1, 0), (1, 1)], 2))
