@@ -57,7 +57,7 @@ def _load_poly(source: str, laurent: bool) -> ValuedPolynomial:
             with open(source) as fh:
                 return ValuedPolynomial.parse(fh.read(), laurent=laurent)
         return ValuedPolynomial.parse(source, laurent=laurent)
-    except (ValueError, KeyError) as e:
+    except (KeyError, ValueError, TypeError) as e:
         raise InputError(f"cannot parse polynomial: {e}")
 
 

@@ -225,21 +225,33 @@ def check_equivalence(f: ValuedPolynomial,
                       samples: Iterable[Sequence[ExtendedRational]] = (),
                       witnesses: Iterable[WitnessPoint] = ()
                       ) -> EquivalenceReport:
-    """Cross-check fundamental-theorem sets on samples and witness points."""
+    """Cross-check fundamental-theorem sets on samples and witness points.
+
+    The complex of f is built at most once, when a finite sample or a
+    witness first needs it; samples with infinite entries go through
+    ``membership_set1``, which restricts f to their orbit.
+    """
+    complex_finite = None
+
+    def in_complex(w: Vector) -> bool:
+        nonlocal complex_finite
+        if complex_finite is None:
+            complex_finite = trop_hypersurface(f)
+        return complex_finite.contains(w)
+
     report = EquivalenceReport()
     for w in samples:
         w = tuple(w)
         report.samples.append(SampleVerdict(
             weight=w,
-            in_complex=membership_set1(f, w),
+            in_complex=(in_complex(w) if all(map(is_finite, w))
+                        else membership_set1(f, w)),
             in_initial_set=membership_set2(f, w)))
-    complex_finite = trop_hypersurface(f) if not f.is_zero() else None
     for p in witnesses:
         value = f.evaluate(p.coordinates)
         vv = p.valuations()
         report.witnesses.append(WitnessVerdict(
             valuations=vv,
             residual_zero=not value,
-            in_complex=(complex_finite is not None
-                        and complex_finite.contains(vv))))
+            in_complex=not f.is_zero() and in_complex(vv)))
     return report

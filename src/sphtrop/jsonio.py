@@ -32,6 +32,18 @@ def vector_from_json(data) -> Vector:
     return tuple(map(rational_from_input, data))
 
 
+# Largest rank, ambient dimension or variable count read from input.  The
+# double-description sweep starts from an identity matrix of that size, so
+# an unchecked rank of 10**9 would exhaust memory before any vector is read.
+MAX_DIM = 64
+
+
+def dim_from_json(data) -> int:
+    if type(data) is not int or not 0 <= data <= MAX_DIM:
+        raise InputError(f"expected a dimension in 0..{MAX_DIM}, got {data!r}")
+    return data
+
+
 def weight_to_json(w: Sequence[ExtendedRational]) -> list[str]:
     return ["inf" if x is INF else frac_to_json(x) for x in w]
 
@@ -48,7 +60,7 @@ def cone_to_json(c: Cone) -> dict:
 
 
 def cone_from_json(data) -> Cone:
-    dim = data["ambient_dim"]
+    dim = dim_from_json(data["ambient_dim"])
     if "generators" in data:
         return Cone.from_generators(
             [vector_from_json(g) for g in data["generators"]], dim)
@@ -67,10 +79,9 @@ def datum_to_json(d: SphericalDatum) -> dict:
 
 
 def datum_from_json(data) -> SphericalDatum:
-    vc = data["valuation_cone"]
-    vc = dict(vc, ambient_dim=vc.get("ambient_dim", data["rank"]))
+    vc = {"ambient_dim": data["rank"], **data["valuation_cone"]}
     return SphericalDatum(
-        rank=data["rank"],
+        rank=dim_from_json(data["rank"]),
         valuation_cone=cone_from_json(vc),
         palette=tuple(Color(c["name"], vector_from_json(c["rho"]))
                       for c in data.get("palette", [])))
@@ -126,7 +137,7 @@ def trop_to_json(t: ExtendedTrop) -> dict:
 def trop_from_json(data) -> ExtendedTrop:
     from .polyhedra import quotient_chart
 
-    rank = data["ambient_rank"]
+    rank = dim_from_json(data["ambient_rank"])
     strata = []
     for item in data["strata"]:
         face = ColoredCone(
@@ -175,8 +186,8 @@ def polynomial_to_json(f: ValuedPolynomial) -> dict:
 def polynomial_from_json(data) -> ValuedPolynomial:
     coeffs = {tuple(t["exponents"]): scalar_from_json(t["coefficient"])
               for t in data["terms"]}
-    return ValuedPolynomial.from_dict(data["nvars"], coeffs,
-                                      laurent=data["laurent"])
+    return ValuedPolynomial.from_dict(
+        dim_from_json(data["nvars"]), coeffs, laurent=data["laurent"])
 
 
 def complex_to_json(cx: TropicalComplex) -> dict:
@@ -193,12 +204,13 @@ def complex_to_json(cx: TropicalComplex) -> dict:
 def complex_from_json(data) -> TropicalComplex:
     def constraint(c):
         return (vector_from_json(c["coeffs"]), rational_from_input(c["rhs"]))
+    dim = dim_from_json(data["ambient_dim"])
     cells = tuple(
-        Cell(data["ambient_dim"],
+        Cell(dim,
              tuple(constraint(c) for c in cell["equalities"]),
              tuple(constraint(c) for c in cell["inequalities"]))
         for cell in data["cells"])
-    return TropicalComplex(data["ambient_dim"], cells)
+    return TropicalComplex(dim, cells)
 
 
 def dumps(obj: dict) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import rational_from_input
+from .linalg import InputError, rational_from_input
 
 
 class _Infinity:
@@ -247,7 +247,8 @@ class ValuedPolynomial:
                   laurent: bool = True) -> "ValuedPolynomial":
         items = []
         for u, c in coeffs.items():
-            u = tuple(int(e) for e in u)
+            if any(type(e) is not int for e in u):
+                raise InputError(f"exponents must be integers, got {u!r}")
             if len(u) != nvars:
                 raise ValueError("exponent vector length mismatch")
             if not laurent and any(e < 0 for e in u):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import Vector, vec
+from .linalg import Vector, dot, vec
 from .polyhedra import Cone
 
 
@@ -142,6 +142,15 @@ def colored_faces(datum: SphericalDatum, cc: ColoredCone) -> list[ColoredCone]:
     return out
 
 
+def _facet_separates(a: Cone, b: Cone) -> bool:
+    """Some facet h of a has h.g <= 0 on every generator g of b.
+
+    Every facet is positive on relint(a), so relint(a) then misses b.
+    """
+    return any(all(dot(h, g) <= 0 for g in b.generators)
+               for h in a.inequalities)
+
+
 def validate_colored_fan(datum: SphericalDatum, fan: ColoredFan,
                          require_strict: bool = False) -> ValidationReport:
     """Face closure, relint disjointness inside V, and optional strictness."""
@@ -173,6 +182,10 @@ def validate_colored_fan(datum: SphericalDatum, fan: ColoredFan,
             if a.cone == b.cone:
                 failures.append("interior-overlap: duplicate cone with "
                                 "different colors")
+                continue
+            # a facet of one cone that separates the pair needs no sweep
+            if (_facet_separates(a.cone, b.cone)
+                    or _facet_separates(b.cone, a.cone)):
                 continue
             meet = a.cone.intersect(b.cone).intersect(datum.valuation_cone)
             y = meet.relint_point()

@@ -129,6 +129,8 @@ def tropicalize_embedding(datum: SphericalDatum, fan: ColoredFan
     """One stratum per distinct colored face across all maximal cones.
 
     Faces shared by several cones are glued, i.e. contribute one stratum.
+    The faces below a colored face are the colored faces of its maximal
+    cone that it contains.
     """
     report = validate_colored_fan(datum, fan)
     if not report.ok:
@@ -141,11 +143,9 @@ def tropicalize_embedding(datum: SphericalDatum, fan: ColoredFan
             key = stratum_key(f)
             if key not in strata:
                 strata[key] = Stratum.of(datum, f)
-        for f in faces:
-            sub = frozenset(stratum_key(g)
-                            for g in colored_faces(datum, f))
-            face_of[stratum_key(f)] = face_of.get(stratum_key(f),
-                                                  frozenset()) | sub
+            sub = frozenset(stratum_key(g) for g in faces
+                            if f.cone.contains_cone(g.cone))
+            face_of[key] = face_of.get(key, frozenset()) | sub
     return ExtendedTrop(datum.rank, list(strata.values()), face_of)
 
 

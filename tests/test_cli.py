@@ -249,3 +249,36 @@ def test_cli_outputs_match_recorded_digests(tmp_path, monkeypatch, capsys):
         assert sha256(out.encode()) == recorded["stdout"][label], label
     written = {p.name: sha256(p.read_bytes()) for p in tmp_path.iterdir()}
     assert written == recorded["files"]
+
+
+@pytest.mark.parametrize("exponent", ["0.5", "true", "1e5000"])
+def test_non_integer_polynomial_exponent_exits_2(corpus, capsys, tmp_path,
+                                                 exponent):
+    poly = json.loads((corpus / "e3.poly.json").read_text())
+    poly["terms"][0]["exponents"][0] = "EXPONENT"
+    bad = tmp_path / "bad.poly.json"
+    bad.write_text(json.dumps(poly).replace('"EXPONENT"', exponent))
+    for argv in (["poly", "hypersurface"], ["poly", "trop", "--weight", "0,0"],
+                 ["ftt", "--weight", "0,0"]):
+        rc = main(argv + ["--poly", str(bad)])
+        assert rc == 2 and one_line_error(capsys)
+
+
+def test_huge_datum_rank_exits_2(corpus, capsys, tmp_path):
+    """A rank is refused before the sweep allocates a rank-by-rank basis."""
+    datum = {"rank": 10 ** 9, "valuation_cone": {"generators": []}}
+    bad = tmp_path / "bad.datum.json"
+    bad.write_text(json.dumps(datum))
+    rc = main(["validate", "--datum", str(bad),
+               "--fan", str(corpus / "blowup-a4.fan.json")])
+    assert rc == 2 and one_line_error(capsys)
+
+
+@pytest.mark.parametrize("value", [10 ** 9, -1, True, "2"])
+def test_bad_trop_ambient_rank_exits_2(corpus, capsys, tmp_path, value):
+    trop = json.loads((corpus / "blowup-a4.trop.json").read_text())
+    trop["ambient_rank"] = value
+    bad = tmp_path / "bad.trop.json"
+    bad.write_text(json.dumps(trop))
+    rc = main(["render", "--trop", str(bad)])
+    assert rc == 2 and one_line_error(capsys)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphtrop.linalg import dot, embed_from_chart, project_to_chart, vec
+from sphtrop.linalg import dot, embed_from_chart, project_to_chart, vadd, vec
 from sphtrop.polyhedra import Cone, _dd, affine_feasible, quotient_chart
+from sphtrop.spherical import _facet_separates
 
 
 def test_generators_inequalities_round_trip():
@@ -245,3 +246,110 @@ def affine_systems(draw):
 @given(affine_systems())
 def test_property_affine_feasible_agrees_with_fourier_motzkin(system):
     assert affine_feasible(*system) == fm_feasible(*system)
+
+
+# -- the face lattice against one sweep per face -----------------------------
+
+def dd_faces(self):
+    """Reference for ``Cone.faces``: one double-description sweep per face."""
+    seen = {self.canonical_key(): self}
+    stack = [self]
+    while stack:
+        c = stack.pop()
+        for a in c.inequalities:
+            f = Cone.from_inequalities(
+                c.inequalities, self.ambient_dim, c.equations + (a,))
+            k = f.canonical_key()
+            if k not in seen:
+                seen[k] = f
+                stack.append(f)
+    return sorted(seen.values(), key=lambda c: c.canonical_key())
+
+
+def dd_is_face_of(self, other):
+    """Reference for ``Cone.is_face_of``: the face cut out by the summed
+    tight facets, by one double-description sweep."""
+    if not all(other.contains(g) for g in self.generators):
+        return False
+    tight = [a for a in other.inequalities
+             if all(dot(a, g) == 0 for g in self.generators)]
+    u = vec([0] * self.ambient_dim)
+    for a in tight:
+        u = vadd(u, a)
+    face = Cone.from_inequalities(
+        other.inequalities, self.ambient_dim, other.equations + (u,))
+    return face == self
+
+
+@st.composite
+def mixed_cones(draw, dim=None):
+    """Cones from generators, with a lineality line, or with equations."""
+    dim = dim or draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["generators", "lineality", "equations"]))
+    if kind == "generators":
+        return draw(cones(dim))
+    if kind == "lineality":
+        line = draw(st.tuples(*[st.integers(-3, 3)] * dim))
+        return Cone.from_generators(
+            draw(rows(dim, 4)) + [line, tuple(-x for x in line)], dim)
+    return Cone.from_inequalities(draw(rows(dim, 5)), dim,
+                                  draw(rows(dim, 2)))
+
+
+@st.composite
+def related_pairs(draw):
+    """Two cones of one dimension: faces of one cone, a cone and one of its
+    faces or a cone around it, the full space, or two unrelated cones."""
+    c = draw(mixed_cones())
+    dim = c.ambient_dim
+    faces = c.faces()
+
+    def partner():
+        return draw(st.one_of(
+            st.sampled_from(faces), st.just(c), mixed_cones(dim),
+            st.just(Cone.full_space(dim)), st.just(Cone.zero(dim))))
+
+    return partner(), partner()
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_cones())
+def test_property_faces_agree_with_one_sweep_per_face(c):
+    assert c.faces() == dd_faces(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(related_pairs())
+def test_property_is_face_of_agrees_with_summed_facet_sweep(pair):
+    a, b = pair
+    assert a.is_face_of(b) == dd_is_face_of(a, b)
+    assert b.is_face_of(a) == dd_is_face_of(b, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(related_pairs())
+def test_property_intersect_agrees_with_joined_system(pair):
+    a, b = pair
+    joined = Cone.from_inequalities(a.inequalities + b.inequalities,
+                                    a.ambient_dim, a.equations + b.equations)
+    assert a.intersect(b) == joined
+    assert b.intersect(a) == joined
+
+
+def dd_relints_overlap(a, b, v):
+    """The overlap check of ``validate_colored_fan`` on swept meets."""
+    meet = Cone.from_inequalities(
+        a.inequalities + b.inequalities + v.inequalities, a.ambient_dim,
+        a.equations + b.equations + v.equations)
+    y = meet.relint_point()
+    return a.relint_contains(y) and b.relint_contains(y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    mixed_cones(d), mixed_cones(d),
+    st.one_of(st.just(Cone.full_space(d)), mixed_cones(d)))))
+def test_property_separated_pairs_never_overlap(triple):
+    a, b, v = triple
+    if _facet_separates(a, b) or _facet_separates(b, a):
+        assert not dd_relints_overlap(a, b, v)
