@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import Vector, dot, primitive, vec
+from .linalg import IntVector, Vector, dot, primitive, vec
 from .polyhedra import affine_feasible
 from .puiseux import (
     INF,
@@ -23,12 +23,13 @@ from .puiseux import (
     is_finite,
 )
 
-Constraint = tuple[Vector, Fraction]  # coeffs . w  (rel)  rhs
+Constraint = tuple[IntVector, int]  # coeffs . w  (rel)  rhs
 
 
-def _canon_constraint(coeffs: Sequence[Fraction], rhs: Fraction,
-                      fix_sign: bool = False) -> Constraint:
-    row = primitive(tuple(coeffs) + (rhs,), fix_sign=fix_sign)
+def canonical_constraint(coeffs: Sequence, rhs, fix_sign: bool = False
+                         ) -> Constraint:
+    """The constraint scaled by a positive rational to primitive integers."""
+    row = primitive((*coeffs, rhs), fix_sign=fix_sign)
     return row[:-1], row[-1]
 
 
@@ -41,7 +42,6 @@ class Cell:
     inequalities: tuple[Constraint, ...]
 
     def contains(self, w: Sequence[Fraction]) -> bool:
-        w = vec(w)
         return (all(dot(c, w) == r for c, r in self.equalities)
                 and all(dot(c, w) >= r for c, r in self.inequalities))
 
@@ -91,12 +91,10 @@ def trop_hypersurface(f: ValuedPolynomial) -> TropicalComplex:
         ui, ci = terms[i]
         for j in range(i + 1, len(terms)):
             uj, cj = terms[j]
-            eq = _canon_constraint(
-                [Fraction(a - b) for a, b in zip(ui, uj)], cj - ci,
-                fix_sign=True)
+            eq = canonical_constraint(
+                [a - b for a, b in zip(ui, uj)], cj - ci, fix_sign=True)
             ineqs = tuple(sorted(
-                _canon_constraint([Fraction(a - b) for a, b in zip(uk, ui)],
-                                  ci - ck)
+                canonical_constraint([a - b for a, b in zip(uk, ui)], ci - ck)
                 for k, (uk, ck) in enumerate(terms) if k not in (i, j)))
             cell = Cell(m, (eq,), ineqs)
             key = (cell.equalities, cell.inequalities)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .linalg import fraction_rows
 from .puiseux import (
     INF,
     ExtendedRational,
@@ -117,6 +118,12 @@ class ComparisonReport:
                 "mismatches": list(self.mismatches)}
 
 
+def _shown(key: StratumKey) -> str:
+    """A stratum key as report text, its cone rows printed as ``Fraction``s."""
+    (dim, rays, lineality), colors = key
+    return str(((dim, fraction_rows(rays), fraction_rows(lineality)), colors))
+
+
 def compare_tropicalizations(a: ExtendedTrop, b: ExtendedTrop
                              ) -> ComparisonReport:
     """Stratum-by-stratum equality of two extended tropicalizations."""
@@ -124,14 +131,15 @@ def compare_tropicalizations(a: ExtendedTrop, b: ExtendedTrop
         raise ValueError("ambient ranks differ")
     report = ComparisonReport()
     for key in a.strata.keys() - b.strata.keys():
-        report.mismatches.append(f"stratum only on the left: {key}")
+        report.mismatches.append(f"stratum only on the left: {_shown(key)}")
     for key in b.strata.keys() - a.strata.keys():
-        report.mismatches.append(f"stratum only on the right: {key}")
+        report.mismatches.append(f"stratum only on the right: {_shown(key)}")
     for key in a.strata.keys() & b.strata.keys():
         report.strata_checked += 1
         if (a.strata[key].valuation_cone_image
                 != b.strata[key].valuation_cone_image):
-            report.mismatches.append(f"valuation-cone images differ at {key}")
+            report.mismatches.append(
+                f"valuation-cone images differ at {_shown(key)}")
         if a.adjacency.get(key) != b.adjacency.get(key):
-            report.mismatches.append(f"adjacency differs at {key}")
+            report.mismatches.append(f"adjacency differs at {_shown(key)}")
     return report

@@ -11,8 +11,8 @@ import json
 from fractions import Fraction
 from typing import Sequence
 
-from .fundthm import Cell, TropicalComplex
-from .linalg import InputError, Vector, rational_from_input
+from .fundthm import Cell, TropicalComplex, canonical_constraint
+from .linalg import MAX_DIM, InputError, Vector, rational_from_input
 from .polyhedra import Cone
 from .puiseux import INF, ExtendedRational, PuiseuxScalar, ValuedPolynomial
 from .spherical import Color, ColoredCone, ColoredFan, SphericalDatum
@@ -30,12 +30,6 @@ def vector_to_json(v: Sequence[Fraction]) -> list[str]:
 
 def vector_from_json(data) -> Vector:
     return tuple(map(rational_from_input, data))
-
-
-# Largest rank, ambient dimension or variable count read from input.  The
-# double-description sweep starts from an identity matrix of that size, so
-# an unchecked rank of 10**9 would exhaust memory before any vector is read.
-MAX_DIM = 64
 
 
 def dim_from_json(data) -> int:
@@ -203,7 +197,8 @@ def complex_to_json(cx: TropicalComplex) -> dict:
 
 def complex_from_json(data) -> TropicalComplex:
     def constraint(c):
-        return (vector_from_json(c["coeffs"]), rational_from_input(c["rhs"]))
+        return canonical_constraint(vector_from_json(c["coeffs"]),
+                                    rational_from_input(c["rhs"]))
     dim = dim_from_json(data["ambient_dim"])
     cells = tuple(
         Cell(dim,

@@ -1,24 +1,34 @@
 """Exact rational linear algebra: row reduction, kernels, solving, and
 coordinates in a chart (one Gram solve shared by ``project_off``).
 
-All matrices are lists/tuples of row vectors whose entries are
-``fractions.Fraction``.  Nothing here is numerically approximate, and
-``rational_from_input`` keeps it so at the input boundary.
-``primitive_ints`` is the bridge to integer rows, for callers that run on
-``int`` arithmetic and convert back to ``Fraction`` at their boundary.
+Vectors are tuples of exact rationals: ``int`` or ``fractions.Fraction``,
+which compare and hash alike.  Rows of cones and cells are primitive
+integer vectors (``IntVector``, made by ``primitive``); ``Fraction`` enters
+only where input is read (``rational_from_input``, ``vec``), where a
+division happens (``rref`` lifts its rows with ``vec`` first, since
+``int / int`` is a float), and in report text (``fraction_rows``).
+Nothing here is numerically approximate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
+IntVector = tuple[int, ...]
 
 
 class InputError(ValueError):
     """Malformed input data, reported with a one-line message on load."""
+
+
+# Largest rank, ambient dimension or variable count read from input.  The
+# double-description sweep starts from an identity matrix of that size, so
+# an unchecked rank of 10**9 would exhaust memory before any vector is read.
+MAX_DIM = 64
 
 
 def rational_from_input(x) -> Fraction:
@@ -41,8 +51,10 @@ def vec(entries: Iterable) -> Vector:
     return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
+def dot(u: Sequence, v: Sequence):
+    if len(u) != len(v):
+        raise ValueError("dimension mismatch")
+    return sum(map(mul, u, v))
 
 
 def vadd(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
@@ -65,7 +77,7 @@ def is_zero_vec(u: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in u)
 
 
-def primitive_ints(u: Sequence, fix_sign: bool = False) -> tuple[int, ...]:
+def primitive(u: Sequence, fix_sign: bool = False) -> IntVector:
     """The primitive integer vector on the ray of a rational vector.
 
     Entries may be ``int`` or ``Fraction``.  The scaling factor is positive,
@@ -82,19 +94,14 @@ def primitive_ints(u: Sequence, fix_sign: bool = False) -> tuple[int, ...]:
     return tuple(n // g for n in ints)
 
 
-def primitive(u: Sequence[Fraction], fix_sign: bool = False) -> Vector:
-    """Scale a nonzero rational vector to a primitive integer vector.
-
-    The scaling factor is positive, so ray directions are preserved.  With
-    ``fix_sign`` the first nonzero entry is additionally made positive
-    (canonical form for lines and hyperplane normals).
-    """
-    return tuple(Fraction(n) for n in primitive_ints(vec(u), fix_sign))
+def fraction_rows(rows: Iterable[Sequence]) -> tuple[Vector, ...]:
+    """Rows as ``Fraction`` tuples, in the repr that report text prints."""
+    return tuple(tuple(map(Fraction, r)) for r in rows)
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Vector], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    mat = [list(r) for r in rows]
+    mat = [list(vec(r)) for r in rows]
     if not mat:
         return [], []
     ncols = len(mat[0])
@@ -122,14 +129,15 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(rref(rows)[0])
 
 
-def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vector]:
+def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int
+                 ) -> list[IntVector]:
     """Basis of {x : Rx = 0}, deterministic: free columns in increasing order."""
     red, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+        v = [0] * ncols
+        v[fc] = 1
         for row, pc in zip(red, pivots):
             v[pc] = -row[fc]
         basis.append(primitive(v, fix_sign=True))
@@ -151,9 +159,8 @@ def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vector
     return tuple(sol)
 
 
-def project_to_chart(chart: Sequence[Vector], x: Sequence) -> Vector:
+def project_to_chart(chart: Sequence[IntVector], x: Sequence) -> Vector:
     """Coordinates in the chart of the component of x in span(chart)."""
-    x = vec(x)
     if not chart:
         return ()
     gram = [[dot(b1, b2) for b2 in chart] for b1 in chart]
@@ -162,7 +169,7 @@ def project_to_chart(chart: Sequence[Vector], x: Sequence) -> Vector:
     return coords
 
 
-def embed_from_chart(chart: Sequence[Vector], value: Sequence) -> Vector:
+def embed_from_chart(chart: Sequence[IntVector], value: Sequence) -> Vector:
     dim = len(chart[0]) if chart else 0
     v = vec([0] * dim)
     for c, b in zip(value, chart, strict=True):
@@ -170,9 +177,9 @@ def embed_from_chart(chart: Sequence[Vector], value: Sequence) -> Vector:
     return v
 
 
-def project_off(v: Sequence[Fraction], basis: Sequence[Vector]) -> Vector:
+def project_off(v: Sequence[Fraction], basis: Sequence[IntVector]) -> Vector:
     """Component of v orthogonal to span(basis), w.r.t. the standard form."""
-    v = vec(v)
+    v = tuple(v)
     if not basis:
         return v
     return vsub(v, embed_from_chart(basis, project_to_chart(basis, v)))

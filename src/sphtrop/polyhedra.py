@@ -7,20 +7,24 @@ in exact arithmetic, so equality of cones is decidable and deterministic.
 
 The sweep (``_dd``) is fraction-free: it scales every row to a primitive
 integer row, updates rays and lineality vectors by cross-multiplication
-followed by division by the gcd, and returns ``Fraction`` vectors.  Every
-``Cone`` is built by ``Cone.from_generators``, which puts the sweep's output
-into canonical form: rays sorted and primitive modulo the lineality space,
-lineality as primitive reduced-row-echelon rows.  That canonical key decides
-``==`` and ``hash``.  Construction is memoised on the ambient dimension and
-the set of nonzero input generators in a module-level LRU cache of at most
-``CONE_CACHE_SIZE`` entries; a hit returns the same immutable ``Cone``
-object.  ``from_inequalities`` keeps no cache of its own: keying one on
-inequality systems raised the peak memory of the toric-arrangement
-benchmark by about 13% for little gain, as its cones end in the cache above.
-It is called less instead: ``faces`` and ``is_face_of`` read faces off the
-ray-facet incidence sets (a face is spanned by the lineality space and the
-rays tight on some facets), and ``intersect`` returns a cone that lies inside
-the other, by exact dot products, without a sweep.
+followed by division by the gcd, and returns primitive ``int`` vectors.
+Every ``Cone`` is built by ``Cone.from_generators``, which puts the sweep's
+output into canonical form: rays sorted and primitive modulo the lineality
+space, lineality as primitive reduced-row-echelon rows.  That canonical key
+decides ``==`` and ``hash``.  Rays, lineality, inequalities and equations
+are all ``int`` tuples: input rows may hold ``int`` or ``Fraction``
+entries, and ``Fraction`` appears otherwise only inside the row reductions
+of the projections, which divide.  Construction is memoised on the ambient
+dimension and the set of nonzero input generators in a module-level LRU
+cache of at most ``CONE_CACHE_SIZE`` entries; a hit returns the same
+immutable ``Cone`` object.  ``from_inequalities`` keeps no cache of its
+own: keying one on inequality systems raised the peak memory of the
+toric-arrangement benchmark by about 13% for little gain, as its cones end
+in the cache above.  It is called less instead: ``faces`` and
+``is_face_of`` read faces off the ray-facet incidence sets (a face is
+spanned by the lineality space and the rays tight on some facets), and
+``intersect`` returns a cone that lies inside the other, by exact dot
+products, without a sweep.
 
 ``affine_feasible`` decides an affine system of equations, weak and strict
 inequalities on the same sweep, so ``_dd`` is the one polyhedral algorithm.
@@ -35,26 +39,18 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import mul
 from typing import Iterable, Sequence
 
 from .linalg import (
-    Vector,
+    IntVector,
     dot,
     is_zero_vec,
     kernel_basis,
     primitive,
-    primitive_ints,
     project_off,
     rref,
-    vadd,
-    vec,
     vneg,
 )
-
-
-def _idot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(map(mul, u, v))
 
 
 def _toward_zero(u: tuple[int, ...], s: int, l0: tuple[int, ...], v0: int
@@ -74,14 +70,15 @@ def _toward_zero(u: tuple[int, ...], s: int, l0: tuple[int, ...], v0: int
     return tuple(x // g for x in w) if g > 1 else tuple(w)
 
 
-def _dd(equations: Sequence[Vector], inequalities: Sequence[Vector], dim: int
-        ) -> tuple[list[Vector], list[Vector]]:
+def _dd(equations: Sequence[Sequence], inequalities: Sequence[Sequence],
+        dim: int) -> tuple[list[IntVector], list[IntVector]]:
     """Generators of {x : e.x = 0 for e in equations, a.x >= 0 for a in inequalities}.
 
     Returns (lineality basis, extreme rays).  Rays are extreme modulo the
     lineality space.  The sweep is fraction-free: every row is scaled to a
-    primitive integer row, new vectors come from cross-multiplication and
-    are divided by their gcd, and ``Fraction`` appears only in the result.
+    primitive integer row, and new vectors come from cross-multiplication
+    and are divided by their gcd, so every result is a primitive ``int``
+    vector.
     """
     lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays: list[tuple[tuple[int, ...], frozenset[int]]] = []
@@ -92,27 +89,27 @@ def _dd(equations: Sequence[Vector], inequalities: Sequence[Vector], dim: int
         return [_toward_zero(l, v, l0, v0)
                 for i, (l, v) in enumerate(zip(lin, vals)) if i != j]
 
-    for e in map(primitive_ints, equations):
-        vals = [_idot(e, l) for l in lin]
+    for e in map(primitive, equations):
+        vals = [dot(e, l) for l in lin]
         j = next((i for i, v in enumerate(vals) if v), None)
         if j is not None:
             lin = cut(vals, j)
 
-    for idx, a in enumerate(map(primitive_ints, inequalities)):
-        vals = [_idot(a, l) for l in lin]
+    for idx, a in enumerate(map(primitive, inequalities)):
+        vals = [dot(a, l) for l in lin]
         j = next((i for i, v in enumerate(vals) if v), None)
         if j is not None:
             # a cuts the lineality space: one lineality generator becomes a ray.
             l0, v0 = lin[j], vals[j]
             lin = cut(vals, j)
-            rays = [(_toward_zero(r, _idot(a, r), l0, v0), tight | {idx})
+            rays = [(_toward_zero(r, dot(a, r), l0, v0), tight | {idx})
                     for r, tight in rays]
             newray = l0 if v0 > 0 else tuple(-x for x in l0)
             rays.append((newray, frozenset(range(idx))))
             continue
         pos, zero, neg = [], [], []
         for k, (r, tight) in enumerate(rays):
-            s = _idot(a, r)
+            s = dot(a, r)
             if s > 0:
                 pos.append((k, r, tight, s))
             elif s < 0:
@@ -135,9 +132,7 @@ def _dd(equations: Sequence[Vector], inequalities: Sequence[Vector], dim: int
                 kept.append((tuple(x // g for x in w), common | {idx}))
         rays = kept
 
-    return ([tuple(map(Fraction, primitive_ints(l, fix_sign=True)))
-             for l in lin],
-            [tuple(map(Fraction, r)) for r, _ in rays])
+    return [primitive(l, fix_sign=True) for l in lin], [r for r, _ in rays]
 
 
 class Cone:
@@ -149,10 +144,10 @@ class Cone:
     def __init__(self, ambient_dim: int, rays, lineality, inequalities,
                  equations):
         self.ambient_dim = ambient_dim
-        self.rays: tuple[Vector, ...] = rays
-        self.lineality: tuple[Vector, ...] = lineality
-        self.inequalities: tuple[Vector, ...] = inequalities
-        self.equations: tuple[Vector, ...] = equations
+        self.rays: tuple[IntVector, ...] = rays
+        self.lineality: tuple[IntVector, ...] = lineality
+        self.inequalities: tuple[IntVector, ...] = inequalities
+        self.equations: tuple[IntVector, ...] = equations
         self._key = (ambient_dim, self.rays, self.lineality)
 
     # -- construction -------------------------------------------------
@@ -160,7 +155,7 @@ class Cone:
     @classmethod
     def from_generators(cls, generators: Iterable[Sequence], ambient_dim: int
                         ) -> "Cone":
-        gens = [vec(g) for g in generators]
+        gens = [tuple(g) for g in generators]
         for g in gens:
             if len(g) != ambient_dim:
                 raise ValueError("generator dimension mismatch")
@@ -171,8 +166,8 @@ class Cone:
     def from_inequalities(cls, inequalities: Iterable[Sequence],
                           ambient_dim: int,
                           equations: Iterable[Sequence] = ()) -> "Cone":
-        ineqs = [vec(a) for a in inequalities]
-        eqs = [vec(e) for e in equations]
+        ineqs = [tuple(a) for a in inequalities]
+        eqs = [tuple(e) for e in equations]
         for row in ineqs + eqs:
             if len(row) != ambient_dim:
                 raise ValueError("inequality dimension mismatch")
@@ -191,7 +186,7 @@ class Cone:
     # -- queries -------------------------------------------------------
 
     @property
-    def generators(self) -> tuple[Vector, ...]:
+    def generators(self) -> tuple[IntVector, ...]:
         return self.rays + self.lineality + tuple(vneg(l) for l in self.lineality)
 
     def dim(self) -> int:
@@ -201,25 +196,20 @@ class Cone:
         return not self.lineality
 
     def contains(self, v: Sequence) -> bool:
-        v = vec(v)
         if len(v) != self.ambient_dim:
             raise ValueError("dimension mismatch")
         return (all(dot(e, v) == 0 for e in self.equations)
                 and all(dot(a, v) >= 0 for a in self.inequalities))
 
     def relint_contains(self, v: Sequence) -> bool:
-        v = vec(v)
         if len(v) != self.ambient_dim:
             raise ValueError("dimension mismatch")
         return (all(dot(e, v) == 0 for e in self.equations)
                 and all(dot(a, v) > 0 for a in self.inequalities))
 
-    def relint_point(self) -> Vector:
+    def relint_point(self) -> IntVector:
         """A point in the relative interior (sum of the extreme rays)."""
-        p = vec([0] * self.ambient_dim)
-        for r in self.rays:
-            p = vadd(p, r)
-        return p
+        return tuple(map(sum, zip((0,) * self.ambient_dim, *self.rays)))
 
     def dual(self) -> "Cone":
         return Cone.from_inequalities(self.generators, self.ambient_dim)
@@ -291,7 +281,7 @@ CONE_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=CONE_CACHE_SIZE)
-def _cone_from_generators(ambient_dim: int, gens: frozenset[Vector]) -> Cone:
+def _cone_from_generators(ambient_dim: int, gens: frozenset[tuple]) -> Cone:
     """The canonical cone spanned by nonzero generators, shared per input set."""
     # V -> H: the dual cone's generators are our facets and span equations.
     dlin, drays = _dd([], list(gens), ambient_dim)
@@ -311,13 +301,13 @@ def _cone_from_generators(ambient_dim: int, gens: frozenset[Vector]) -> Cone:
 # -- quotient charts ----------------------------------------------------
 
 def quotient_chart(subspace_gens: Sequence[Sequence], ambient_dim: int
-                   ) -> tuple[Vector, ...]:
+                   ) -> tuple[IntVector, ...]:
     """Deterministic ordered basis of the orthogonal complement of the span.
 
     Obtained from the reduced row echelon kernel with free coordinates in
     increasing order, so identical inputs always yield the same chart.
     """
-    gens = [vec(g) for g in subspace_gens]
+    gens = list(subspace_gens)
     for g in gens:
         if len(g) != ambient_dim:
             raise ValueError("dimension mismatch")
@@ -339,9 +329,9 @@ def affine_feasible(equalities: Sequence[tuple[Sequence, Fraction]],
     nonnegative on the cone, so the sum of the rays is then one witness.
     """
     def homogenize(rows):
-        return [vec((*c, -r)) for c, r in rows]
+        return [(*c, -r) for c, r in rows]
 
-    positive = homogenize(strict) + [vec((0,) * dim + (1,))]
+    positive = homogenize(strict) + [(0,) * dim + (1,)]
     _, rays = _dd(homogenize(equalities), homogenize(weak) + positive,
                   dim + 1)
     return all(any(dot(f, r) > 0 for r in rays) for f in positive)

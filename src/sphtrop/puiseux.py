@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import InputError, rational_from_input
+from .linalg import MAX_DIM, InputError, rational_from_input
 
 
 class _Infinity:
@@ -152,7 +152,7 @@ class PuiseuxScalar:
         parts = []
         for e, c in self.terms:
             if e == 0:
-                piece = _frac_str(c)
+                piece = str(c)
             else:
                 tp = "t" if e == 1 else f"t^{_exp_str(e)}"
                 if c == 1:
@@ -160,16 +160,12 @@ class PuiseuxScalar:
                 elif c == -1:
                     piece = f"-{tp}"
                 else:
-                    piece = f"{_frac_str(c)}*{tp}"
+                    piece = f"{c}*{tp}"
             parts.append(piece)
         out = parts[0]
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
-
-
-def _frac_str(q: Fraction) -> str:
-    return str(q)
 
 
 def _exp_str(e: Fraction) -> str:
@@ -220,13 +216,13 @@ class ResiduePolynomial:
                 f"x{i+1}" if p == 1 else f"x{i+1}^{p}"
                 for i, p in enumerate(u) if p != 0)
             if not mono:
-                piece = _frac_str(c)
+                piece = str(c)
             elif c == 1:
                 piece = mono
             elif c == -1:
                 piece = f"-{mono}"
             else:
-                piece = f"{_frac_str(c)}*{mono}"
+                piece = f"{c}*{mono}"
             parts.append(piece)
         out = parts[0]
         for p in parts[1:]:
@@ -485,7 +481,8 @@ class _Parser:
         if tok is None:
             raise ValueError("unexpected end of input")
         if re.fullmatch(r"\d+/\d+|\d+", tok):
-            return self._const(PuiseuxScalar.rational(Fraction(tok)))
+            return self._const(PuiseuxScalar.rational(
+                rational_from_input(tok)))
         if tok == "t":
             e = self._maybe_exponent()
             return self._const(PuiseuxScalar.t_power(e))
@@ -512,17 +509,13 @@ class _Parser:
             if self.peek() == "-":
                 self.take()
                 neg = True
-            num = self.take()
-            val = Fraction(num)
-            if self.peek() == "/":  # pragma: no cover - tokenized as p/q already
-                self.take()
-                val /= Fraction(self.take())
+            val = rational_from_input(self.take())
             self.expect(")")
         else:
             if self.peek() == "-":
                 self.take()
                 neg = True
-            val = Fraction(self.take())
+            val = rational_from_input(self.take())
         return -val if neg else val
 
     def _const(self, s: PuiseuxScalar) -> ValuedPolynomial:
@@ -536,6 +529,9 @@ def _max_var_index(tokens: list[str]) -> int:
         m = re.fullmatch(r"x(\d+)", tok)
         if m:
             best = max(best, int(m.group(1)))
+    if best > MAX_DIM:
+        raise InputError(f"variable x{best} exceeds the limit of {MAX_DIM} "
+                         "variables")
     return best
 
 

@@ -22,17 +22,14 @@ def _scale_to_box(v: Vector, extent: Fraction) -> Vector:
     m = max(abs(x) for x in v)
     if m == 0:
         return v
-    return vscale(extent / m, v)
+    return vscale(Fraction(extent) / m, v)
 
 
 def _anchor(s: Stratum, extent: Fraction) -> Vector:
-    gens = [primitive(g) for g in s.face.cone.rays]
-    gens += [primitive(g) for g in s.face.cone.lineality]
+    gens = s.face.cone.rays + s.face.cone.lineality   # primitive already
     if not gens:
         return (Fraction(0),) * s.face.cone.ambient_dim
-    total = gens[0]
-    for g in gens[1:]:
-        total = vadd(total, g)
+    total = tuple(map(sum, zip(*gens)))
     if is_zero_vec(total):
         total = gens[0]
     return _scale_to_box(total, extent)
@@ -124,8 +121,7 @@ def render_svg(t: ExtendedTrop, extent: Fraction = Fraction(2)) -> str:
     span = 2 * extent
 
     def px(p: Vector) -> tuple[str, str]:
-        x = p[0] if len(p) > 0 else Fraction(0)
-        y = p[1] if len(p) > 1 else Fraction(0)
+        x, y = p
         sx = margin + (x + extent) / span * size
         sy = margin + (extent - y) / span * size
         return f"{float(sx):.2f}", f"{float(sy):.2f}"
@@ -171,8 +167,7 @@ def render_ascii(t: ExtendedTrop, extent: Fraction = Fraction(2),
     grid = [[" "] * n for _ in range(n)]
 
     def at(p: Vector):
-        x = p[0] if len(p) > 0 else Fraction(0)
-        y = p[1] if len(p) > 1 else Fraction(0)
+        x, y = p
         if abs(x) > extent or abs(y) > extent:
             return None
         return (int(round(float((extent - y) / step))),

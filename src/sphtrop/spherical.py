@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import Vector, dot, vec
+from .linalg import Vector, dot, fraction_rows, vec
 from .polyhedra import Cone
 
 
@@ -131,6 +131,12 @@ def colored_faces(datum: SphericalDatum, cc: ColoredCone) -> list[ColoredCone]:
     report = validate_colored_cone(datum, cc)
     if not report.ok:
         raise ValueError(f"invalid colored cone: {report.failures}")
+    return _colored_faces(datum, cc)
+
+
+def _colored_faces(datum: SphericalDatum, cc: ColoredCone
+                   ) -> list[ColoredCone]:
+    """``colored_faces`` of a colored cone already known to be valid."""
     out = []
     for tau in cc.cone.faces():
         if not relint_meets_valuation_cone(datum, tau):
@@ -169,12 +175,13 @@ def validate_colored_fan(datum: SphericalDatum, fan: ColoredFan,
     # fan members, then each missing face once it has been reported
     seen = {(cc.cone.canonical_key(), cc.colors) for cc in fan.cones}
     for cc in valid_members:
-        for face in colored_faces(datum, cc):
+        for face in _colored_faces(datum, cc):
             key = (face.cone.canonical_key(), face.colors)
             if key not in seen:
                 seen.add(key)
                 failures.append(
-                    f"face-closure: missing face {face.cone.rays} "
+                    "face-closure: missing face "
+                    f"{fraction_rows(face.cone.rays)} "
                     f"with colors {sorted(face.colors)}")
 
     for i, a in enumerate(fan.cones):
@@ -191,8 +198,9 @@ def validate_colored_fan(datum: SphericalDatum, fan: ColoredFan,
             y = meet.relint_point()
             if a.cone.relint_contains(y) and b.cone.relint_contains(y):
                 failures.append(
-                    f"interior-overlap: cones {a.cone.rays} and {b.cone.rays}"
-                    " share relative-interior points inside V")
+                    f"interior-overlap: cones {fraction_rows(a.cone.rays)} "
+                    f"and {fraction_rows(b.cone.rays)} share "
+                    "relative-interior points inside V")
 
     if require_strict and not strict:
         failures.append("strict-convexity")

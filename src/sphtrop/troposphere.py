@@ -16,10 +16,10 @@ only in how they traverse the faces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import Vector, dot, embed_from_chart, project_to_chart, vec
+from .linalg import (IntVector, Vector, dot, embed_from_chart,
+                     project_to_chart, vec)
 from .polyhedra import Cone, quotient_chart
 from .puiseux import INF, ExtendedRational
 from .spherical import (
@@ -50,7 +50,7 @@ class Stratum:
     """One piece V_tau of the extended tropicalization."""
 
     face: ColoredCone
-    chart: tuple[Vector, ...]
+    chart: tuple[IntVector, ...]
     valuation_cone_image: Cone
 
     def __post_init__(self):
@@ -211,10 +211,9 @@ def assemble_subvariety_trop(trop: ExtendedTrop,
         if cx.ambient_dim != s.quotient_dim:
             raise ValueError("set dimension does not match the stratum")
         cone = s.valuation_cone_image
-        halfspaces = ([(h, Fraction(0)) for h in cone.inequalities]
-                      + [(e, Fraction(0)) for e in cone.equations]
-                      + [(tuple(-x for x in e), Fraction(0))
-                         for e in cone.equations])
+        halfspaces = ([(h, 0) for h in cone.inequalities]
+                      + [(e, 0) for e in cone.equations]
+                      + [(tuple(-x for x in e), 0) for e in cone.equations])
         for cell in cx.cells:
             for coeffs, rhs in halfspaces:
                 escapes = affine_feasible(

@@ -282,3 +282,18 @@ def test_bad_trop_ambient_rank_exits_2(corpus, capsys, tmp_path, value):
     bad.write_text(json.dumps(trop))
     rc = main(["render", "--trop", str(bad)])
     assert rc == 2 and one_line_error(capsys)
+
+
+def test_text_polynomial_variable_count_is_capped(capsys):
+    """A text polynomial may name x1..x64; x65 is refused before any sweep."""
+    rc = main(["poly", "hypersurface", "--poly", "x65 + 1"])
+    assert rc == 2 and one_line_error(capsys)
+    rc, out = run(capsys, "poly", "hypersurface", "--poly", "x64 + 1")
+    assert rc == 0 and json.loads(out)["ambient_dim"] == 64
+
+
+@pytest.mark.parametrize("poly", ["1/0*t + x1", "t^(1/0) + x1",
+                                  "t^-1/0 + x1"])
+def test_zero_denominator_in_text_polynomial_exits_2(capsys, poly):
+    rc = main(["poly", "hypersurface", "--poly", poly])
+    assert rc == 2 and one_line_error(capsys)

@@ -1,10 +1,12 @@
-"""Mutated corpus JSON through the CLI: exit codes 0, 1 or 2, never a
-traceback.
+"""Mutated corpus JSON and text polynomials through the CLI: exit codes 0,
+1 or 2, never a traceback.
 
-Each example takes one corpus file (datum, fan, tropicalization or
+Each JSON example takes one corpus file (datum, fan, tropicalization or
 polynomial), walks to a random node, drops it or replaces it with a value
 of another type, an out-of-range index or a float or huge number, and runs
-the commands that read that kind of file.
+the commands that read that kind of file.  Each text example splices a
+hostile fragment (a variable past the limit, a stray operator, a float)
+into a polynomial given on the command line.
 """
 
 import contextlib
@@ -72,6 +74,17 @@ def mutate(data, path, action):
     return data
 
 
+def assert_exits_0_1_or_2(argv):
+    """Exit 0, 1 or 2 without a traceback, and one line of error on exit 2."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+
+
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
@@ -89,10 +102,29 @@ def test_mutated_corpus_json_exits_0_1_or_2(corpus, mutation):
     bad = corpus / f"mutated.{kind}"
     bad.write_text(json.dumps(data))
     for argv in commands(kind, str(bad), corpus):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(argv)
-        assert rc in (0, 1, 2), argv
-        assert "Traceback" not in err.getvalue()
-        if rc == 2:
-            assert err.getvalue().count("\n") == 1, err.getvalue()
+        assert_exits_0_1_or_2(argv)
+
+
+POLY_TEXT = ("2*t + (t^-1 + 3*t^3)*x1 + (7 - t^1000)*x2 - 6*x1^2"
+             " + 4*t^-2*x1*x2")
+FRAGMENTS = ["x65", "x0", "x" + "9" * 30, "x64", "x3", "^", "^-", "^(",
+             "(", ")", "*", "+", "-", "/", "1/0", "0.5", "1e5", "t^(1/2)",
+             "t^(-3/2)", "inf", "y", " ", ""]
+
+
+@st.composite
+def text_mutations(draw):
+    """POLY_TEXT with a slice replaced by a hostile fragment."""
+    start = draw(st.integers(0, len(POLY_TEXT)))
+    stop = draw(st.integers(start, min(start + 3, len(POLY_TEXT))))
+    fragment = draw(st.sampled_from(FRAGMENTS))
+    return POLY_TEXT[:start] + fragment + POLY_TEXT[stop:]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(text_mutations())
+def test_mutated_text_polynomial_exits_0_1_or_2(text):
+    for argv in (["poly", "hypersurface", "--poly", text],
+                 ["ftt", "--poly", text, "--weight", "0,inf",
+                  "--weight", "1,0"]):
+        assert_exits_0_1_or_2(argv)

@@ -26,6 +26,13 @@ def test_tropical_line_has_three_rays():
     assert not cx.contains((F(1), F(2)))
 
 
+def test_cell_constraints_are_primitive_int_rows():
+    for f in (LINE, E3):
+        for cell in trop_hypersurface(f).cells:
+            for coeffs, rhs in cell.equalities + cell.inequalities:
+                assert all(type(x) is int for x in (*coeffs, rhs))
+
+
 def test_single_term_is_empty():
     cx = trop_hypersurface(ValuedPolynomial.parse("x1*x2", laurent=False))
     assert cx.is_empty_set()

@@ -353,3 +353,24 @@ def test_property_separated_pairs_never_overlap(triple):
     a, b, v = triple
     if _facet_separates(a, b) or _facet_separates(b, a):
         assert not dd_relints_overlap(a, b, v)
+
+
+def rational_rows(dim, max_size):
+    """Rows whose entries are ints or Fractions with small denominators."""
+    entry = st.one_of(st.integers(-3, 3),
+                      st.fractions(-3, 3, max_denominator=4))
+    return st.lists(st.tuples(*[entry] * dim), max_size=max_size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    st.just(d), st.sampled_from(["generators", "inequalities"]),
+    rational_rows(d, 6), st.fractions(F(1, 5), 5, max_denominator=7))))
+def test_property_cone_rows_are_ints_and_scale_free(case):
+    dim, kind, rows_in, k = case
+    build = (Cone.from_generators if kind == "generators"
+             else Cone.from_inequalities)
+    c = build(rows_in, dim)
+    for stored in (c.rays, c.lineality, c.inequalities, c.equations):
+        assert all(type(x) is int for row in stored for x in row)
+    assert build([tuple(k * x for x in r) for r in rows_in], dim) == c

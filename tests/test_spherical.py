@@ -64,12 +64,23 @@ def test_colored_faces_drop_faces_outside_v():
     assert len(faces) == 3
 
 
+def test_colored_faces_of_invalid_cone_raises():
+    datum = table2_datum()
+    cc = ColoredCone(Cone.from_generators([(1, 0), (1, 1)], 2), {"D"})
+    with pytest.raises(ValueError, match="rho-containment"):
+        colored_faces(datum, cc)
+
+
 def test_face_closure_violation():
     datum = table2_datum()
     fan = ColoredFan((ColoredCone(Cone.zero(2)),
                       ColoredCone(Cone.from_generators([(1, 0), (1, 1)], 2))))
     report = validate_colored_fan(datum, fan)
     assert any(f.startswith("face-closure") for f in report.failures)
+    # cone vectors are printed as Fraction tuples, as in recorded reports
+    assert report.failures[0] == ("face-closure: missing face "
+                                  "((Fraction(1, 1), Fraction(0, 1)),) "
+                                  "with colors []")
 
 
 def test_face_closure_reports_each_missing_face_once():
@@ -93,6 +104,10 @@ def test_relint_overlap_detected():
                       a, b))
     report = validate_colored_fan(datum, fan)
     assert any(f.startswith("interior-overlap") for f in report.failures)
+    assert report.failures[0] == (
+        "interior-overlap: cones ((Fraction(2, 1), Fraction(1, 1)),) and "
+        "((Fraction(1, 1), Fraction(0, 1)), (Fraction(1, 1), Fraction(1, 1)))"
+        " share relative-interior points inside V")
 
 
 def test_same_cone_different_colors_rejected():
