@@ -5,6 +5,11 @@ checked against each other: the min-attained-twice locus (a polyhedral
 complex), the initial-form criterion, and coordinatewise valuations of
 user-supplied witness points.  Only principal ideals are handled; for
 those the initial ideal is generated by the initial form of f.
+
+Both sides run on integers.  A weight is scaled once by the lcm of its
+denominators, so every cell test compares ``int`` dot products of the
+primitive cell rows; a polynomial's valuations are scaled once by the lcm
+of theirs, so every cell row is built from ``int``s.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import IntVector, Vector, dot, primitive, vec
+from .linalg import IntVector, Vector, clear_denominators, dot, primitive, vec
 from .polyhedra import affine_feasible
 from .puiseux import (
     INF,
@@ -42,8 +47,12 @@ class Cell:
     inequalities: tuple[Constraint, ...]
 
     def contains(self, w: Sequence[Fraction]) -> bool:
-        return (all(dot(c, w) == r for c, r in self.equalities)
-                and all(dot(c, w) >= r for c, r in self.inequalities))
+        return self._contains_scaled(*clear_denominators(w))
+
+    def _contains_scaled(self, W: IntVector, den: int) -> bool:
+        """Whether ``W / den`` lies in the cell, for ``W`` and ``den > 0`` ints."""
+        return (all(dot(c, W) == r * den for c, r in self.equalities)
+                and all(dot(c, W) >= r * den for c, r in self.inequalities))
 
     def is_empty(self) -> bool:
         return not affine_feasible(
@@ -66,10 +75,10 @@ class TropicalComplex:
         return cls(dim, (Cell(dim, (), ()),))
 
     def contains(self, w: Sequence[Fraction]) -> bool:
-        w = vec(w)
-        if len(w) != self.ambient_dim:
+        W, den = clear_denominators(vec(w))
+        if len(W) != self.ambient_dim:
             raise ValueError("dimension mismatch")
-        return any(cell.contains(w) for cell in self.cells)
+        return any(cell._contains_scaled(W, den) for cell in self.cells)
 
     def is_empty_set(self) -> bool:
         return not self.cells
@@ -79,11 +88,15 @@ def trop_hypersurface(f: ValuedPolynomial) -> TropicalComplex:
     """The locus where the minimum of v(a_u) + u.w is attained at least twice.
 
     One cell per pair of terms achieving a common minimum; empty cells are
-    pruned by exact feasibility on the double-description sweep.
+    pruned by exact feasibility on the double-description sweep.  The
+    valuations are scaled once by the lcm ``D`` of their denominators, so
+    every row ``(D (u_i - u_j), D (v_j - v_i))`` is built in ``int``s; the
+    positive factor ``D`` is divided out again by ``canonical_constraint``.
     """
     if f.is_zero():
         raise ValueError("tropical hypersurface of the zero polynomial")
-    terms = [(u, c.valuation()) for u, c in f.terms]
+    vals, D = clear_denominators([c.valuation() for _, c in f.terms])
+    terms = [(tuple(D * a for a in u), v) for (u, _), v in zip(f.terms, vals)]
     m = f.nvars
     cells: list[Cell] = []
     seen = set()

@@ -3,7 +3,9 @@ coordinates in a chart (one Gram solve shared by ``project_off``).
 
 Vectors are tuples of exact rationals: ``int`` or ``fractions.Fraction``,
 which compare and hash alike.  Rows of cones and cells are primitive
-integer vectors (``IntVector``, made by ``primitive``); ``Fraction`` enters
+integer vectors (``IntVector``, made by ``primitive``), and a rational
+point is tested against them in ``int``s after ``clear_denominators``
+scales it by one positive common denominator.  ``Fraction`` enters
 only where input is read (``rational_from_input``, ``vec``), where a
 division happens (``rref`` lifts its rows with ``vec`` first, since
 ``int / int`` is a float), and in report text (``fraction_rows``).
@@ -77,6 +79,17 @@ def is_zero_vec(u: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in u)
 
 
+def clear_denominators(u: Sequence) -> tuple[IntVector, int]:
+    """``(den * u, den)`` with ``den`` the lcm of the entries' denominators.
+
+    Entries may be ``int`` or ``Fraction``; the scaled entries are ``int``s.
+    A test ``c . u >= r`` on an integer row ``c`` is then the all-``int``
+    test ``c . (den * u) >= r * den``, since ``den`` is positive.
+    """
+    den = lcm(*(a.denominator for a in u))
+    return tuple(a.numerator * (den // a.denominator) for a in u), den
+
+
 def primitive(u: Sequence, fix_sign: bool = False) -> IntVector:
     """The primitive integer vector on the ray of a rational vector.
 
@@ -84,8 +97,7 @@ def primitive(u: Sequence, fix_sign: bool = False) -> IntVector:
     so ray directions are preserved; with ``fix_sign`` the first nonzero
     entry is additionally made positive.  The zero vector stays zero.
     """
-    den = lcm(*(a.denominator for a in u))
-    ints = [a.numerator * (den // a.denominator) for a in u]
+    ints, _ = clear_denominators(u)
     g = gcd(*ints)
     if g == 0:
         return tuple(ints)

@@ -4,6 +4,8 @@ Coefficients live in Q((t^(1/n))) restricted to finite support; the base
 field is Q.  Tropical evaluation and initial forms follow the min-plus
 convention, with infinity handled explicitly: an infinite weight entry
 sends every monomial with a nonzero exponent there to infinity.
+Term weights clear the denominators of the weight once and compare
+``int`` dot products; each finite term weight costs one ``Fraction``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import MAX_DIM, InputError, rational_from_input
+from .linalg import (
+    MAX_DIM,
+    InputError,
+    clear_denominators,
+    dot,
+    rational_from_input,
+)
 
 
 class _Infinity:
@@ -118,11 +126,16 @@ class PuiseuxScalar:
             for e1, c1 in self.terms for e2, c2 in other.terms)
 
     def __pow__(self, n: int) -> "PuiseuxScalar":
+        """Repeated squaring; each product is bounded by ``MAX_TERM_PAIRS``."""
         if n < 0:
             raise ValueError("negative powers of Puiseux scalars are not finite-support")
-        out = PuiseuxScalar.rational(1)
-        for _ in range(n):
-            out = out * self
+        out, base = PuiseuxScalar.rational(1), self
+        while n:
+            if n & 1:
+                out = _bounded_product(out, base)
+            n >>= 1
+            if n:
+                base = _bounded_product(base, base)
         return out
 
     def valuation(self) -> ExtendedRational:
@@ -166,6 +179,42 @@ class PuiseuxScalar:
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
+
+
+# Most term pairs one product may form in a power or a witness evaluation.
+# (1 + t)^n has n + 1 terms, so an unbounded exponent means unbounded work.
+MAX_TERM_PAIRS = 2 ** 16
+
+
+def _bounded_product(a: PuiseuxScalar, b: PuiseuxScalar) -> PuiseuxScalar:
+    if len(a.terms) * len(b.terms) > MAX_TERM_PAIRS:
+        raise InputError(
+            f"a product of Puiseux scalars with {len(a.terms)} x "
+            f"{len(b.terms)} terms exceeds the bound of {MAX_TERM_PAIRS} "
+            "term pairs")
+    return a * b
+
+
+def _term_weights(terms: Iterable[tuple[tuple[int, ...], PuiseuxScalar]],
+                  w: ExtendedWeight) -> list[ExtendedRational]:
+    """v(c) + u.w for every term (u, c), with the infinity convention.
+
+    The finite entries of w are scaled once to ``int``s over a common
+    denominator, so each finite term weight is one ``int`` dot product and
+    one ``Fraction``.  A term with a nonzero exponent at an infinite entry
+    weighs infinity.
+    """
+    inf_at = [i for i, x in enumerate(w) if x is INF]
+    W, den = clear_denominators([0 if x is INF else x for x in w])
+    out: list[ExtendedRational] = []
+    for u, c in terms:
+        if any(u[i] for i in inf_at):
+            out.append(INF)
+        else:
+            v = c.valuation()
+            out.append(Fraction(v.numerator * den + v.denominator * dot(u, W),
+                                v.denominator * den))
+    return out
 
 
 def _exp_str(e: Fraction) -> str:
@@ -290,14 +339,7 @@ class ValuedPolynomial:
 
     def term_weight(self, u: tuple[int, ...], c: PuiseuxScalar,
                     w: Sequence[ExtendedRational]) -> ExtendedRational:
-        total = c.valuation()
-        for ui, wi in zip(u, w, strict=True):
-            if wi is INF:
-                if ui != 0:
-                    return INF
-            else:
-                total = total + ui * wi
-        return total
+        return _term_weights(((u, c),), tuple(w))[0]
 
     def _check_weight(self, w: Sequence[ExtendedRational]) -> ExtendedWeight:
         w = tuple(w)
@@ -310,7 +352,7 @@ class ValuedPolynomial:
     def trop_eval(self, w: Sequence[ExtendedRational]) -> ExtendedRational:
         """min over terms of v(a_u) + u.w, with the infinity conventions."""
         w = self._check_weight(w)
-        return q_min(self.term_weight(u, c, w) for u, c in self.terms)
+        return q_min(_term_weights(self.terms, w))
 
     def initial_form(self, w: Sequence[ExtendedRational]) -> ResiduePolynomial:
         """Sum of residues of the weight-minimal terms; zero if the min is infinite."""
@@ -320,7 +362,8 @@ class ValuedPolynomial:
             return ResiduePolynomial.zero(self.nvars)
         coeffs = {
             u: c.leading_coefficient()
-            for u, c in self.terms if self.term_weight(u, c, w) == best}
+            for (u, c), x in zip(self.terms, _term_weights(self.terms, w))
+            if x == best}
         return ResiduePolynomial.from_dict(self.nvars, coeffs)
 
     def initial_form_substitution(self, w: Sequence[Fraction]) -> ResiduePolynomial:
@@ -361,7 +404,9 @@ class ValuedPolynomial:
         """Exact evaluation at a torus point (all coordinates nonzero).
 
         For Laurent input the polynomial is first multiplied by a monomial
-        clearing negative exponents, which does not change vanishing.
+        clearing negative exponents, which does not change vanishing.  No
+        product of scalars, powers included, may form more than
+        ``MAX_TERM_PAIRS`` term pairs; ``InputError`` is raised instead.
         """
         point = list(point)
         if len(point) != self.nvars:
@@ -374,7 +419,7 @@ class ValuedPolynomial:
         for u, c in self.terms:
             val = c
             for i, p in enumerate(point):
-                val = val * p ** (u[i] - shift[i])
+                val = _bounded_product(val, p ** (u[i] - shift[i]))
             total = total + val
         return total
 

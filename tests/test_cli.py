@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from sphtrop.cli import main
+from sphtrop.puiseux import MAX_TERM_PAIRS
 
 
 def run(capsys, *argv):
@@ -297,3 +298,31 @@ def test_text_polynomial_variable_count_is_capped(capsys):
 def test_zero_denominator_in_text_polynomial_exits_2(capsys, poly):
     rc = main(["poly", "hypersurface", "--poly", poly])
     assert rc == 2 and one_line_error(capsys)
+
+
+def test_ftt_witness_outputs_match_recorded_digests(capsys):
+    """The ten hand witnesses of criterion 9, whose labels hold spaces."""
+    recorded = json.loads(DIGESTS.read_text())["stdout"]
+    labels = [label for label in recorded if label.startswith("ftt ")]
+    assert len(labels) == 10
+    for label in labels:
+        poly, witness = label[len("ftt --poly "):].split(" --witness ")
+        rc, out = run(capsys, "ftt", "--poly", poly, "--witness", witness)
+        assert rc == 0 and sha256(out.encode()) == recorded[label], label
+
+
+def test_witness_power_over_the_term_pair_bound_exits_2(capsys):
+    """(1 + t)^800 would square a 257-term scalar: refused, naming the bound."""
+    rc = main(["ftt", "--poly", "x1^800 - 1", "--witness", "1 + t"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert str(MAX_TERM_PAIRS) in err
+
+
+def test_witness_power_under_the_term_pair_bound_keeps_its_verdict(capsys):
+    rc, out = run(capsys, "ftt", "--poly", "x1^400 - 1", "--witness", "1 + t")
+    assert rc == 1
+    assert json.loads(out) == {
+        "ok": False, "samples": [],
+        "witnesses": [{"in_complex": True, "residual_zero": False,
+                       "valuations": ["0"]}]}

@@ -1,15 +1,21 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphtrop.fundthm import (
+    Cell,
+    TropicalComplex,
     WitnessPoint,
+    canonical_constraint,
     check_equivalence,
     extended_trop_sets,
     membership_set1,
     membership_set2,
     trop_hypersurface,
 )
+from sphtrop.linalg import dot
 from sphtrop.puiseux import INF, PuiseuxScalar, ValuedPolynomial
 
 LINE = ValuedPolynomial.parse("x1 + x2 + 1", laurent=False)
@@ -91,3 +97,96 @@ def test_report_json():
     report = check_equivalence(LINE, samples=[(INF, F(0))])
     data = report.to_json()
     assert data["ok"] and data["samples"][0]["weight"] == ["inf", "0"]
+
+
+# -- oracles: the Fraction formulas the integer paths replaced -------------
+
+
+def fraction_cell_contains(cell, w):
+    return (all(dot(c, w) == r for c, r in cell.equalities)
+            and all(dot(c, w) >= r for c, r in cell.inequalities))
+
+
+def fraction_trop_hypersurface(f):
+    if f.is_zero():
+        raise ValueError("tropical hypersurface of the zero polynomial")
+    terms = [(u, c.valuation()) for u, c in f.terms]
+    m = f.nvars
+    cells = []
+    seen = set()
+    for i in range(len(terms)):
+        ui, ci = terms[i]
+        for j in range(i + 1, len(terms)):
+            uj, cj = terms[j]
+            eq = canonical_constraint(
+                [a - b for a, b in zip(ui, uj)], cj - ci, fix_sign=True)
+            ineqs = tuple(sorted(
+                canonical_constraint([a - b for a, b in zip(uk, ui)], ci - ck)
+                for k, (uk, ck) in enumerate(terms) if k not in (i, j)))
+            cell = Cell(m, (eq,), ineqs)
+            key = (cell.equalities, cell.inequalities)
+            if key in seen:
+                continue
+            seen.add(key)
+            if not cell.is_empty():
+                cells.append(cell)
+    return TropicalComplex(m, tuple(cells))
+
+
+RATIONALS = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+
+
+@st.composite
+def valued_polynomials(draw):
+    """Ordinary polynomials in 1-3 variables with fractional valuations."""
+    m = draw(st.integers(1, 3))
+    exponents = draw(st.lists(st.tuples(*[st.integers(0, 3)] * m),
+                              min_size=2, max_size=6, unique=True))
+    coeffs = {}
+    for u in exponents:
+        v = draw(RATIONALS)
+        c = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+        coeffs[u] = PuiseuxScalar.from_terms([(v, c), (v + 1, 1)])
+    return ValuedPolynomial.from_dict(m, coeffs, laurent=False)
+
+
+def on_hyperplane(w, constraint):
+    """w moved along one coordinate onto {x : c.x = r}."""
+    c, r = constraint
+    k = next(i for i, a in enumerate(c) if a)
+    w = list(w)
+    w[k] = F(r - sum(a * x for i, (a, x) in enumerate(zip(c, w)) if i != k),
+             c[k])
+    return tuple(w)
+
+
+@st.composite
+def complexes_and_weights(draw):
+    """A hypersurface complex and weights: random (denominators 1-6) and
+    moved onto the equality of a random cell, where the inequalities decide."""
+    f = draw(valued_polynomials())
+    cx = trop_hypersurface(f)
+    weights = draw(st.lists(st.tuples(*[RATIONALS] * f.nvars),
+                            min_size=1, max_size=4))
+    if cx.cells:
+        cells = draw(st.lists(st.sampled_from(cx.cells), max_size=4))
+        weights += [on_hyperplane(w, cell.equalities[0])
+                    for w, cell in zip(weights * 4, cells)]
+    return cx, weights
+
+
+@settings(max_examples=150, deadline=None)
+@given(complexes_and_weights())
+def test_property_cell_tests_agree_with_fraction_dots(case):
+    cx, weights = case
+    for w in weights:
+        for cell in cx.cells:
+            assert cell.contains(w) == fraction_cell_contains(cell, w)
+        assert cx.contains(w) == any(fraction_cell_contains(cell, w)
+                                     for cell in cx.cells)
+
+
+@settings(max_examples=150, deadline=None)
+@given(valued_polynomials())
+def test_property_integer_rows_give_the_fraction_cells(f):
+    assert trop_hypersurface(f).cells == fraction_trop_hypersurface(f).cells

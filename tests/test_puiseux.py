@@ -1,13 +1,17 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphtrop.puiseux import (
     INF,
     PuiseuxScalar,
+    ResiduePolynomial,
     ValuedPolynomial,
     is_finite,
     parse_weight,
+    q_min,
 )
 
 E3 = ("2*t + (t^-1 + 3*t^3)*x1 + (7 - t^1000)*x2 - 6*x1^2"
@@ -130,3 +134,88 @@ class TestParsing:
         assert not is_finite(parse_weight("inf")[0])
         with pytest.raises(ValueError):
             parse_weight("1,2", nvars=3)
+
+
+# -- oracles: the per-term Fraction sums the term-weight helper replaced ----
+
+
+def fraction_term_weight(u, c, w):
+    total = c.valuation()
+    for ui, wi in zip(u, w, strict=True):
+        if wi is INF:
+            if ui != 0:
+                return INF
+        else:
+            total = total + ui * wi
+    return total
+
+
+def fraction_initial_form(f, w):
+    best = q_min(fraction_term_weight(u, c, w) for u, c in f.terms)
+    if best is INF:
+        return ResiduePolynomial.zero(f.nvars)
+    return ResiduePolynomial.from_dict(f.nvars, {
+        u: c.leading_coefficient()
+        for u, c in f.terms if fraction_term_weight(u, c, w) == best})
+
+
+RATIONALS = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+
+
+@st.composite
+def polynomials_and_weights(draw):
+    """A polynomial with fractional valuations and weights, some with ties.
+
+    Ordinary polynomials get weights with infinite entries; Laurent ones
+    get finite weights.  Each weight is also moved along one coordinate
+    so that two chosen terms weigh the same, which makes initial forms
+    with several terms common.
+    """
+    laurent = draw(st.booleans())
+    m = draw(st.integers(1, 3))
+    low = -2 if laurent else 0
+    exponents = draw(st.lists(st.tuples(*[st.integers(low, 3)] * m),
+                              min_size=1, max_size=6, unique=True))
+    coeffs = {u: PuiseuxScalar.from_terms(
+                  [(v, draw(st.sampled_from((-2, -1, 1, 3)))), (v + 2, 1)])
+              for u, v in zip(exponents, draw(st.lists(
+                  RATIONALS, min_size=len(exponents),
+                  max_size=len(exponents))))}
+    f = ValuedPolynomial.from_dict(m, coeffs, laurent=laurent)
+    entry = RATIONALS if laurent else st.one_of(RATIONALS, st.just(INF))
+    weights = draw(st.lists(st.tuples(*[entry] * m), min_size=1, max_size=3))
+    for w in list(weights):
+        (ui, ci), (uj, cj) = draw(st.lists(st.sampled_from(f.terms),
+                                           min_size=2, max_size=2))
+        k = next((k for k in range(m)
+                  if w[k] is not INF and ui[k] != uj[k]), None)
+        if k is None:
+            continue
+        rest = sum((b - a) * x for i, (a, b, x) in enumerate(zip(ui, uj, w))
+                   if i != k and x is not INF)
+        tied = list(w)
+        tied[k] = (cj.valuation() - ci.valuation() + rest) / (ui[k] - uj[k])
+        weights.append(tuple(tied))
+    return f, weights
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials_and_weights())
+def test_property_term_weights_agree_with_fraction_sums(case):
+    f, weights = case
+    for w in weights:
+        expected = [fraction_term_weight(u, c, w) for u, c in f.terms]
+        assert [f.term_weight(u, c, w) for u, c in f.terms] == expected
+        assert f.trop_eval(w) == q_min(expected)
+        assert f.initial_form(w) == fraction_initial_form(f, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(RATIONALS, st.integers(-3, 3)), max_size=4),
+       st.integers(0, 12))
+def test_property_power_is_repeated_product(terms, n):
+    s = PuiseuxScalar.from_terms(terms)
+    product = PuiseuxScalar.rational(1)
+    for _ in range(n):
+        product = product * s
+    assert s ** n == product
