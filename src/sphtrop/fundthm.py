@@ -97,18 +97,19 @@ def trop_hypersurface(f: ValuedPolynomial) -> TropicalComplex:
         raise ValueError("tropical hypersurface of the zero polynomial")
     vals, D = clear_denominators([c.valuation() for _, c in f.terms])
     terms = [(tuple(D * a for a in u), v) for (u, _), v in zip(f.terms, vals)]
-    m = f.nvars
+    m, n = f.nvars, len(terms)
+    # row[i][k]: term k weighs at least term i; row[j][i] gives pair (i, j)'s
+    # equation.  Each is built once and shared by the cells that use it.
+    row = [[canonical_constraint([a - b for a, b in zip(uk, ui)], ci - ck)
+            if k != i else None for k, (uk, ck) in enumerate(terms)]
+           for i, (ui, ci) in enumerate(terms)]
     cells: list[Cell] = []
     seen = set()
-    for i in range(len(terms)):
-        ui, ci = terms[i]
-        for j in range(i + 1, len(terms)):
-            uj, cj = terms[j]
-            eq = canonical_constraint(
-                [a - b for a, b in zip(ui, uj)], cj - ci, fix_sign=True)
+    for i in range(n):
+        for j in range(i + 1, n):
+            eq = canonical_constraint(*row[j][i], fix_sign=True)
             ineqs = tuple(sorted(
-                canonical_constraint([a - b for a, b in zip(uk, ui)], ci - ck)
-                for k, (uk, ck) in enumerate(terms) if k not in (i, j)))
+                row[i][k] for k in range(n) if k not in (i, j)))
             cell = Cell(m, (eq,), ineqs)
             key = (cell.equalities, cell.inequalities)
             if key in seen:

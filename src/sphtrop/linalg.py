@@ -5,11 +5,13 @@ Vectors are tuples of exact rationals: ``int`` or ``fractions.Fraction``,
 which compare and hash alike.  Rows of cones and cells are primitive
 integer vectors (``IntVector``, made by ``primitive``), and a rational
 point is tested against them in ``int``s after ``clear_denominators``
-scales it by one positive common denominator.  ``Fraction`` enters
-only where input is read (``rational_from_input``, ``vec``), where a
-division happens (``rref`` lifts its rows with ``vec`` first, since
-``int / int`` is a float), and in report text (``fraction_rows``).
-Nothing here is numerically approximate.
+scales it by one positive common denominator.  Row reduction is
+fraction-free: ``rref`` clears a pivot column with ``eliminate``, the
+cross-multiply-and-divide-by-the-gcd step that ``polyhedra._dd`` sweeps
+with, and returns primitive ``int`` rows.  ``Fraction`` enters only where
+input is read (``rational_from_input``, ``vec``), in chart coordinates
+(``solve`` divides once per coordinate), and in report text
+(``fraction_rows``).  Nothing here is numerically approximate.
 """
 
 from __future__ import annotations
@@ -111,9 +113,35 @@ def fraction_rows(rows: Iterable[Sequence]) -> tuple[Vector, ...]:
     return tuple(tuple(map(Fraction, r)) for r in rows)
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Vector], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    mat = [list(vec(r)) for r in rows]
+def eliminate(u: IntVector, s: int, l0: IntVector, v0: int) -> IntVector:
+    """Primitive positive multiple of u - (s / v0) * l0, for v0 != 0.
+
+    A linear form with value s on u and v0 on l0 vanishes on the result:
+    a constraint row in ``polyhedra._dd``, the pivot column in ``rref``.
+    The cross-multiplied form |v0| * u - sign(v0) * s * l0 keeps the
+    direction of u and is divided by its gcd; u is primitive already, so
+    s == 0 returns it unchanged.
+    """
+    if s == 0:
+        return u
+    if v0 < 0:
+        v0, s = -v0, -s
+    w = [v0 * x - s * y for x, y in zip(u, l0)]
+    g = gcd(*w)
+    return tuple(x // g for x in w) if g > 1 else tuple(w)
+
+
+def rref(rows: Sequence[Sequence]) -> tuple[list[IntVector], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    Fraction-free: the rows are scaled to primitive ``int`` rows, each
+    pivot row's sign is made positive at its pivot, and the pivot column
+    is cleared from every other row by ``eliminate``.  The pivots are those
+    of the usual reduced form, and each returned row is its reduced row
+    (pivot 1) times a positive rational: the primitive ``int`` row whose
+    pivot is positive.
+    """
+    mat = [primitive(r) for r in rows]
     if not mat:
         return [], []
     ncols = len(mat[0])
@@ -124,39 +152,42 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Vector], list[int]]:
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
+        if mat[r][c] < 0:
+            mat[r] = tuple(-x for x in mat[r])
+        p, pv = mat[r], mat[r][c]
         for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+            if i != r and mat[i][c]:
+                mat[i] = eliminate(mat[i], mat[i][c], p, pv)
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return [tuple(row) for row in mat[:r]], pivots
+    return mat[:r], pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(rref(rows)[0])
 
 
-def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int
-                 ) -> list[IntVector]:
-    """Basis of {x : Rx = 0}, deterministic: free columns in increasing order."""
+def kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[IntVector]:
+    """Basis of {x : Rx = 0}, deterministic: free columns in increasing order.
+
+    The pivot entries' lcm scales each vector to ``int``s before ``primitive``.
+    """
     red, pivots = rref(rows)
+    scale = lcm(*(row[pc] for row, pc in zip(red, pivots)))
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
         v = [0] * ncols
-        v[fc] = 1
+        v[fc] = scale
         for row, pc in zip(red, pivots):
-            v[pc] = -row[fc]
+            v[pc] = -row[fc] * (scale // row[pc])
         basis.append(primitive(v, fix_sign=True))
     return basis
 
 
-def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vector | None:
+def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vector | None:
     """One solution of Rx = b, or None if inconsistent."""
     if not rows:
         return None
@@ -167,7 +198,7 @@ def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vector
     for row, pc in zip(red, pivots):
         if pc == ncols:
             return None
-        sol[pc] = row[ncols]
+        sol[pc] = Fraction(row[ncols], row[pc])
     return tuple(sol)
 
 

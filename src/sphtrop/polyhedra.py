@@ -6,25 +6,26 @@ double description sweep with the combinatorial adjacency test, entirely
 in exact arithmetic, so equality of cones is decidable and deterministic.
 
 The sweep (``_dd``) is fraction-free: it scales every row to a primitive
-integer row, updates rays and lineality vectors by cross-multiplication
-followed by division by the gcd, and returns primitive ``int`` vectors.
+integer row, updates rays and lineality vectors with ``linalg.eliminate``
+(cross-multiplication followed by division by the gcd), and returns
+primitive ``int`` vectors.  ``linalg.rref`` reduces with the same step.
 Every ``Cone`` is built by ``Cone.from_generators``, which puts the sweep's
 output into canonical form: rays sorted and primitive modulo the lineality
-space, lineality as primitive reduced-row-echelon rows.  That canonical key
-decides ``==`` and ``hash``.  Rays, lineality, inequalities and equations
-are all ``int`` tuples: input rows may hold ``int`` or ``Fraction``
-entries, and ``Fraction`` appears otherwise only inside the row reductions
-of the projections, which divide.  Construction is memoised on the ambient
-dimension and the set of nonzero input generators in a module-level LRU
-cache of at most ``CONE_CACHE_SIZE`` entries; a hit returns the same
-immutable ``Cone`` object.  ``from_inequalities`` keeps no cache of its
-own: keying one on inequality systems raised the peak memory of the
-toric-arrangement benchmark by about 13% for little gain, as its cones end
-in the cache above.  It is called less instead: ``faces`` and
-``is_face_of`` read faces off the ray-facet incidence sets (a face is
-spanned by the lineality space and the rays tight on some facets), and
-``intersect`` returns a cone that lies inside the other, by exact dot
-products, without a sweep.
+space, lineality and equations as the primitive reduced-row-echelon rows
+that ``rref`` returns.  That canonical key decides ``==`` and ``hash``.
+Rays, lineality, inequalities and equations are all ``int`` tuples: input
+rows may hold ``int`` or ``Fraction`` entries, and ``Fraction`` appears
+otherwise only in the chart coordinates of the projections.  Construction
+is memoised on the ambient dimension and the set of nonzero input
+generators in a module-level LRU cache of at most ``CONE_CACHE_SIZE``
+entries; a hit returns the same immutable ``Cone`` object.
+``from_inequalities`` keeps no cache of its own: keying one on inequality
+systems raised the peak memory of the toric-arrangement benchmark by about
+13% for little gain, as its cones end in the cache above.  It is called
+less instead: ``faces`` and ``is_face_of`` read faces off the ray-facet
+incidence sets (a face is spanned by the lineality space and the rays
+tight on some facets), and ``intersect`` returns a cone that lies inside
+the other, by exact dot products, without a sweep.
 
 ``affine_feasible`` decides an affine system of equations, weak and strict
 inequalities on the same sweep, so ``_dd`` is the one polyhedral algorithm.
@@ -38,12 +39,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import Iterable, Sequence
 
 from .linalg import (
     IntVector,
     dot,
+    eliminate,
     is_zero_vec,
     kernel_basis,
     primitive,
@@ -53,32 +54,15 @@ from .linalg import (
 )
 
 
-def _toward_zero(u: tuple[int, ...], s: int, l0: tuple[int, ...], v0: int
-                 ) -> tuple[int, ...]:
-    """Primitive positive multiple of u - (s / v0) * l0.
-
-    A row with value s on u and v0 != 0 on l0 vanishes on the result.  The
-    cross-multiplied form |v0| * u - sign(v0) * s * l0 keeps the direction
-    of u; u is primitive already, so s == 0 returns it unchanged.
-    """
-    if s == 0:
-        return u
-    if v0 < 0:
-        v0, s = -v0, -s
-    w = [v0 * x - s * y for x, y in zip(u, l0)]
-    g = gcd(*w)
-    return tuple(x // g for x in w) if g > 1 else tuple(w)
-
-
 def _dd(equations: Sequence[Sequence], inequalities: Sequence[Sequence],
         dim: int) -> tuple[list[IntVector], list[IntVector]]:
     """Generators of {x : e.x = 0 for e in equations, a.x >= 0 for a in inequalities}.
 
     Returns (lineality basis, extreme rays).  Rays are extreme modulo the
     lineality space.  The sweep is fraction-free: every row is scaled to a
-    primitive integer row, and new vectors come from cross-multiplication
-    and are divided by their gcd, so every result is a primitive ``int``
-    vector.
+    primitive integer row, and every new vector comes from
+    ``linalg.eliminate`` (cross-multiplication, then division by the gcd),
+    so every result is a primitive ``int`` vector.
     """
     lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays: list[tuple[tuple[int, ...], frozenset[int]]] = []
@@ -86,7 +70,7 @@ def _dd(equations: Sequence[Sequence], inequalities: Sequence[Sequence],
     def cut(vals: list[int], j: int) -> list[tuple[int, ...]]:
         """The lineality basis with lin[j] traded for the row's kernel."""
         l0, v0 = lin[j], vals[j]
-        return [_toward_zero(l, v, l0, v0)
+        return [eliminate(l, v, l0, v0)
                 for i, (l, v) in enumerate(zip(lin, vals)) if i != j]
 
     for e in map(primitive, equations):
@@ -102,7 +86,7 @@ def _dd(equations: Sequence[Sequence], inequalities: Sequence[Sequence],
             # a cuts the lineality space: one lineality generator becomes a ray.
             l0, v0 = lin[j], vals[j]
             lin = cut(vals, j)
-            rays = [(_toward_zero(r, dot(a, r), l0, v0), tight | {idx})
+            rays = [(eliminate(r, dot(a, r), l0, v0), tight | {idx})
                     for r, tight in rays]
             newray = l0 if v0 > 0 else tuple(-x for x in l0)
             rays.append((newray, frozenset(range(idx))))
@@ -125,11 +109,9 @@ def _dd(equations: Sequence[Sequence], inequalities: Sequence[Sequence],
                     if k != kp and k != kn)
                 if not adjacent:
                     continue
-                w = [sp * y - sn * x for x, y in zip(rp, rn)]
-                g = gcd(*w)
-                if g == 0:
-                    continue
-                kept.append((tuple(x // g for x in w), common | {idx}))
+                w = eliminate(rn, sn, rp, sp)
+                if any(w):
+                    kept.append((w, common | {idx}))
         rays = kept
 
     return [primitive(l, fix_sign=True) for l in lin], [r for r, _ in rays]
@@ -285,14 +267,13 @@ def _cone_from_generators(ambient_dim: int, gens: frozenset[tuple]) -> Cone:
     """The canonical cone spanned by nonzero generators, shared per input set."""
     # V -> H: the dual cone's generators are our facets and span equations.
     dlin, drays = _dd([], list(gens), ambient_dim)
-    equations = tuple(primitive(e, fix_sign=True) for e in rref(dlin)[0])
+    equations = tuple(rref(dlin)[0])
     ineqs = tuple(sorted(
         a for a in {primitive(project_off(r, equations)) for r in drays}
         if not is_zero_vec(a)))
     # H -> V again for a canonical generator description.
     lin, rays = _dd(equations, ineqs, ambient_dim)
-    lin_rows = tuple(primitive(r, fix_sign=True)
-                     for r in rref(lin)[0]) if lin else ()
+    lin_rows = tuple(rref(lin)[0]) if lin else ()
     canon_rays = tuple(sorted(
         {primitive(project_off(r, lin_rows)) for r in rays}))
     return Cone(ambient_dim, canon_rays, lin_rows, ineqs, equations)

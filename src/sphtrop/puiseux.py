@@ -160,30 +160,18 @@ class PuiseuxScalar:
         return PuiseuxScalar(tuple((e + d, c) for e, c in self.terms))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.terms:
-            if e == 0:
-                piece = str(c)
-            else:
-                tp = "t" if e == 1 else f"t^{_exp_str(e)}"
-                if c == 1:
-                    piece = tp
-                elif c == -1:
-                    piece = f"-{tp}"
-                else:
-                    piece = f"{c}*{tp}"
-            parts.append(piece)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _signed_sum(
+            _term(str(c), "t" if e == 1 else f"t^{_exp_str(e)}" if e else "")
+            for e, c in self.terms)
 
 
 # Most term pairs one product may form in a power or a witness evaluation.
 # (1 + t)^n has n + 1 terms, so an unbounded exponent means unbounded work.
 MAX_TERM_PAIRS = 2 ** 16
+# Most bits (numerator plus denominator) that the largest coefficients of
+# the two factors of such a product may have together: 2^n has one term but
+# n + 1 bits, so a power of a constant is unbounded work too.
+MAX_COEFF_BITS = 2 ** 16
 
 
 def _bounded_product(a: PuiseuxScalar, b: PuiseuxScalar) -> PuiseuxScalar:
@@ -192,6 +180,12 @@ def _bounded_product(a: PuiseuxScalar, b: PuiseuxScalar) -> PuiseuxScalar:
             f"a product of Puiseux scalars with {len(a.terms)} x "
             f"{len(b.terms)} terms exceeds the bound of {MAX_TERM_PAIRS} "
             "term pairs")
+    bits = sum(max((c.numerator.bit_length() + c.denominator.bit_length()
+                    for _, c in s.terms), default=0) for s in (a, b))
+    if bits > MAX_COEFF_BITS:
+        raise InputError(
+            f"a product of Puiseux scalars whose largest coefficients have "
+            f"{bits} bits together exceeds the bound of {MAX_COEFF_BITS} bits")
     return a * b
 
 
@@ -223,6 +217,32 @@ def _exp_str(e: Fraction) -> str:
     return f"({e.numerator}/{e.denominator})"
 
 
+def _term(cs: str, name: str) -> str:
+    """The text of a coefficient, given as text, times a monomial name."""
+    if not name:
+        return cs
+    return name if cs == "1" else f"-{name}" if cs == "-1" else f"{cs}*{name}"
+
+
+def _monomial(u: tuple[int, ...]) -> str:
+    """The text of x^u, such as x1^2*x2; empty for the constant monomial."""
+    return "*".join(f"x{i+1}" if p == 1 else f"x{i+1}^{p}"
+                    for i, p in enumerate(u) if p != 0)
+
+
+def _signed_sum(pieces: Iterable[str]) -> str:
+    """Pieces joined by " + ", or by " - " in place of a piece's leading
+    minus sign; "0" for no pieces.  A parenthesised coefficient is never
+    negated outside its parentheses, so no piece starts with "-("."""
+    pieces = list(pieces)
+    if not pieces:
+        return "0"
+    out = pieces[0]
+    for p in pieces[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
 @dataclass(frozen=True)
 class ResiduePolynomial:
     """A polynomial over the residue field Q (image of an initial form)."""
@@ -248,35 +268,8 @@ class ResiduePolynomial:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def __mul__(self, other: "ResiduePolynomial") -> "ResiduePolynomial":
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for u, c in self.terms:
-            for v, d in other.terms:
-                w = tuple(a + b for a, b in zip(u, v))
-                acc[w] = acc.get(w, Fraction(0)) + c * d
-        return ResiduePolynomial.from_dict(self.nvars, acc)
-
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for u, c in self.terms:
-            mono = "*".join(
-                f"x{i+1}" if p == 1 else f"x{i+1}^{p}"
-                for i, p in enumerate(u) if p != 0)
-            if not mono:
-                piece = str(c)
-            elif c == 1:
-                piece = mono
-            elif c == -1:
-                piece = f"-{mono}"
-            else:
-                piece = f"{c}*{mono}"
-            parts.append(piece)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _signed_sum(_term(str(c), _monomial(u)) for u, c in self.terms)
 
 
 @dataclass(frozen=True)
@@ -424,27 +417,13 @@ class ValuedPolynomial:
         return total
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
         for u, c in self.terms:
-            mono = "*".join(
-                f"x{i+1}" if p == 1 else f"x{i+1}^{p}"
-                for i, p in enumerate(u) if p != 0)
             cs = str(c)
-            needs_parens = ("+" in cs or " - " in cs)
-            if not mono:
-                parts.append(f"({cs})" if needs_parens else cs)
-            elif cs == "1":
-                parts.append(mono)
-            elif cs == "-1":
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"({cs})*{mono}" if needs_parens else f"{cs}*{mono}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") and not p.startswith("-(") else f" + {p}"
-        return out
+            if "+" in cs or " - " in cs:
+                cs = f"({cs})"
+            parts.append(_term(cs, _monomial(u)))
+        return _signed_sum(parts)
 
     @classmethod
     def parse(cls, text: str, nvars: int | None = None,

@@ -158,10 +158,14 @@ def render_svg(t: ExtendedTrop, extent: Fraction = Fraction(2)) -> str:
     return "\n".join(parts) + "\n"
 
 
-def render_ascii(t: ExtendedTrop, extent: Fraction = Fraction(2),
-                 cells: int = 10) -> str:
+# Grid cells from the origin to each edge of an ASCII figure.
+ASCII_CELLS = 10
+
+
+def render_ascii(t: ExtendedTrop, extent: Fraction = Fraction(2)) -> str:
     if t.ambient_rank > 2:
         raise ValueError("rendering supports rank <= 2 only")
+    cells = ASCII_CELLS
     n = 2 * cells + 1
     step = extent / cells
     grid = [[" "] * n for _ in range(n)]

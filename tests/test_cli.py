@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from sphtrop.cli import main
-from sphtrop.puiseux import MAX_TERM_PAIRS
+from sphtrop.puiseux import MAX_COEFF_BITS, MAX_TERM_PAIRS
 
 
 def run(capsys, *argv):
@@ -317,6 +317,14 @@ def test_witness_power_over_the_term_pair_bound_exits_2(capsys):
     err = capsys.readouterr().err
     assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
     assert str(MAX_TERM_PAIRS) in err
+
+
+def test_witness_power_over_the_coefficient_bound_exits_2(capsys):
+    """2^(10^8) has one term but a 10^8-bit coefficient: refused early."""
+    rc = main(["ftt", "--poly", "x1^100000000 - 1", "--witness", "2"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert str(MAX_COEFF_BITS) in err
 
 
 def test_witness_power_under_the_term_pair_bound_keeps_its_verdict(capsys):

@@ -219,3 +219,23 @@ def test_property_power_is_repeated_product(terms, n):
     for _ in range(n):
         product = product * s
     assert s ** n == product
+
+
+@st.composite
+def laurent_polynomials(draw):
+    """Laurent polynomials in 1-3 variables whose coefficients have 1-3 terms."""
+    m = draw(st.integers(1, 3))
+    exponents = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * m),
+                              min_size=1, max_size=5, unique=True))
+    nonzero = RATIONALS.filter(bool)
+    coeffs = {u: PuiseuxScalar.from_terms(draw(st.lists(
+                  st.tuples(RATIONALS, nonzero), min_size=1, max_size=3)))
+              for u in exponents}
+    return ValuedPolynomial.from_dict(m, coeffs), m
+
+
+@settings(max_examples=300, deadline=None)
+@given(laurent_polynomials())
+def test_property_text_round_trips(case):
+    f, m = case
+    assert ValuedPolynomial.parse(str(f), nvars=m) == f
