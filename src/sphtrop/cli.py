@@ -205,6 +205,7 @@ def cmd_examples(args) -> int:
 
 
 def cmd_render(args) -> int:
+    # --extent is checked only: a figure is the same at every extent.
     try:
         extent = rational_from_input(args.extent)
     except InputError:
@@ -218,9 +219,9 @@ def cmd_render(args) -> int:
         raise InputError(f"bad tropicalization file: {e}")
     try:
         if args.format == "svg":
-            _emit(render_svg(trop, extent), args.out)
+            _emit(render_svg(trop), args.out)
         else:
-            _emit(render_ascii(trop, extent), args.out)
+            _emit(render_ascii(trop), args.out)
     except ValueError as e:
         raise DomainError(str(e))
     return 0
@@ -286,7 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("render", help="SVG or ASCII figure of a trop file")
     sp.add_argument("--trop", required=True)
     sp.add_argument("--format", choices=["svg", "ascii"], default="svg")
-    sp.add_argument("--extent", default="2", help="half-width of the view box")
+    sp.add_argument("--extent", default="2",
+                    help="positive rational; the figure is the same at "
+                         "every extent")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_render)
     return p

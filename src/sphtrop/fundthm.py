@@ -130,26 +130,31 @@ def membership_set2(f: ValuedPolynomial, w: Sequence[ExtendedRational]) -> bool:
     return not form.is_monomial()
 
 
-def extended_trop_sets(f: ValuedPolynomial
-                       ) -> dict[frozenset[int], TropicalComplex]:
-    """Per-orbit tropical sets of the extended theorem (0-based orbit indices).
+def _orbit_complex(f: ValuedPolynomial, sigma: frozenset[int]
+                   ) -> TropicalComplex:
+    """The tropical set of f on the orbit where the sigma coordinates vanish.
 
     A zero restriction means the hypersurface contains the whole orbit, so
     the full stratum is returned; a monomial restriction has empty locus.
     """
+    g = f.restrict_to_orbit(sigma)
+    if g.is_zero():
+        return TropicalComplex.whole_space(g.nvars)
+    if len(g.terms) == 1:
+        return TropicalComplex.empty(g.nvars)
+    return trop_hypersurface(g)
+
+
+def extended_trop_sets(f: ValuedPolynomial
+                       ) -> dict[frozenset[int], TropicalComplex]:
+    """Per-orbit tropical sets of the extended theorem (0-based orbit indices)."""
     if f.laurent:
         raise ValueError("extended sets require ordinary mode")
     m = f.nvars
     out: dict[frozenset[int], TropicalComplex] = {}
     for mask in range(1 << m):
         sigma = frozenset(i for i in range(m) if mask >> i & 1)
-        g = f.restrict_to_orbit(sigma)
-        if g.is_zero():
-            out[sigma] = TropicalComplex.whole_space(m - len(sigma))
-        elif len(g.terms) == 1:
-            out[sigma] = TropicalComplex.empty(m - len(sigma))
-        else:
-            out[sigma] = trop_hypersurface(g)
+        out[sigma] = _orbit_complex(f, sigma)
     return out
 
 
@@ -162,12 +167,7 @@ def membership_set1(f: ValuedPolynomial, w: Sequence[ExtendedRational]) -> bool:
         raise ValueError("infinite weight entry on a Laurent polynomial")
     sigma = frozenset(i for i, x in enumerate(w) if x is INF)
     finite = tuple(x for x in w if x is not INF)
-    g = f.restrict_to_orbit(sigma)
-    if g.is_zero():
-        return True
-    if len(g.terms) == 1:
-        return False
-    return trop_hypersurface(g).contains(finite)
+    return _orbit_complex(f, sigma).contains(finite)
 
 
 @dataclass(frozen=True)

@@ -165,10 +165,6 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[IntVector], list[int]]:
     return mat[:r], pivots
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[0])
-
-
 def kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[IntVector]:
     """Basis of {x : Rx = 0}, deterministic: free columns in increasing order.
 

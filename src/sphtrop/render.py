@@ -4,6 +4,11 @@ Conventions follow the source figures: two-dimensional strata are shaded,
 one-dimensional strata are drawn as thick segments, boundary strata sit at
 anchor points on scaled primitive generators, and colored strata carry a
 bullseye (double circle) marker.
+
+Both figures draw in one fixed frame, the box of half-width ``BOX``, and
+one ASCII cell is one unit.  Figures are scale-free: anchors are scaled to
+the edge of the box and directions are drawn out to it, so a box of any
+other size would scale the whole figure with it, to the same picture.
 """
 
 from __future__ import annotations
@@ -11,28 +16,32 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import (Vector, dot, embed_from_chart, is_zero_vec, primitive,
-                     vadd, vec, vscale)
+from .linalg import (Vector, clear_denominators, dot, embed_from_chart,
+                     is_zero_vec, primitive, vadd, vscale)
 from .polyhedra import Cone
 from .troposphere import ExtendedTrop, Stratum
 
+# Half-width of the frame both figures draw in, and the number of ASCII
+# cells from the origin to each edge.
+BOX = 10
 
-def _scale_to_box(v: Vector, extent: Fraction) -> Vector:
-    """Scale a nonzero vector so its largest coordinate magnitude is extent/1."""
+
+def _scale_to_box(v: Vector, bound=BOX) -> Vector:
+    """Scale a nonzero vector so its largest coordinate magnitude is bound."""
     m = max(abs(x) for x in v)
     if m == 0:
         return v
-    return vscale(Fraction(extent) / m, v)
+    return vscale(Fraction(bound) / m, v)
 
 
-def _anchor(s: Stratum, extent: Fraction) -> Vector:
+def _anchor(s: Stratum) -> Vector:
     gens = s.face.cone.rays + s.face.cone.lineality   # primitive already
     if not gens:
         return (Fraction(0),) * s.face.cone.ambient_dim
     total = tuple(map(sum, zip(*gens)))
     if is_zero_vec(total):
         total = gens[0]
-    return _scale_to_box(total, extent)
+    return _scale_to_box(total)
 
 
 def _pad2(v: Sequence[Fraction]) -> Vector:
@@ -40,15 +49,14 @@ def _pad2(v: Sequence[Fraction]) -> Vector:
     return (v + (Fraction(0), Fraction(0)))[:2]
 
 
-def _embedded_pieces(t: ExtendedTrop, extent: Fraction):
+def _embedded_pieces(t: ExtendedTrop):
     """Per stratum: (dim, anchor, direction vectors in the plane, labels)."""
     pieces = []
     for key in sorted(t.strata):
         s = t.strata[key]
         img = s.valuation_cone_image
         dirs = [_pad2(embed_from_chart(s.chart, g)) for g in img.generators]
-        pieces.append((img.dim(), _pad2(_anchor(s, extent)), dirs,
-                       sorted(s.labels)))
+        pieces.append((img.dim(), _pad2(_anchor(s)), dirs, sorted(s.labels)))
     return pieces
 
 
@@ -67,9 +75,9 @@ def _clip_polygon(poly, coeffs, rhs):
     return out
 
 
-def _cone_polygon(anchor: Vector, dirs: Sequence[Vector], extent: Fraction):
-    """The translated cone hull clipped to the extent box, as a polygon."""
-    big = 8 * extent
+def _cone_polygon(anchor: Vector, dirs: Sequence[Vector]):
+    """The translated cone hull clipped to the box, as a polygon."""
+    big = 8 * BOX
     pts = [anchor] + [vadd(anchor, _scale_to_box(d, big)) for d in dirs]
     # convex hull by angular sort around the centroid (exact cross products)
     def cross(o, a, b):
@@ -88,51 +96,44 @@ def _cone_polygon(anchor: Vector, dirs: Sequence[Vector], extent: Fraction):
             upper.pop()
         upper.append(p)
     poly = lower[:-1] + upper[:-1]
-    for coeffs, rhs in [((1, 0), -extent), ((-1, 0), -extent),
-                        ((0, 1), -extent), ((0, -1), -extent)]:
-        poly = _clip_polygon(poly, vec(coeffs), Fraction(rhs))
+    for coeffs in [(1, 0), (-1, 0), (0, 1), (0, -1)]:
+        poly = _clip_polygon(poly, coeffs, -BOX)
         if not poly:
             return []
     return poly
 
 
-def _clip_ray(anchor: Vector, d: Vector, extent: Fraction):
-    """Endpoint of anchor + s*d at the extent box, or None if it exits at 0."""
-    smax = None
-    for i in range(2):
-        for bound in (extent, -extent):
-            if d[i] == 0:
-                continue
-            s = (bound - anchor[i]) / d[i]
-            if s > 0:
-                hit = vadd(anchor, vscale(s, d))
-                if all(abs(x) <= extent for x in hit):
-                    if smax is None or s > smax:
-                        smax = s
-    if smax is None:
+def _clip_ray(anchor: Vector, d: Vector):
+    """Endpoint of anchor + s*d at the box, or None if it exits at s = 0.
+
+    The anchor lies in the box and d != 0, so the ray leaves the box at the
+    least s at which a coordinate reaches the bound it moves toward.
+    """
+    s = min(((BOX if di > 0 else -BOX) - ai) / di
+            for ai, di in zip(anchor, d) if di)
+    if s <= 0:
         return None
-    return vadd(anchor, vscale(smax, d))
+    return vadd(anchor, vscale(s, d))
 
 
-def render_svg(t: ExtendedTrop, extent: Fraction = Fraction(2)) -> str:
+def render_svg(t: ExtendedTrop) -> str:
     if t.ambient_rank > 2:
         raise ValueError("rendering supports rank <= 2 only")
     size, margin = 360, 20
-    span = 2 * extent
 
     def px(p: Vector) -> tuple[str, str]:
         x, y = p
-        sx = margin + (x + extent) / span * size
-        sy = margin + (extent - y) / span * size
+        sx = margin + Fraction(x + BOX, 2 * BOX) * size
+        sy = margin + Fraction(BOX - y, 2 * BOX) * size
         return f"{float(sx):.2f}", f"{float(sy):.2f}"
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
              f'width="{size + 2 * margin}" height="{size + 2 * margin}" '
              f'viewBox="0 0 {size + 2 * margin} {size + 2 * margin}">']
-    pieces = _embedded_pieces(t, extent)
+    pieces = _embedded_pieces(t)
     for dim, anchor, dirs, labels in pieces:          # shaded regions first
         if dim == 2:
-            poly = _cone_polygon(anchor, dirs, extent)
+            poly = _cone_polygon(anchor, dirs)
             if poly:
                 coords = " ".join(",".join(px(p)) for p in poly)
                 parts.append(f'<polygon points="{coords}" fill="#d9d9d9" '
@@ -140,7 +141,7 @@ def render_svg(t: ExtendedTrop, extent: Fraction = Fraction(2)) -> str:
     for dim, anchor, dirs, labels in pieces:
         if dim == 1:
             for d in dirs:
-                end = _clip_ray(anchor, d, extent)
+                end = _clip_ray(anchor, d)
                 if end is None:
                     continue
                 (x1, y1), (x2, y2) = px(anchor), px(end)
@@ -158,43 +159,35 @@ def render_svg(t: ExtendedTrop, extent: Fraction = Fraction(2)) -> str:
     return "\n".join(parts) + "\n"
 
 
-# Grid cells from the origin to each edge of an ASCII figure.
-ASCII_CELLS = 10
-
-
-def render_ascii(t: ExtendedTrop, extent: Fraction = Fraction(2)) -> str:
+def render_ascii(t: ExtendedTrop) -> str:
+    """Grid point (i, j) is the point (j - BOX, BOX - i) of the frame."""
     if t.ambient_rank > 2:
         raise ValueError("rendering supports rank <= 2 only")
-    cells = ASCII_CELLS
-    n = 2 * cells + 1
-    step = extent / cells
+    n = 2 * BOX + 1
     grid = [[" "] * n for _ in range(n)]
 
     def at(p: Vector):
         x, y = p
-        if abs(x) > extent or abs(y) > extent:
+        if abs(x) > BOX or abs(y) > BOX:
             return None
-        return (int(round(float((extent - y) / step))),
-                int(round(float((x + extent) / step))))
+        return int(round(float(BOX - y))), int(round(float(x + BOX)))
 
-    pieces = _embedded_pieces(t, extent)
+    pieces = _embedded_pieces(t)
     for dim, anchor, dirs, labels in pieces:
         if dim != 2 or not dirs:
             continue
         cone = Cone.from_generators(dirs, 2)
+        (ax, ay), den = clear_denominators(anchor)
         for i in range(n):
             for j in range(n):
-                p = (Fraction(-cells + j) * step, Fraction(cells - i) * step)
-                q = (p[0] - anchor[0], p[1] - anchor[1])
-                if cone.contains(q):
+                if cone.contains((den * (j - BOX) - ax, den * (BOX - i) - ay)):
                     grid[i][j] = "."
     for dim, anchor, dirs, labels in pieces:
         if dim != 1:
             continue
-        for d in dirs:
-            for k in range(8 * cells + 1):
-                p = vadd(anchor, vscale(Fraction(k, 4) * step, primitive(d)))
-                rc = at(p)
+        for d in map(primitive, dirs):
+            for k in range(8 * BOX + 1):
+                rc = at(vadd(anchor, vscale(Fraction(k, 4), d)))
                 if rc:
                     grid[rc[0]][rc[1]] = "*"
     for dim, anchor, dirs, labels in pieces:

@@ -113,6 +113,20 @@ def test_render(corpus, capsys):
     assert rc == 0 and out.startswith("<svg")
 
 
+def test_render_is_the_same_at_every_extent(corpus, capsys):
+    """Every rank <= 2 corpus figure, SVG and ASCII, at three extents."""
+    paths = sorted(corpus.glob("*.trop.json"))
+    assert len(paths) == 15
+    for path in paths:
+        if json.loads(path.read_text())["ambient_rank"] > 2:
+            continue
+        for fmt in ("svg", "ascii"):
+            outs = {run(capsys, "render", "--trop", str(path), "--format", fmt,
+                        "--extent", extent)
+                    for extent in ("2", "3", "1/7")}
+            assert len(outs) == 1 and outs.pop()[0] == 0, (path.name, fmt)
+
+
 def test_render_rank3_refused(tmp_path, capsys):
     import sphtrop.jsonio as jsonio
     from sphtrop.polyhedra import Cone

@@ -1,4 +1,6 @@
-"""Every name a module under ``src/sphtrop`` imports is read somewhere in it."""
+"""Every name a module under ``src/sphtrop`` imports is read somewhere in it,
+and every private function, class or method there is read somewhere in
+``src/sphtrop``."""
 
 import ast
 from pathlib import Path
@@ -67,3 +69,62 @@ def test_scan_finds_an_unused_name_and_counts_annotations():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """``_``-prefixed module-level functions and classes, and ``_``-prefixed
+    methods of module-level classes that are not dunders."""
+    def is_private(node):
+        name = node.name
+        return name.startswith("_") and not (name.startswith("__")
+                                             and name.endswith("__"))
+    defs = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)) and is_private(node):
+            defs.append((node.name, node.lineno))
+        if isinstance(node, ast.ClassDef):
+            defs += [(sub.name, sub.lineno) for sub in node.body
+                     if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and is_private(sub)]
+    return defs
+
+
+def unread_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Private definitions that no module in ``sources`` reads.
+
+    A name counts as read when it is loaded, read as an attribute (so a
+    method called as ``self._m()`` counts) or imported by name.  The scan
+    is by name only, across all modules at once.
+    """
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    read: set[str] = set()
+    for tree in trees.values():
+        read |= loaded_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    return [f"{name}: {d} (line {line})" for name, tree in trees.items()
+            for d, line in private_definitions(tree) if d not in read]
+
+
+def test_private_scan_finds_an_unread_helper():
+    helpers = ("def _used(): pass\n"
+               "def _dead(): pass\n"
+               "class _Kept:\n"
+               "    def __init__(self): self._m()\n"
+               "    def _m(self): pass\n"
+               "    def _stale(self): pass\n"
+               "class _Gone: pass\n")
+    user = "from helpers import _used, _Kept\n_used()\n"
+    assert unread_private_definitions({"helpers": helpers, "user": user}) == [
+        "helpers: _dead (line 2)", "helpers: _stale (line 6)",
+        "helpers: _Gone (line 7)"]
+
+
+def test_no_unread_private_definitions():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_private_definitions(sources) == []

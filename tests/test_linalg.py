@@ -14,7 +14,6 @@ from sphtrop.linalg import (
     primitive,
     project_off,
     project_to_chart,
-    rank,
     rational_from_input,
     rref,
     solve,
@@ -34,7 +33,7 @@ def test_rref_and_rank():
     rows, pivots = rref([vec([1, 2, 3]), vec([2, 4, 6]), vec([0, 1, 1])])
     assert pivots == [0, 1]
     assert rows == [vec([1, 0, 1]), vec([0, 1, 1])]
-    assert rank([vec([1, 1]), vec([1, -1])]) == 2
+    assert len(rref([vec([1, 1]), vec([1, -1])])[0]) == 2
 
 
 def test_kernel_basis_deterministic():
