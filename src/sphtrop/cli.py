@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 domain failure (invalid fan, mismatch, nonmember),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -227,6 +228,9 @@ def cmd_render(args) -> int:
     return 0
 
 
+# Built once per process: parse_args keeps no state in the parser and
+# returns a fresh namespace on every call.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="sphtrop",

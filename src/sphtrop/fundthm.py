@@ -10,12 +10,19 @@ Both sides run on integers.  A weight is scaled once by the lcm of its
 denominators, so every cell test compares ``int`` dot products of the
 primitive cell rows; a polynomial's valuations are scaled once by the lcm
 of theirs, so every cell row is built from ``int``s.
+
+A complex depends only on the number of variables and the tropical
+polynomial, the ``(exponent, valuation)`` pairs of the terms: residues do
+not enter it.  Each is built once and kept in an LRU cache of at most
+``COMPLEX_CACHE_SIZE`` complexes, shared by a polynomial's orbits, samples
+and witnesses; a ``TropicalComplex`` is frozen, so sharing one is safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .linalg import IntVector, Vector, clear_denominators, dot, primitive, vec
@@ -92,12 +99,29 @@ def trop_hypersurface(f: ValuedPolynomial) -> TropicalComplex:
     valuations are scaled once by the lcm ``D`` of their denominators, so
     every row ``(D (u_i - u_j), D (v_j - v_i))`` is built in ``int``s; the
     positive factor ``D`` is divided out again by ``canonical_constraint``.
+
+    Memoised on ``f.nvars`` and the ``(exponent, valuation)`` pairs of the
+    terms, all that the complex depends on, so polynomials that differ only
+    in their residues share one object; at most ``COMPLEX_CACHE_SIZE`` kept.
     """
     if f.is_zero():
         raise ValueError("tropical hypersurface of the zero polynomial")
-    vals, D = clear_denominators([c.valuation() for _, c in f.terms])
-    terms = [(tuple(D * a for a in u), v) for (u, _), v in zip(f.terms, vals)]
-    m, n = f.nvars, len(terms)
+    return _complex_of(f.nvars,
+                       tuple((u, c.valuation()) for u, c in f.terms))
+
+
+# Bound on the distinct tropical polynomials whose complexes are kept; it
+# covers the 2^m orbits of one polynomial up to m = 5.
+COMPLEX_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=COMPLEX_CACHE_SIZE)
+def _complex_of(m: int, tropical: tuple[tuple[tuple[int, ...], Fraction], ...]
+                ) -> TropicalComplex:
+    """The complex of a nonzero tropical polynomial in m variables."""
+    vals, D = clear_denominators([v for _, v in tropical])
+    terms = [(tuple(D * a for a in u), v) for (u, _), v in zip(tropical, vals)]
+    n = len(terms)
     # row[i][k]: term k weighs at least term i; row[j][i] gives pair (i, j)'s
     # equation.  Each is built once and shared by the cells that use it.
     row = [[canonical_constraint([a - b for a, b in zip(uk, ui)], ci - ck)
@@ -239,24 +263,18 @@ def check_equivalence(f: ValuedPolynomial,
                       ) -> EquivalenceReport:
     """Cross-check fundamental-theorem sets on samples and witness points.
 
-    The complex of f is built at most once, when a finite sample or a
-    witness first needs it; samples with infinite entries go through
-    ``membership_set1``, which restricts f to their orbit.
+    Finite samples and witnesses are tested against the complex of f, which
+    ``trop_hypersurface`` builds once and then returns from its cache;
+    samples with infinite entries go through ``membership_set1``, which
+    restricts f to their orbit.
     """
-    complex_finite = None
-
-    def in_complex(w: Vector) -> bool:
-        nonlocal complex_finite
-        if complex_finite is None:
-            complex_finite = trop_hypersurface(f)
-        return complex_finite.contains(w)
-
     report = EquivalenceReport()
     for w in samples:
         w = tuple(w)
         report.samples.append(SampleVerdict(
             weight=w,
-            in_complex=(in_complex(w) if all(map(is_finite, w))
+            in_complex=(trop_hypersurface(f).contains(w)
+                        if all(map(is_finite, w))
                         else membership_set1(f, w)),
             in_initial_set=membership_set2(f, w)))
     for p in witnesses:
@@ -265,5 +283,6 @@ def check_equivalence(f: ValuedPolynomial,
         report.witnesses.append(WitnessVerdict(
             valuations=vv,
             residual_zero=not value,
-            in_complex=not f.is_zero() and in_complex(vv)))
+            in_complex=(not f.is_zero()
+                        and trop_hypersurface(f).contains(vv))))
     return report

@@ -98,8 +98,12 @@ def primitive(u: Sequence, fix_sign: bool = False) -> IntVector:
     Entries may be ``int`` or ``Fraction``.  The scaling factor is positive,
     so ray directions are preserved; with ``fix_sign`` the first nonzero
     entry is additionally made positive.  The zero vector stays zero.
+    An all-``int`` row, the common case, skips the denominator scaling.
     """
-    ints, _ = clear_denominators(u)
+    if all(type(a) is int for a in u):
+        ints = u
+    else:
+        ints, _ = clear_denominators(u)
     g = gcd(*ints)
     if g == 0:
         return tuple(ints)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from sphtrop.cli import main
+from sphtrop.cli import build_parser, main
 from sphtrop.puiseux import MAX_COEFF_BITS, MAX_TERM_PAIRS
 
 
@@ -162,6 +162,29 @@ def test_golden_corpus_matches_committed_trop(corpus, capsys):
 def one_line_error(capsys):
     err = capsys.readouterr().err
     return err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    """One parser serves every call: a bad call, a good call that sets the
+    option the bad one lacked, then the bad call again, each as if alone."""
+    assert build_parser() is build_parser()
+    bad = ["poly", "trop", "--poly", "x1 + 1"]
+    outcomes = []
+    for argv in (bad, bad + ["--weight", "0"], bad):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        outcomes.append((rc, captured.out, captured.err))
+    assert outcomes[0] == outcomes[2]
+    assert outcomes[0][:2] == (2, "")
+    assert outcomes[0][2].startswith("error: ")
+    assert outcomes[0][2].count("\n") == 1
+    assert outcomes[1] == (0, "0\n", "")
+    # An appending option starts empty again on the next call.
+    rc, out = run(capsys, "ftt", "--poly", "x1 + 1",
+                  "--weight", "0", "--weight", "1")
+    assert rc == 0 and len(json.loads(out)["samples"]) == 2
+    rc, out = run(capsys, "ftt", "--poly", "x1 + 1", "--weight", "0")
+    assert rc == 0 and len(json.loads(out)["samples"]) == 1
 
 
 @pytest.mark.parametrize("extent", ["0", "-1", "abc", "1/0", "1e5"])

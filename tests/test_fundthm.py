@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphtrop import fundthm
 from sphtrop.fundthm import (
+    COMPLEX_CACHE_SIZE,
     Cell,
     TropicalComplex,
     WitnessPoint,
@@ -45,8 +47,10 @@ def test_single_term_is_empty():
 
 
 def test_zero_polynomial_rejected():
-    with pytest.raises(ValueError):
-        trop_hypersurface(ValuedPolynomial.zero(2, laurent=False))
+    # on every call: the memo behind trop_hypersurface caches no exception
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            trop_hypersurface(ValuedPolynomial.zero(2, laurent=False))
 
 
 def test_e3_memberships():
@@ -190,3 +194,44 @@ def test_property_cell_tests_agree_with_fraction_dots(case):
 @given(valued_polynomials())
 def test_property_integer_rows_give_the_fraction_cells(f):
     assert trop_hypersurface(f).cells == fraction_trop_hypersurface(f).cells
+
+
+# -- the memo behind trop_hypersurface ---------------------------------------
+
+
+def with_residues_scaled(f, q):
+    """f with every coefficient times the rational q != 0: same exponents and
+    valuations, other residues."""
+    q = PuiseuxScalar.rational(q)
+    return ValuedPolynomial.from_dict(
+        f.nvars, {u: c * q for u, c in f.terms}, laurent=f.laurent)
+
+
+@settings(max_examples=100, deadline=None)
+@given(valued_polynomials(), st.sampled_from((-3, -1, 2, F(1, 5))))
+def test_property_memo_serves_the_oracle_complex(f, q):
+    fundthm._complex_of.cache_clear()
+    oracle = fraction_trop_hypersurface(f)
+    first = trop_hypersurface(f)
+    assert first == oracle
+    assert trop_hypersurface(f) is first
+    g = with_residues_scaled(f, q)
+    assert g.terms != f.terms
+    assert trop_hypersurface(g) is first
+    assert trop_hypersurface(g) == fraction_trop_hypersurface(g)
+    assert extended_trop_sets(f)[frozenset()] is first
+
+
+def test_memo_is_bounded_and_rebuilds_what_it_evicted():
+    polys = [ValuedPolynomial.parse(f"x1 + x2 + t^{k}", laurent=False)
+             for k in range(COMPLEX_CACHE_SIZE + 5)]
+    info = fundthm._complex_of.cache_info
+    assert info().maxsize == COMPLEX_CACHE_SIZE
+    first = trop_hypersurface(polys[0])
+    for f in polys[1:]:
+        trop_hypersurface(f)
+        assert info().currsize <= COMPLEX_CACHE_SIZE
+    misses = info().misses
+    again = trop_hypersurface(polys[0])
+    assert info().misses == misses + 1
+    assert again == first == fraction_trop_hypersurface(polys[0])

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd, lcm
 from typing import Sequence
 
 import pytest
@@ -178,3 +179,32 @@ def test_property_kernel_and_solve_agree_with_the_fraction_rref(case, rhs):
     assert kernel_basis(rows, ncols) == fraction_kernel_basis(rows, ncols)
     rhs = rhs[:len(rows)]
     assert solve(rows, rhs) == fraction_solve(rows, rhs)
+
+
+# The former ``primitive``, kept as an oracle: it always clears the
+# denominators (the lcm of 1s on an int row) before dividing by the gcd.
+def lcm_primitive(u, fix_sign=False):
+    den = lcm(*(a.denominator for a in u))
+    ints = [a.numerator * (den // a.denominator) for a in u]
+    g = gcd(*ints)
+    if g == 0:
+        return tuple(ints)
+    if fix_sign and next(n for n in ints if n) < 0:
+        g = -g
+    return tuple(n // g for n in ints)
+
+
+INT_OR_FRACTION = st.one_of(st.integers(-50, 50),
+                            st.builds(F, st.integers(-50, 50),
+                                      st.integers(1, 12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.integers(-50, 50), max_size=6),
+                 st.lists(INT_OR_FRACTION, max_size=6)),
+       st.booleans())
+def test_property_primitive_is_the_lcm_then_gcd_row(row, fix_sign):
+    for u in (row, tuple(row)):
+        got = primitive(u, fix_sign=fix_sign)
+        assert got == lcm_primitive(u, fix_sign=fix_sign)
+        assert type(got) is tuple and all(type(a) is int for a in got)
