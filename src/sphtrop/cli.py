@@ -38,7 +38,7 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise InputError(f"malformed JSON in {path}: {e}")
 
 

@@ -6,6 +6,10 @@ convention, with infinity handled explicitly: an infinite weight entry
 sends every monomial with a nonzero exponent there to infinity.
 Term weights clear the denominators of the weight once and compare
 ``int`` dot products; each finite term weight costs one ``Fraction``.
+Text is parsed in one pass into one dict of monomials t^e x^u: a sum adds
+into it, a product pairs the terms of its factors (at most
+``MAX_TERM_PAIRS`` pairs), parentheses nest at most ``MAX_NESTING`` deep,
+and one ``ValuedPolynomial`` is built at the end.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import (
@@ -174,12 +179,14 @@ MAX_TERM_PAIRS = 2 ** 16
 MAX_COEFF_BITS = 2 ** 16
 
 
+def _check_term_pairs(what: str, m: int, n: int) -> None:
+    if m * n > MAX_TERM_PAIRS:
+        raise InputError(f"a product of {what} with {m} x {n} terms exceeds "
+                         f"the bound of {MAX_TERM_PAIRS} term pairs")
+
+
 def _bounded_product(a: PuiseuxScalar, b: PuiseuxScalar) -> PuiseuxScalar:
-    if len(a.terms) * len(b.terms) > MAX_TERM_PAIRS:
-        raise InputError(
-            f"a product of Puiseux scalars with {len(a.terms)} x "
-            f"{len(b.terms)} terms exceeds the bound of {MAX_TERM_PAIRS} "
-            "term pairs")
+    _check_term_pairs("Puiseux scalars", len(a.terms), len(b.terms))
     bits = sum(max((c.numerator.bit_length() + c.denominator.bit_length()
                     for _, c in s.terms), default=0) for s in (a, b))
     if bits > MAX_COEFF_BITS:
@@ -302,32 +309,6 @@ class ValuedPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff_dict(self) -> dict[tuple[int, ...], PuiseuxScalar]:
-        return dict(self.terms)
-
-    def __add__(self, other: "ValuedPolynomial") -> "ValuedPolynomial":
-        acc = self.coeff_dict()
-        for u, c in other.terms:
-            acc[u] = acc.get(u, PuiseuxScalar.zero()) + c
-        return ValuedPolynomial.from_dict(
-            self.nvars, acc, self.laurent and other.laurent)
-
-    def __neg__(self) -> "ValuedPolynomial":
-        return ValuedPolynomial(
-            self.nvars, self.laurent, tuple((u, -c) for u, c in self.terms))
-
-    def __sub__(self, other: "ValuedPolynomial") -> "ValuedPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "ValuedPolynomial") -> "ValuedPolynomial":
-        acc: dict[tuple[int, ...], PuiseuxScalar] = {}
-        for u, c in self.terms:
-            for v, d in other.terms:
-                w = tuple(a + b for a, b in zip(u, v))
-                acc[w] = acc.get(w, PuiseuxScalar.zero()) + c * d
-        return ValuedPolynomial.from_dict(
-            self.nvars, acc, self.laurent and other.laurent)
-
     # -- tropical semantics -------------------------------------------
 
     def term_weight(self, u: tuple[int, ...], c: PuiseuxScalar,
@@ -449,12 +430,37 @@ def _tokenize(text: str) -> list[str]:
     return out
 
 
+# Deepest nesting of parentheses in polynomial text: the parser recurses
+# once per level.
+MAX_NESTING = 64
+
+# A parsed expression: the nonzero rational coefficient of t^e x^u under
+# the key (u, e), since a finite-support Puiseux polynomial is a finite
+# Q-combination of such monomials.
+_Monomials = dict[tuple[tuple[int, ...], Fraction], Fraction]
+
+
+def _collect(pairs: Iterable[tuple]) -> _Monomials:
+    """Sum the coefficients of equal keys and drop the zero ones."""
+    acc: _Monomials = {}
+    for k, c in pairs:
+        acc[k] = acc.get(k, 0) + c
+    return {k: c for k, c in acc.items() if c}
+
+
+def _product(a: _Monomials, b: _Monomials) -> _Monomials:
+    _check_term_pairs("polynomials", len(a), len(b))
+    return _collect(((tuple(map(add, u, v)), e + f), c * d)
+                    for (u, e), c in a.items() for (v, f), d in b.items())
+
+
 class _Parser:
     """Recursive descent for sums of products of rationals, t-powers, and vars."""
 
     def __init__(self, tokens: list[str], nvars: int):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.nvars = nvars
 
     def peek(self):
@@ -470,46 +476,45 @@ class _Parser:
         if got != tok:
             raise ValueError(f"expected {tok!r}, got {got!r}")
 
-    def parse_expr(self) -> ValuedPolynomial:
+    def parse_expr(self) -> _Monomials:
         sign = 1
         while self.peek() in ("+", "-"):
             if self.take() == "-":
                 sign = -sign
-        node = self.parse_term()
-        if sign < 0:
-            node = -node
+        terms = [(sign, self.parse_term())]
         while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.parse_term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
+            terms.append((1 if self.take() == "+" else -1, self.parse_term()))
+        return _collect((k, s * c) for s, term in terms for k, c in term.items())
 
-    def parse_term(self) -> ValuedPolynomial:
+    def parse_term(self) -> _Monomials:
         node = self.parse_factor()
         while self.peek() == "*":
             self.take()
-            node = node * self.parse_factor()
+            node = _product(node, self.parse_factor())
         return node
 
-    def parse_factor(self) -> ValuedPolynomial:
-        tok = self.peek()
-        if tok == "(":
+    def parse_factor(self) -> _Monomials:
+        """A factor after a chain of unary minus signs, taken in a loop."""
+        sign = 1
+        while self.peek() == "-":
             self.take()
+            sign = -sign
+        zero = (0,) * self.nvars
+        tok = self.take()
+        if tok == "(":
+            if self.depth == MAX_NESTING:
+                raise InputError(f"parentheses nested over {MAX_NESTING} deep")
+            self.depth += 1
             node = self.parse_expr()
             self.expect(")")
-            return node
-        if tok == "-":
-            self.take()
-            return -self.parse_factor()
-        tok = self.take()
+            self.depth -= 1
+            return {k: sign * c for k, c in node.items()}
         if tok is None:
             raise ValueError("unexpected end of input")
         if re.fullmatch(r"\d+/\d+|\d+", tok):
-            return self._const(PuiseuxScalar.rational(
-                rational_from_input(tok)))
+            return _collect([((zero, 0), sign * rational_from_input(tok))])
         if tok == "t":
-            e = self._maybe_exponent()
-            return self._const(PuiseuxScalar.t_power(e))
+            return {(zero, self._maybe_exponent()): sign}
         m = re.fullmatch(r"x(\d+)", tok)
         if m:
             idx = int(m.group(1)) - 1
@@ -519,32 +524,24 @@ class _Parser:
             if e.denominator != 1:
                 raise ValueError("variable exponents must be integers")
             u = tuple(int(e) if i == idx else 0 for i in range(self.nvars))
-            return ValuedPolynomial.from_dict(
-                self.nvars, {u: PuiseuxScalar.rational(1)})
+            return {(u, 0): sign}
         raise ValueError(f"unexpected token {tok!r}")
 
     def _maybe_exponent(self) -> Fraction:
+        """An optional "^q", "^-q", "^(q)" or "^(-q)"; 1 when absent."""
         if self.peek() != "^":
             return Fraction(1)
         self.take()
-        neg = False
-        if self.peek() == "(":
+        paren = self.peek() == "("
+        if paren:
             self.take()
-            if self.peek() == "-":
-                self.take()
-                neg = True
-            val = rational_from_input(self.take())
+        neg = self.peek() == "-"
+        if neg:
+            self.take()
+        val = rational_from_input(self.take())
+        if paren:
             self.expect(")")
-        else:
-            if self.peek() == "-":
-                self.take()
-                neg = True
-            val = rational_from_input(self.take())
         return -val if neg else val
-
-    def _const(self, s: PuiseuxScalar) -> ValuedPolynomial:
-        u = (0,) * self.nvars
-        return ValuedPolynomial.from_dict(self.nvars, {u: s})
 
 
 def _max_var_index(tokens: list[str]) -> int:
@@ -565,12 +562,14 @@ def _parse_polynomial(text: str, nvars: int | None, laurent: bool
     if nvars is None:
         nvars = _max_var_index(tokens)
     parser = _Parser(tokens, nvars)
-    poly = parser.parse_expr()
+    monomials = parser.parse_expr()
     if parser.peek() is not None:
         raise ValueError(f"trailing input at {parser.peek()!r}")
-    if not laurent:
-        poly = ValuedPolynomial.from_dict(poly.nvars, poly.coeff_dict(), laurent=False)
-    return poly
+    coeffs: dict[tuple[int, ...], list] = {}
+    for (u, e), c in monomials.items():
+        coeffs.setdefault(u, []).append((e, c))
+    return ValuedPolynomial.from_dict(nvars, {
+        u: PuiseuxScalar.from_terms(ts) for u, ts in coeffs.items()}, laurent)
 
 
 def parse_weight(text: str, nvars: int | None = None) -> ExtendedWeight:

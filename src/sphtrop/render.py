@@ -16,8 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import (Vector, clear_denominators, dot, embed_from_chart,
-                     is_zero_vec, primitive, vadd, vscale)
+from .linalg import (Vector, dot, embed_from_chart, is_zero_vec, primitive,
+                     vadd, vscale)
 from .polyhedra import Cone
 from .troposphere import ExtendedTrop, Stratum
 
@@ -176,11 +176,11 @@ def render_ascii(t: ExtendedTrop) -> str:
     for dim, anchor, dirs, labels in pieces:
         if dim != 2 or not dirs:
             continue
+        # In rank <= 2 a two-dimensional piece has face {0} and anchor 0.
         cone = Cone.from_generators(dirs, 2)
-        (ax, ay), den = clear_denominators(anchor)
         for i in range(n):
             for j in range(n):
-                if cone.contains((den * (j - BOX) - ax, den * (BOX - i) - ay)):
+                if cone.contains((j - BOX, BOX - i)):
                     grid[i][j] = "."
     for dim, anchor, dirs, labels in pieces:
         if dim != 1:

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from sphtrop.cli import build_parser, main
-from sphtrop.puiseux import MAX_COEFF_BITS, MAX_TERM_PAIRS
+from sphtrop.puiseux import MAX_COEFF_BITS, MAX_NESTING, MAX_TERM_PAIRS
 
 
 def run(capsys, *argv):
@@ -371,3 +371,51 @@ def test_witness_power_under_the_term_pair_bound_keeps_its_verdict(capsys):
         "ok": False, "samples": [],
         "witnesses": [{"in_complex": True, "residual_zero": False,
                        "valuations": ["0"]}]}
+
+
+def test_product_over_the_term_pair_bound_exits_2(capsys):
+    """Two 300-term sums would pair into 90000 terms: refused at parse time."""
+    left = " + ".join(f"x1^{k}" for k in range(300))
+    right = " + ".join(f"x2^{k}" for k in range(300))
+    rc = main(["poly", "trop", "--poly", f"({left})*({right})",
+               "--weight", "0,0"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert str(MAX_TERM_PAIRS) in err
+
+
+def test_deep_parentheses_exit_2(capsys):
+    deep = "(" * 400 + "x1" + ")" * 400
+    rc = main(["poly", "trop", "--poly", deep, "--weight", "0"])
+    assert rc == 2 and one_line_error(capsys)
+    rc = main(["ftt", "--poly", "x1 + 1",
+               "--witness", "(" * 400 + "t" + ")" * 400])
+    assert rc == 2 and one_line_error(capsys)
+    rc, out = run(capsys, "poly", "trop", "--poly",
+                  "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING,
+                  "--weight", "3")
+    assert rc == 0 and out == "3\n"
+
+
+def test_long_unary_minus_chain_parses(capsys):
+    rc, out = run(capsys, "poly", "init", "--poly", "2*" + "-" * 3001 + "x1",
+                  "--weight", "0")
+    assert rc == 0 and out == "-2*x1\n"
+    rc, out = run(capsys, "ftt", "--poly", "x1 + 1",
+                  "--witness", "2*" + "-" * 3000 + "t")
+    assert rc == 1 and out == run(capsys, "ftt", "--poly", "x1 + 1",
+                                  "--witness", "2*t")[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "DEEP", "DEEP"],
+    ["validate", "--datum", "DEEP", "--fan", "DEEP"],
+    ["poly", "hypersurface", "--poly", "DEEP"],
+])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    rc = main([str(deep) if a == "DEEP" else a for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1
+    assert err.startswith("error: ") and "malformed JSON in" in err

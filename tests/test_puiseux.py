@@ -1,14 +1,19 @@
+import re
+from fractions import Fraction
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphtrop.linalg import rational_from_input
 from sphtrop.puiseux import (
     INF,
     PuiseuxScalar,
     ResiduePolynomial,
     ValuedPolynomial,
+    _max_var_index,
+    _tokenize,
     is_finite,
     parse_weight,
     q_min,
@@ -239,3 +244,220 @@ def laurent_polynomials(draw):
 def test_property_text_round_trips(case):
     f, m = case
     assert ValuedPolynomial.parse(str(f), nvars=m) == f
+
+
+# -- oracle: the parser as it was before it built one dict of monomials -----
+#
+# It built a polynomial for every factor, product and partial sum, with the
+# arithmetic below, which the library no longer has.  The methods and the
+# parser are verbatim, with the class renamed OldPolynomial, the parser
+# OldParser and _parse_polynomial old_parse_polynomial.
+
+
+class OldPolynomial(ValuedPolynomial):
+    def coeff_dict(self) -> dict[tuple[int, ...], PuiseuxScalar]:
+        return dict(self.terms)
+
+    def __add__(self, other: "OldPolynomial") -> "OldPolynomial":
+        acc = self.coeff_dict()
+        for u, c in other.terms:
+            acc[u] = acc.get(u, PuiseuxScalar.zero()) + c
+        return OldPolynomial.from_dict(
+            self.nvars, acc, self.laurent and other.laurent)
+
+    def __neg__(self) -> "OldPolynomial":
+        return OldPolynomial(
+            self.nvars, self.laurent, tuple((u, -c) for u, c in self.terms))
+
+    def __sub__(self, other: "OldPolynomial") -> "OldPolynomial":
+        return self + (-other)
+
+    def __mul__(self, other: "OldPolynomial") -> "OldPolynomial":
+        acc: dict[tuple[int, ...], PuiseuxScalar] = {}
+        for u, c in self.terms:
+            for v, d in other.terms:
+                w = tuple(a + b for a, b in zip(u, v))
+                acc[w] = acc.get(w, PuiseuxScalar.zero()) + c * d
+        return OldPolynomial.from_dict(
+            self.nvars, acc, self.laurent and other.laurent)
+
+
+class OldParser:
+    """Recursive descent for sums of products of rationals, t-powers, and vars."""
+
+    def __init__(self, tokens: list[str], nvars: int):
+        self.tokens = tokens
+        self.pos = 0
+        self.nvars = nvars
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self):
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def expect(self, tok: str):
+        got = self.take()
+        if got != tok:
+            raise ValueError(f"expected {tok!r}, got {got!r}")
+
+    def parse_expr(self) -> OldPolynomial:
+        sign = 1
+        while self.peek() in ("+", "-"):
+            if self.take() == "-":
+                sign = -sign
+        node = self.parse_term()
+        if sign < 0:
+            node = -node
+        while self.peek() in ("+", "-"):
+            op = self.take()
+            rhs = self.parse_term()
+            node = node + rhs if op == "+" else node - rhs
+        return node
+
+    def parse_term(self) -> OldPolynomial:
+        node = self.parse_factor()
+        while self.peek() == "*":
+            self.take()
+            node = node * self.parse_factor()
+        return node
+
+    def parse_factor(self) -> OldPolynomial:
+        tok = self.peek()
+        if tok == "(":
+            self.take()
+            node = self.parse_expr()
+            self.expect(")")
+            return node
+        if tok == "-":
+            self.take()
+            return -self.parse_factor()
+        tok = self.take()
+        if tok is None:
+            raise ValueError("unexpected end of input")
+        if re.fullmatch(r"\d+/\d+|\d+", tok):
+            return self._const(PuiseuxScalar.rational(
+                rational_from_input(tok)))
+        if tok == "t":
+            e = self._maybe_exponent()
+            return self._const(PuiseuxScalar.t_power(e))
+        m = re.fullmatch(r"x(\d+)", tok)
+        if m:
+            idx = int(m.group(1)) - 1
+            if idx < 0 or idx >= self.nvars:
+                raise ValueError(f"variable {tok} out of range")
+            e = self._maybe_exponent()
+            if e.denominator != 1:
+                raise ValueError("variable exponents must be integers")
+            u = tuple(int(e) if i == idx else 0 for i in range(self.nvars))
+            return OldPolynomial.from_dict(
+                self.nvars, {u: PuiseuxScalar.rational(1)})
+        raise ValueError(f"unexpected token {tok!r}")
+
+    def _maybe_exponent(self) -> Fraction:
+        if self.peek() != "^":
+            return Fraction(1)
+        self.take()
+        neg = False
+        if self.peek() == "(":
+            self.take()
+            if self.peek() == "-":
+                self.take()
+                neg = True
+            val = rational_from_input(self.take())
+            self.expect(")")
+        else:
+            if self.peek() == "-":
+                self.take()
+                neg = True
+            val = rational_from_input(self.take())
+        return -val if neg else val
+
+    def _const(self, s: PuiseuxScalar) -> OldPolynomial:
+        u = (0,) * self.nvars
+        return OldPolynomial.from_dict(self.nvars, {u: s})
+
+
+def old_parse_polynomial(text: str, nvars: int | None, laurent: bool
+                         ) -> OldPolynomial:
+    tokens = _tokenize(text)
+    if nvars is None:
+        nvars = _max_var_index(tokens)
+    parser = OldParser(tokens, nvars)
+    poly = parser.parse_expr()
+    if parser.peek() is not None:
+        raise ValueError(f"trailing input at {parser.peek()!r}")
+    if not laurent:
+        poly = OldPolynomial.from_dict(poly.nvars, poly.coeff_dict(), laurent=False)
+    return poly
+
+
+# Text for the parser property.  Any text will do, since both parsers read
+# the same one; these pieces make the interesting cases common: rationals
+# and zero, t to fractional and negative powers, x1..x3 to negative powers
+# (refused in ordinary mode unless they cancel), every exponent spelling,
+# and an x4 that is out of range whenever nvars is given as 3 or less.
+T_EXPONENTS = ("", "^2", "^-1", "^0", "^(1/2)", "^-3/2", "^(-2/3)", "^5/4")
+X_EXPONENTS = ("", "", "^2", "^0", "^(3)", "^-1", "^(-2)")
+NUMBERS = st.sampled_from(("0", "1", "2", "3", "1/2", "7/3", "10"))
+T_POWERS = st.sampled_from(T_EXPONENTS).map(lambda e: "t" + e)
+X_POWERS = st.builds(lambda i, e: f"x{i}{e}",
+                     st.sampled_from((1, 1, 2, 2, 3, 3, 4)),
+                     st.sampled_from(X_EXPONENTS))
+MONOMIALS = st.builds(lambda c, t, x, y: f"{c}*{t}*{x}*{y}",
+                      NUMBERS, T_POWERS, X_POWERS, X_POWERS)
+SUMS = st.lists(st.tuples(st.sampled_from(("+", "-")), MONOMIALS),
+                min_size=2, max_size=5).map(
+    lambda terms: "(" + " ".join(op + " " + m for op, m in terms) + ")")
+ATOMS = st.one_of(NUMBERS, T_POWERS, X_POWERS, MONOMIALS, SUMS)
+
+
+def _grow(inner):
+    signed = st.tuples(st.sampled_from(("+", "-")), inner)
+    return st.one_of(
+        inner.map(lambda a: f"({a})"),
+        st.builds(lambda n, a: "-" * n + a, st.integers(1, 5), inner),
+        # unary minus chains inside a product, where no sum absorbs them
+        st.builds(lambda a, n, b: f"{a}*{'-' * n}{b}", inner,
+                  st.integers(1, 5), st.one_of(inner, inner.map("({})".format))),
+        st.builds(lambda a, rest: a + "".join(f" {op} {b}" for op, b in rest),
+                  inner, st.lists(signed, min_size=1, max_size=4)),
+        st.lists(inner.map(lambda a: f"({a})"), min_size=2, max_size=3)
+        .map("*".join),
+        st.builds(lambda a, b: f"{a}*{b}", inner, inner),
+        st.builds(lambda a, b: f"{a} + {b} - ({b})", inner, inner),  # cancels
+        st.builds(lambda a, b: f"{a} + 0*{b}", inner, inner))
+
+
+EXPRESSIONS = st.recursive(ATOMS, _grow, max_leaves=20)
+# Stray tokens; one in five texts has one in place of one of its characters.
+STRAY = ("(", ")", "*", "+", "-", "^", "t^", "x0", "1/0", "x1^(", "x1^1/2",
+         "?", "")
+
+
+@st.composite
+def parser_inputs(draw):
+    text = draw(EXPRESSIONS)
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(STRAY)) + text[at + 1:]
+    nvars = draw(st.sampled_from((None, None, None, 4, 4, 3, 1)))
+    return text, nvars, draw(st.booleans())
+
+
+def _outcome(parse, text, nvars, laurent):
+    try:
+        f = parse(text, nvars, laurent)
+    except Exception as e:
+        return type(e), str(e)
+    return ValuedPolynomial(f.nvars, f.laurent, f.terms)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(parser_inputs())
+def test_property_parser_agrees_with_the_old_parser(case):
+    text, nvars, laurent = case
+    assert (_outcome(ValuedPolynomial.parse, text, nvars, laurent)
+            == _outcome(old_parse_polynomial, text, nvars, laurent))
