@@ -1,5 +1,5 @@
-"""Exact rational linear algebra: row reduction, kernels, solving, and
-coordinates in a chart (one Gram solve shared by ``project_off``).
+"""Exact rational linear algebra: row reduction, kernels, solving,
+orthogonal parts, and coordinates in a chart (one Gram solve).
 
 Vectors are tuples of exact rationals: ``int`` or ``fractions.Fraction``,
 which compare and hash alike.  Rows of cones and cells are primitive
@@ -8,10 +8,11 @@ point is tested against them in ``int``s after ``clear_denominators``
 scales it by one positive common denominator.  Row reduction is
 fraction-free: ``rref`` clears a pivot column with ``eliminate``, the
 cross-multiply-and-divide-by-the-gcd step that ``polyhedra._dd`` sweeps
-with, and returns primitive ``int`` rows.  ``Fraction`` enters only where
-input is read (``rational_from_input``, ``vec``), in chart coordinates
-(``solve`` divides once per coordinate), and in report text
-(``fraction_rows``).  Nothing here is numerically approximate.
+with, and returns primitive ``int`` rows; ``orthogonal_parts`` projects
+off a span by the same step.  ``Fraction`` enters only where input is
+read (``rational_from_input``, ``vec``), in chart coordinates (``solve``
+divides once per coordinate), and in report text (``fraction_rows``).
+Nothing here is numerically approximate.
 """
 
 from __future__ import annotations
@@ -63,10 +64,6 @@ def dot(u: Sequence, v: Sequence):
 
 def vadd(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vsub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
 def vscale(c: Fraction, u: Sequence[Fraction]) -> Vector:
@@ -220,9 +217,18 @@ def embed_from_chart(chart: Sequence[IntVector], value: Sequence) -> Vector:
     return v
 
 
-def project_off(v: Sequence[Fraction], basis: Sequence[IntVector]) -> Vector:
-    """Component of v orthogonal to span(basis), w.r.t. the standard form."""
-    v = tuple(v)
-    if not basis:
-        return v
-    return vsub(v, embed_from_chart(basis, project_to_chart(basis, v)))
+def orthogonal_parts(vectors: Iterable[Sequence], basis: Iterable[Sequence]
+                     ) -> list[IntVector]:
+    """Primitive positive multiples of the vectors' parts orthogonal to
+    span(basis), by fraction-free Gram-Schmidt: each basis vector left in
+    turn makes the rest of the basis and the vectors orthogonal to it, by
+    one ``eliminate`` each (the form x.q is u.q on u and q.q on q)."""
+    rest = [primitive(b) for b in basis]
+    parts = [primitive(v) for v in vectors]
+    while rest:
+        q = rest.pop()
+        if any(q):
+            qq = dot(q, q)
+            rest = [eliminate(u, dot(u, q), q, qq) for u in rest]
+            parts = [eliminate(u, dot(u, q), q, qq) for u in parts]
+    return parts

@@ -9,23 +9,21 @@ The sweep (``_dd``) is fraction-free: it scales every row to a primitive
 integer row, updates rays and lineality vectors with ``linalg.eliminate``
 (cross-multiplication followed by division by the gcd), and returns
 primitive ``int`` vectors.  ``linalg.rref`` reduces with the same step.
-Every ``Cone`` is built by ``Cone.from_generators``, which puts the sweep's
-output into canonical form: rays sorted and primitive modulo the lineality
-space, lineality and equations as the primitive reduced-row-echelon rows
-that ``rref`` returns.  That canonical key decides ``==`` and ``hash``.
-Rays, lineality, inequalities and equations are all ``int`` tuples: input
-rows may hold ``int`` or ``Fraction`` entries, and ``Fraction`` appears
-otherwise only in the chart coordinates of the projections.  Construction
-is memoised on the ambient dimension and the set of nonzero input
-generators in a module-level LRU cache of at most ``CONE_CACHE_SIZE``
-entries; a hit returns the same immutable ``Cone`` object.
-``from_inequalities`` keeps no cache of its own: keying one on inequality
-systems raised the peak memory of the toric-arrangement benchmark by about
-13% for little gain, as its cones end in the cache above.  It is called
-less instead: ``faces`` and ``is_face_of`` read faces off the ray-facet
-incidence sets (a face is spanned by the lineality space and the rays
-tight on some facets), and ``intersect`` returns a cone that lies inside
-the other, by exact dot products, without a sweep.
+Every ``Cone`` is built by ``Cone.from_generators`` from one V -> H sweep
+and the ray-facet incidence, in canonical form: facets primitive modulo
+the span, rays modulo the lineality space (``linalg.orthogonal_parts``),
+lineality and equations the primitive reduced rows of ``rref``.  That
+key decides ``==`` and ``hash``.  All four are ``int`` tuples; input rows
+may hold ``Fraction`` entries.  Construction is memoised on the ambient
+dimension and the set of nonzero input generators in an LRU cache of at
+most ``CONE_CACHE_SIZE`` entries; a hit returns the same immutable
+``Cone``.  ``from_inequalities`` keeps no cache of its own: one keyed on
+inequality systems raised the peak memory of the toric-arrangement
+benchmark by about 13% for little gain.  It is called less instead:
+``faces`` and ``is_face_of`` read faces off the ray-facet incidence sets
+(a face is spanned by the lineality space and the rays tight on some
+facets), and ``intersect`` returns a cone that lies inside the other, by
+exact dot products, without a sweep.
 
 ``affine_feasible`` decides an affine system of equations, weak and strict
 inequalities on the same sweep, so ``_dd`` is the one polyhedral algorithm.
@@ -47,8 +45,8 @@ from .linalg import (
     eliminate,
     is_zero_vec,
     kernel_basis,
+    orthogonal_parts,
     primitive,
-    project_off,
     rref,
     vneg,
 )
@@ -114,7 +112,7 @@ def _dd(equations: Sequence[Sequence], inequalities: Sequence[Sequence],
                     kept.append((w, common | {idx}))
         rays = kept
 
-    return [primitive(l, fix_sign=True) for l in lin], [r for r, _ in rays]
+    return lin, [r for r, _ in rays]
 
 
 class Cone:
@@ -138,9 +136,8 @@ class Cone:
     def from_generators(cls, generators: Iterable[Sequence], ambient_dim: int
                         ) -> "Cone":
         gens = [tuple(g) for g in generators]
-        for g in gens:
-            if len(g) != ambient_dim:
-                raise ValueError("generator dimension mismatch")
+        if any(len(g) != ambient_dim for g in gens):
+            raise ValueError("generator dimension mismatch")
         return _cone_from_generators(
             ambient_dim, frozenset(g for g in gens if not is_zero_vec(g)))
 
@@ -150,9 +147,8 @@ class Cone:
                           equations: Iterable[Sequence] = ()) -> "Cone":
         ineqs = [tuple(a) for a in inequalities]
         eqs = [tuple(e) for e in equations]
-        for row in ineqs + eqs:
-            if len(row) != ambient_dim:
-                raise ValueError("inequality dimension mismatch")
+        if any(len(row) != ambient_dim for row in ineqs + eqs):
+            raise ValueError("inequality dimension mismatch")
         lin, rays = _dd(eqs, ineqs, ambient_dim)
         gens = list(rays) + list(lin) + [vneg(l) for l in lin]
         return cls.from_generators(gens, ambient_dim)
@@ -264,19 +260,21 @@ CONE_CACHE_SIZE = 1024
 
 @lru_cache(maxsize=CONE_CACHE_SIZE)
 def _cone_from_generators(ambient_dim: int, gens: frozenset[tuple]) -> Cone:
-    """The canonical cone spanned by nonzero generators, shared per input set."""
-    # V -> H: the dual cone's generators are our facets and span equations.
+    """The canonical cone spanned by nonzero generators, shared per input set.
+
+    The dual's rays, each positive on a generator and so nonzero off the
+    equations, give the facets; the kernel of both is the lineality space.
+    A non-extreme generator lies inside a face of dimension >= 2 modulo
+    lineality, whose extreme rays are generators tight on more facets."""
     dlin, drays = _dd([], list(gens), ambient_dim)
     equations = tuple(rref(dlin)[0])
-    ineqs = tuple(sorted(
-        a for a in {primitive(project_off(r, equations)) for r in drays}
-        if not is_zero_vec(a)))
-    # H -> V again for a canonical generator description.
-    lin, rays = _dd(equations, ineqs, ambient_dim)
-    lin_rows = tuple(rref(lin)[0]) if lin else ()
-    canon_rays = tuple(sorted(
-        {primitive(project_off(r, lin_rows)) for r in rays}))
-    return Cone(ambient_dim, canon_rays, lin_rows, ineqs, equations)
+    ineqs = tuple(sorted(set(orthogonal_parts(drays, equations))))
+    lin_rows = tuple(rref(kernel_basis(equations + ineqs, ambient_dim))[0])
+    tight = {r: frozenset(i for i, a in enumerate(ineqs) if dot(a, r) == 0)
+             for r in orthogonal_parts(gens, lin_rows) if any(r)}
+    rays = tuple(sorted(r for r, t in tight.items()
+                        if not any(t < u for u in tight.values())))
+    return Cone(ambient_dim, rays, lin_rows, ineqs, equations)
 
 
 # -- quotient charts ----------------------------------------------------

@@ -8,8 +8,8 @@ Term weights clear the denominators of the weight once and compare
 ``int`` dot products; each finite term weight costs one ``Fraction``.
 Text is parsed in one pass into one dict of monomials t^e x^u: a sum adds
 into it, a product pairs the terms of its factors (at most
-``MAX_TERM_PAIRS`` pairs), parentheses nest at most ``MAX_NESTING`` deep,
-and one ``ValuedPolynomial`` is built at the end.
+``MAX_TERM_PAIRS`` pairs over all products), parentheses nest at most
+``MAX_NESTING`` deep, and one ``ValuedPolynomial`` is built at the end.
 """
 
 from __future__ import annotations
@@ -170,8 +170,8 @@ class PuiseuxScalar:
             for e, c in self.terms)
 
 
-# Most term pairs one product may form in a power or a witness evaluation.
-# (1 + t)^n has n + 1 terms, so an unbounded exponent means unbounded work.
+# Most term pairs of one product in a power or witness evaluation (where
+# (1 + t)^n has n + 1 terms), and of all the products in one parse.
 MAX_TERM_PAIRS = 2 ** 16
 # Most bits (numerator plus denominator) that the largest coefficients of
 # the two factors of such a product may have together: 2^n has one term but
@@ -179,14 +179,11 @@ MAX_TERM_PAIRS = 2 ** 16
 MAX_COEFF_BITS = 2 ** 16
 
 
-def _check_term_pairs(what: str, m: int, n: int) -> None:
-    if m * n > MAX_TERM_PAIRS:
-        raise InputError(f"a product of {what} with {m} x {n} terms exceeds "
-                         f"the bound of {MAX_TERM_PAIRS} term pairs")
-
-
 def _bounded_product(a: PuiseuxScalar, b: PuiseuxScalar) -> PuiseuxScalar:
-    _check_term_pairs("Puiseux scalars", len(a.terms), len(b.terms))
+    m, n = len(a.terms), len(b.terms)
+    if m * n > MAX_TERM_PAIRS:
+        raise InputError(f"a product of Puiseux scalars with {m} x {n} terms "
+                         f"exceeds the bound of {MAX_TERM_PAIRS} term pairs")
     bits = sum(max((c.numerator.bit_length() + c.denominator.bit_length()
                     for _, c in s.terms), default=0) for s in (a, b))
     if bits > MAX_COEFF_BITS:
@@ -366,12 +363,9 @@ class ValuedPolynomial:
         if any(i < 0 or i >= self.nvars for i in sigma):
             raise ValueError("orbit index out of range")
         keep = [i for i in range(self.nvars) if i not in sigma]
-        coeffs = {}
-        for u, c in self.terms:
-            if any(u[i] != 0 for i in sigma):
-                continue
-            v = tuple(u[i] for i in keep)
-            coeffs[v] = coeffs.get(v, PuiseuxScalar.zero()) + c
+        # Kept exponents vanish on sigma, so dropping it keeps them distinct.
+        coeffs = {tuple(u[i] for i in keep): c for u, c in self.terms
+                  if not any(u[i] for i in sigma)}
         return ValuedPolynomial.from_dict(len(keep), coeffs, laurent=False)
 
     def evaluate(self, point: Sequence[PuiseuxScalar]) -> PuiseuxScalar:
@@ -448,12 +442,6 @@ def _collect(pairs: Iterable[tuple]) -> _Monomials:
     return {k: c for k, c in acc.items() if c}
 
 
-def _product(a: _Monomials, b: _Monomials) -> _Monomials:
-    _check_term_pairs("polynomials", len(a), len(b))
-    return _collect(((tuple(map(add, u, v)), e + f), c * d)
-                    for (u, e), c in a.items() for (v, f), d in b.items())
-
-
 class _Parser:
     """Recursive descent for sums of products of rationals, t-powers, and vars."""
 
@@ -461,6 +449,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        self.pairs = 0
         self.nvars = nvars
 
     def peek(self):
@@ -490,7 +479,14 @@ class _Parser:
         node = self.parse_factor()
         while self.peek() == "*":
             self.take()
-            node = _product(node, self.parse_factor())
+            factor = self.parse_factor()
+            self.pairs += len(node) * len(factor)
+            if self.pairs > MAX_TERM_PAIRS:
+                raise InputError(f"the products in one polynomial form over "
+                                 f"{MAX_TERM_PAIRS} term pairs")
+            node = _collect(((tuple(map(add, u, v)), e + f), c * d)
+                            for (u, e), c in node.items()
+                            for (v, f), d in factor.items())
         return node
 
     def parse_factor(self) -> _Monomials:

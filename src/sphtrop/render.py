@@ -170,7 +170,7 @@ def render_ascii(t: ExtendedTrop) -> str:
         x, y = p
         if abs(x) > BOX or abs(y) > BOX:
             return None
-        return int(round(float(BOX - y))), int(round(float(x + BOX)))
+        return round(BOX - y), round(x + BOX)
 
     pieces = _embedded_pieces(t)
     for dim, anchor, dirs, labels in pieces:

@@ -384,6 +384,22 @@ def test_product_over_the_term_pair_bound_exits_2(capsys):
     assert str(MAX_TERM_PAIRS) in err
 
 
+def test_products_over_the_term_pair_bound_in_all_exit_2(capsys):
+    """Each product of two 256-term sums is under the bound, but every
+    3-byte "*x3" after it would pair all 65536 terms again: the products of
+    one parse share the bound."""
+    left = " + ".join(f"x1^{k}" for k in range(256))
+    right = " + ".join(f"x2^{k}" for k in range(256))
+    rc, out = run(capsys, "poly", "trop", "--poly", f"({left})*({right})",
+                  "--weight", "0,0")
+    assert rc == 0 and out == "0\n"
+    rc = main(["poly", "trop", "--poly", f"({left})*({right})*x3*x3",
+               "--weight", "0,0,0"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert str(MAX_TERM_PAIRS) in err and "Traceback" not in err
+
+
 def test_deep_parentheses_exit_2(capsys):
     deep = "(" * 400 + "x1" + ")" * 400
     rc = main(["poly", "trop", "--poly", deep, "--weight", "0"])

@@ -8,18 +8,18 @@ from hypothesis import strategies as st
 
 from sphtrop.linalg import (
     InputError,
+    IntVector,
     Vector,
     dot,
     embed_from_chart,
     kernel_basis,
+    orthogonal_parts,
     primitive,
-    project_off,
     project_to_chart,
     rational_from_input,
     rref,
     solve,
     vec,
-    vsub,
 )
 
 
@@ -50,25 +50,54 @@ def test_solve():
     assert solve([vec([1, 1]), vec([1, 1])], [F(1), F(2)]) is None
 
 
-def test_project_off():
-    v = project_off(vec([3, 1]), [vec([1, 1])])
-    assert dot(v, vec([1, 1])) == 0
-    assert v == vec([1, -1])
-    assert project_off(vec([3, 1]), []) == vec([3, 1])
+# The former ``vsub`` and ``project_off``, kept verbatim as the oracle of
+# ``orthogonal_parts``: one Gram solve in ``Fraction``s per vector.
+def vsub(u: Sequence[F], v: Sequence[F]) -> Vector:
+    return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+def project_off(v: Sequence[F], basis: Sequence[IntVector]) -> Vector:
+    """Component of v orthogonal to span(basis), w.r.t. the standard form."""
+    v = tuple(v)
+    if not basis:
+        return v
+    return vsub(v, embed_from_chart(basis, project_to_chart(basis, v)))
+
+
+def test_orthogonal_parts():
+    assert orthogonal_parts([(3, 1), (2, 2)], [(1, 1)]) == [(1, -1), (0, 0)]
+    assert orthogonal_parts([(3, 1), (F(1, 2), F(1, 2))], []) == [(3, 1),
+                                                                   (1, 1)]
+    assert project_off(vec([3, 1]), [vec([1, 1])]) == vec([1, -1])
 
 
 def vectors(dim):
     return st.tuples(*[st.integers(-3, 3)] * dim).map(vec)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
-    vectors(d), st.lists(vectors(d), min_size=1, max_size=3))))
-def test_property_project_off_shares_the_chart_solve(system):
-    v, basis = system
-    w = project_off(v, basis)
-    assert all(dot(w, b) == 0 for b in basis)
-    assert vsub(v, w) == embed_from_chart(basis, project_to_chart(basis, v))
+@st.composite
+def dependent_bases(draw, dim):
+    """1-5 vectors, often with zeros, multiples and integer combinations of
+    two others among them."""
+    basis = draw(st.lists(vectors(dim), min_size=1, max_size=3))
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, len(basis) - 1)), draw(st.integers(-2, 2))
+        basis.append(tuple(j * x + y for x, y in zip(basis[i], basis[-1])))
+    return draw(st.permutations(basis))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda d: st.tuples(
+    st.lists(vectors(d), min_size=1, max_size=3), dependent_bases(d))))
+def test_property_orthogonal_parts_are_the_primitive_project_off(system):
+    vs, basis = system
+    parts = orthogonal_parts(vs, basis)
+    for v, w in zip(vs, parts, strict=True):
+        assert w == primitive(project_off(v, basis))
+        assert all(type(x) is int for x in w)
+        assert all(dot(w, b) == 0 for b in basis)
+        assert vsub(v, project_off(v, basis)) == embed_from_chart(
+            basis, project_to_chart(basis, v))
 
 
 def test_rational_from_input_accepts_exact_forms():

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphtrop.linalg import dot, embed_from_chart, project_to_chart, vadd, vec
+from sphtrop.linalg import (dot, embed_from_chart, is_zero_vec, primitive,
+                            project_to_chart, rref, vadd, vec)
 from sphtrop.polyhedra import Cone, _dd, affine_feasible, quotient_chart
 from sphtrop.spherical import _facet_separates
+from test_linalg import project_off
 
 
 def test_generators_inequalities_round_trip():
@@ -374,3 +376,61 @@ def test_property_cone_rows_are_ints_and_scale_free(case):
     for stored in (c.rays, c.lineality, c.inequalities, c.equations):
         assert all(type(x) is int for row in stored for x in row)
     assert build([tuple(k * x for x in r) for r in rows_in], dim) == c
+
+
+# -- the canonical form against the two sweeps it replaced -------------------
+
+def two_sweep_cone(ambient_dim, gens):
+    """The former ``_cone_from_generators`` body, kept verbatim (unmemoised)
+    as an oracle: a second, H -> V sweep for the rays, and every facet and
+    ray projected off a span by the ``Fraction`` Gram solve."""
+    # V -> H: the dual cone's generators are our facets and span equations.
+    dlin, drays = _dd([], list(gens), ambient_dim)
+    equations = tuple(rref(dlin)[0])
+    ineqs = tuple(sorted(
+        a for a in {primitive(project_off(r, equations)) for r in drays}
+        if not is_zero_vec(a)))
+    # H -> V again for a canonical generator description.
+    lin, rays = _dd(equations, ineqs, ambient_dim)
+    lin_rows = tuple(rref(lin)[0]) if lin else ()
+    canon_rays = tuple(sorted(
+        {primitive(project_off(r, lin_rows)) for r in rays}))
+    return Cone(ambient_dim, canon_rays, lin_rows, ineqs, equations)
+
+
+@st.composite
+def generator_sets(draw):
+    """Up to 10 generators in dimension 1-5, often from a lower-dimensional
+    span, with zero vectors, positive rational multiples, +-g pairs and sums
+    of two generators added."""
+    dim = draw(st.integers(1, 5))
+    vector = st.tuples(*[st.integers(-3, 3)] * dim)
+    gens = draw(st.lists(vector, max_size=6))
+    if draw(st.booleans()):
+        span = draw(st.lists(vector, min_size=1, max_size=max(1, dim - 1)))
+        gens = [tuple(map(sum, zip((0,) * dim, *(
+            [c * x for x in b] for c, b in zip(cs, span)))))
+            for cs in draw(st.lists(st.tuples(*[st.integers(-2, 2)]
+                                              * len(span)), max_size=6))]
+    for kind in draw(st.lists(st.sampled_from(
+            ["zero", "multiple", "negative", "sum"]), max_size=4)):
+        if kind == "zero" or not gens:
+            gens.append((0,) * dim)
+            continue
+        g, h = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        k = F(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+        gens.append({"multiple": tuple(k * x for x in g),
+                     "negative": tuple(-x for x in g),
+                     "sum": tuple(x + y for x, y in zip(g, h))}[kind])
+    return dim, draw(st.permutations(gens))
+
+
+@settings(max_examples=400, deadline=None)
+@given(generator_sets())
+def test_property_from_generators_is_the_two_sweep_cone(case):
+    dim, gens = case
+    got = Cone.from_generators(gens, dim)
+    want = two_sweep_cone(dim, frozenset(g for g in gens if any(g)))
+    assert got.rays == want.rays and got.lineality == want.lineality
+    assert got.inequalities == want.inequalities
+    assert got.equations == want.equations

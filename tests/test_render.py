@@ -262,3 +262,16 @@ EXTENTS = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**3))
 def test_render_equals_the_extent_taking_oracle(t, extent):
     assert render.render_svg(t) == render_svg(t, extent)
     assert render.render_ascii(t) == render_ascii(t, extent)
+
+
+def test_ascii_cells_round_exactly_near_a_half():
+    """The stratum of this ray sits at y = 10 (10^16 + 1) / (2 10^17 + 1),
+    just over 1/2, so its cell is row 9; as a float, BOX - y is 9.5 and
+    rounds half-even to row 10."""
+    ray = (2 * 10**17 + 1, 10**16 + 1)
+    datum = SphericalDatum(2, Cone.full_space(2), ())
+    fan = ColoredFan((ColoredCone(Cone.zero(2), frozenset()),
+                      ColoredCone(Cone.from_generators([ray], 2), frozenset())))
+    rows = render.render_ascii(tropicalize_embedding(datum, fan)).splitlines()
+    assert [i for i, row in enumerate(rows) if "*" in row] == [9]
+    assert rows[9] == "." * 20 + "*"
