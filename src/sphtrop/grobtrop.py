@@ -93,7 +93,8 @@ def grobner_tropicalize_embedding(datum: SphericalDatum, fan: ColoredFan
     for a in fan.cones:
         below = set()
         for b in fan.cones:
-            if not b.cone.is_face_of(a.cone):
+            # a face has at most the dimension of its cone
+            if b.cone.dim() > a.cone.dim() or not b.cone.is_face_of(a.cone):
                 continue
             inherited = frozenset(
                 name for name in a.colors

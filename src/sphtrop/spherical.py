@@ -3,12 +3,16 @@
 A SphericalDatum is the combinatorial shadow of a spherical homogeneous
 space: rank, valuation cone, and a palette of named colors with their
 images in N_Q.  Colors are identified by name; several colors may share
-the same image vector.
+the same image vector.  A fan's validity depends on nothing but the datum
+and the fan, so ``validate_colored_fan`` copies it from ``_validate_fan``, an
+LRU memo of at most ``FAN_CACHE_SIZE`` verdicts (errors are not cached), to
+a fresh report on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .linalg import Vector, dot, fraction_rows, vec
 from .polyhedra import Cone
@@ -66,8 +70,9 @@ class ColoredFan:
     def maximal_cones(self) -> list[ColoredCone]:
         out = []
         for cc in self.cones:
+            # a strict container may share the dimension (half-plane, quadrant)
             strictly_below = any(
-                other is not cc
+                other is not cc and other.cone.dim() >= cc.cone.dim()
                 and other.cone.contains_cone(cc.cone)
                 and other.cone != cc.cone
                 for other in self.cones)
@@ -160,6 +165,18 @@ def _facet_separates(a: Cone, b: Cone) -> bool:
 def validate_colored_fan(datum: SphericalDatum, fan: ColoredFan,
                          require_strict: bool = False) -> ValidationReport:
     """Face closure, relint disjointness inside V, and optional strictness."""
+    ok, failures, strict = _validate_fan(datum, fan, require_strict)
+    return ValidationReport(ok, list(failures), strict)
+
+
+# Bound on the distinct (datum, fan, require_strict) verdicts kept.
+FAN_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=FAN_CACHE_SIZE)
+def _validate_fan(datum: SphericalDatum, fan: ColoredFan,
+                  require_strict: bool) -> tuple[bool, tuple[str, ...], bool]:
+    """The verdict ``(ok, failures, strictly_convex)`` on a fan."""
     failures: list[str] = []
     strict = True
     valid_members: list[ColoredCone] = []
@@ -204,5 +221,4 @@ def validate_colored_fan(datum: SphericalDatum, fan: ColoredFan,
 
     if require_strict and not strict:
         failures.append("strict-convexity")
-    return ValidationReport(ok=not failures, failures=failures,
-                            strictly_convex=strict)
+    return not failures, tuple(failures), strict

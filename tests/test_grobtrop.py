@@ -1,7 +1,10 @@
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
 
+from sphtrop import grobtrop
 from sphtrop.examples import all_fans, blowup_a4, e3_polynomial
 from sphtrop.grobtrop import (
     compare_tropicalizations,
@@ -10,8 +13,10 @@ from sphtrop.grobtrop import (
 )
 from sphtrop.polyhedra import Cone
 from sphtrop.puiseux import INF, ValuedPolynomial
-from sphtrop.spherical import ColoredCone, ColoredFan
-from sphtrop.troposphere import ExtendedTrop, tropicalize_embedding
+from sphtrop.spherical import ColoredCone, ColoredFan, ValidationReport
+from sphtrop.troposphere import (ExtendedTrop, stratum_key,
+                                 tropicalize_embedding)
+from test_spherical import data_and_collections
 
 
 class TestGradedInitialForm:
@@ -98,3 +103,31 @@ class TestComparison:
         a = self.make()
         data = compare_tropicalizations(a, a).to_json()
         assert data["equal"] and data["strata_checked"] == 4
+
+
+def former_adjacency(datum, fan):
+    """The Groebner route's adjacency loop before its dimension pre-filter."""
+    adjacency = {}
+    for a in fan.cones:
+        below = set()
+        for b in fan.cones:
+            if not b.cone.is_face_of(a.cone):
+                continue
+            inherited = frozenset(
+                name for name in a.colors
+                if b.cone.contains(datum.color(name).rho))
+            if inherited == b.colors:
+                below.add(stratum_key(b))
+        adjacency[stratum_key(a)] = frozenset(below)
+    return adjacency
+
+
+@settings(max_examples=150, deadline=None)
+@given(data_and_collections())
+def test_property_adjacency_is_the_former_loop(case):
+    """On any collection, fan or not, with the route's validation skipped."""
+    datum, fan = case
+    with mock.patch.object(grobtrop, "validate_colored_fan",
+                           lambda datum, fan: ValidationReport(ok=True)):
+        trop = grobner_tropicalize_embedding(datum, fan)
+    assert trop.adjacency == former_adjacency(datum, fan)

@@ -1,16 +1,25 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sphtrop import spherical
 from sphtrop.examples import all_fans, p1xp1, table2_datum
+from sphtrop.linalg import fraction_rows
 from sphtrop.polyhedra import Cone
 from sphtrop.spherical import (
+    FAN_CACHE_SIZE,
     Color,
     ColoredCone,
     ColoredFan,
     SphericalDatum,
+    ValidationReport,
+    _colored_faces,
+    _facet_separates,
     colored_faces,
     validate_colored_cone,
     validate_colored_fan,
 )
+from test_polyhedra import rows
 
 
 def test_builtin_corpus_is_valid_and_strict():
@@ -133,3 +142,185 @@ def test_datum_invariants():
     with pytest.raises(ValueError):
         SphericalDatum(1, Cone.full_space(1),
                        (Color("D", (1,)), Color("D", (-1,))))
+
+
+# -- the validation memo against the former unmemoised body ------------------
+
+def unmemoised_validate_colored_fan(datum: SphericalDatum, fan: ColoredFan,
+                                    require_strict: bool = False
+                                    ) -> ValidationReport:
+    """Face closure, relint disjointness inside V, and optional strictness."""
+    failures: list[str] = []
+    strict = True
+    valid_members: list[ColoredCone] = []
+    for i, cc in enumerate(fan.cones):
+        rep = validate_colored_cone(datum, cc)
+        if not rep.ok:
+            failures.append(f"member-invalid[{i}]: {','.join(rep.failures)}")
+        else:
+            valid_members.append(cc)
+        if not rep.strictly_convex:
+            strict = False
+
+    # fan members, then each missing face once it has been reported
+    seen = {(cc.cone.canonical_key(), cc.colors) for cc in fan.cones}
+    for cc in valid_members:
+        for face in _colored_faces(datum, cc):
+            key = (face.cone.canonical_key(), face.colors)
+            if key not in seen:
+                seen.add(key)
+                failures.append(
+                    "face-closure: missing face "
+                    f"{fraction_rows(face.cone.rays)} "
+                    f"with colors {sorted(face.colors)}")
+
+    for i, a in enumerate(fan.cones):
+        for b in fan.cones[i + 1:]:
+            if a.cone == b.cone:
+                failures.append("interior-overlap: duplicate cone with "
+                                "different colors")
+                continue
+            # a facet of one cone that separates the pair needs no sweep
+            if (_facet_separates(a.cone, b.cone)
+                    or _facet_separates(b.cone, a.cone)):
+                continue
+            meet = a.cone.intersect(b.cone).intersect(datum.valuation_cone)
+            y = meet.relint_point()
+            if a.cone.relint_contains(y) and b.cone.relint_contains(y):
+                failures.append(
+                    f"interior-overlap: cones {fraction_rows(a.cone.rays)} "
+                    f"and {fraction_rows(b.cone.rays)} share "
+                    "relative-interior points inside V")
+
+    if require_strict and not strict:
+        failures.append("strict-convexity")
+    return ValidationReport(ok=not failures, failures=failures,
+                            strictly_convex=strict)
+
+
+def former_maximal_cones(fan: ColoredFan) -> list[ColoredCone]:
+    """``ColoredFan.maximal_cones`` before its dimension pre-filter."""
+    out = []
+    for cc in fan.cones:
+        strictly_below = any(
+            other is not cc
+            and other.cone.contains_cone(cc.cone)
+            and other.cone != cc.cone
+            for other in fan.cones)
+        if not strictly_below:
+            out.append(cc)
+    return out
+
+
+@st.composite
+def data_and_collections(draw):
+    """A datum of rank 1-3 and a collection of colored cones: often the
+    faces of a few cones with inherited colors (a valid fan or close to
+    one), else random cones with random colors, with repeats, nested cones
+    of one dimension and a cone of the same span as another."""
+    rank = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        valuation_cone = Cone.full_space(rank)
+    else:
+        valuation_cone = Cone.from_generators(draw(rows(rank, 4)), rank)
+    palette = tuple(Color(f"D{i}", rho)
+                    for i, rho in enumerate(draw(rows(rank, 3))))
+    datum = SphericalDatum(rank, valuation_cone, palette)
+    names = [c.name for c in palette]
+    tops = [ColoredCone(Cone.from_generators(draw(rows(rank, 4)), rank),
+                        draw(st.frozensets(st.sampled_from(names))
+                             if names else st.just(frozenset())))
+            for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        members = {}
+        for top in tops:
+            for tau in top.cone.faces():
+                colors = frozenset(n for n in top.colors
+                                   if tau.contains(datum.color(n).rho))
+                members.setdefault((tau, colors), ColoredCone(tau, colors))
+        cones = list(members.values())
+    else:
+        cones = list(tops)
+        # a cone inside another, mostly of the same dimension: a quadrant
+        # in a half-plane, or the first ray traded for sums with the others
+        outer = tops[0].cone
+        if outer.lineality:
+            inner = outer.rays + outer.lineality
+        else:
+            inner = outer.rays[1:] + tuple(
+                tuple(2 * x + y for x, y in zip(outer.rays[0], r))
+                for r in outer.rays[1:])
+        cones.append(ColoredCone(Cone.from_generators(inner, rank)))
+        cones += draw(st.lists(st.sampled_from(tops), max_size=2))
+    return datum, ColoredFan(tuple(draw(st.permutations(cones))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data_and_collections(), st.booleans())
+def test_property_memo_gives_the_unmemoised_report(case, require_strict):
+    datum, fan = case
+    spherical._validate_fan.cache_clear()
+    oracle = unmemoised_validate_colored_fan(datum, fan, require_strict)
+    for _ in range(2):  # a miss, then a hit
+        report = validate_colored_fan(datum, fan, require_strict)
+        assert report == oracle
+        assert type(report.failures) is list
+
+
+@settings(max_examples=150, deadline=None)
+@given(data_and_collections())
+def test_property_maximal_cones_are_the_former_loop(case):
+    _, fan = case
+    assert list(map(id, fan.maximal_cones())) == list(
+        map(id, former_maximal_cones(fan)))
+
+
+def test_maximal_cones_keep_a_same_dimension_container():
+    quadrant = ColoredCone(Cone.from_generators([(1, 0), (0, 1)], 2))
+    halfplane = ColoredCone(Cone.from_generators([(1, 0), (-1, 0), (0, 1)],
+                                                 2))
+    ray = ColoredCone(Cone.from_generators([(1, 1)], 2))
+    fan = ColoredFan((quadrant, ray, halfplane))
+    assert fan.maximal_cones() == [halfplane]
+
+
+def test_mutating_a_report_leaves_the_next_one_unchanged():
+    datum = table2_datum()
+    fan = ColoredFan((ColoredCone(Cone.zero(2)),
+                      ColoredCone(Cone.from_generators([(1, 0), (1, 1)], 2))))
+    first = validate_colored_fan(datum, fan)
+    expected = list(first.failures)
+    first.failures.append("tampered")
+    first.failures[0] = "tampered"
+    second = validate_colored_fan(datum, fan)
+    assert second.failures == expected
+    assert second.failures is not first.failures
+    second.failures.clear()
+    assert validate_colored_fan(datum, fan).failures == expected
+
+
+def test_memo_is_bounded_and_rebuilds_what_it_evicted():
+    datum = SphericalDatum(2, Cone.full_space(2), ())
+    fans = [ColoredFan((ColoredCone(Cone.zero(2)),
+                        ColoredCone(Cone.from_generators([(1, k)], 2))))
+            for k in range(FAN_CACHE_SIZE + 5)]
+    info = spherical._validate_fan.cache_info
+    assert info().maxsize == FAN_CACHE_SIZE
+    first = validate_colored_fan(datum, fans[0])
+    for fan in fans[1:]:
+        validate_colored_fan(datum, fan)
+        assert info().currsize <= FAN_CACHE_SIZE
+    assert info().currsize == FAN_CACHE_SIZE
+    misses = info().misses
+    again = validate_colored_fan(datum, fans[0])
+    assert info().misses == misses + 1
+    assert again == first == unmemoised_validate_colored_fan(datum, fans[0])
+    assert again.ok
+
+
+def test_a_cone_of_the_wrong_dimension_raises_on_every_call():
+    datum = table2_datum()
+    fan = ColoredFan((ColoredCone(Cone.zero(3)),))
+    for _ in range(3):
+        with pytest.raises(ValueError, match="ambient dimension"):
+            validate_colored_fan(datum, fan)

@@ -1,14 +1,17 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphtrop.examples import all_fans, blowup_a4, table2_datum
 from sphtrop.fundthm import TropicalComplex, extended_trop_sets
-from sphtrop.linalg import vadd, vscale
-from sphtrop.polyhedra import Cone
+from sphtrop.linalg import project_to_chart, vadd, vscale
+from sphtrop.polyhedra import Cone, quotient_chart
 from sphtrop.puiseux import INF, ValuedPolynomial
 from sphtrop.spherical import Color, ColoredCone, ColoredFan, SphericalDatum
 from sphtrop.troposphere import (
+    Stratum,
     assemble_subvariety_trop,
     contains_point,
     evaluate_point,
@@ -16,6 +19,7 @@ from sphtrop.troposphere import (
     stratum_valuation_cone,
     tropicalize_embedding,
 )
+from test_polyhedra import rows
 
 
 def bl0a4_trop():
@@ -158,3 +162,55 @@ def test_assemble_rejects_escaping_sets():
     whole = TropicalComplex.whole_space(2)
     with pytest.raises(ValueError):
         assemble_subvariety_trop(t, {open_key: whole})
+
+
+# -- Stratum.of against the former per-generator Gram solves ----------------
+
+def gram_solve_stratum(datum: SphericalDatum, face: ColoredCone) -> Stratum:
+    """V_tau: the valuation cone in the canonical chart modulo span(tau)."""
+    chart = quotient_chart(face.cone.generators, datum.rank)
+    return Stratum(face, chart, Cone.from_generators(
+        [project_to_chart(chart, g)
+         for g in datum.valuation_cone.generators], len(chart)))
+
+
+@st.composite
+def datum_and_face(draw):
+    """A valuation cone, often with lineality, and a face of a random cone.
+
+    Both are spanned by small vectors, so the charts and Gram matrices are
+    not orthonormal, and the faces run from the zero (or lineality) face,
+    a full chart, to the cone itself, an empty chart when it is
+    full-dimensional."""
+    rank = draw(st.integers(1, 4))
+    gens, lines = draw(rows(rank, 5)), draw(rows(rank, 2))
+    gens += lines + [tuple(-x for x in l) for l in lines]
+    datum = SphericalDatum(rank, Cone.from_generators(gens, rank), ())
+    cone = Cone.from_generators(draw(rows(rank, 5)), rank)
+    return datum, ColoredCone(draw(st.sampled_from(cone.faces())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(datum_and_face())
+def test_property_stratum_is_the_gram_solve_stratum(case):
+    datum, face = case
+    assert Stratum.of(datum, face) == gram_solve_stratum(datum, face)
+
+
+@pytest.mark.parametrize("face", [Cone.zero(3), Cone.full_space(3),
+                                  Cone.from_generators(
+                                      [(1, 0, 0), (1, 2, 0), (0, 1, 3)], 3),
+                                  Cone.from_generators([(2, 1, 1)], 3)],
+                         ids=["zero", "full-space", "full-dim", "ray"])
+@pytest.mark.parametrize("valuation_cone", [
+    Cone.from_generators([(1, 0, 0), (0, 1, 0), (1, 1, 2)], 3),
+    Cone.from_generators([(1, 2, 0), (-1, -2, 0), (0, 1, 1)], 3),
+    Cone.zero(3)], ids=["pointed", "lineality", "zero"])
+def test_stratum_matches_the_gram_solve_on_extreme_faces(face,
+                                                         valuation_cone):
+    datum = SphericalDatum(3, valuation_cone, ())
+    s = Stratum.of(datum, ColoredCone(face))
+    assert s == gram_solve_stratum(datum, ColoredCone(face))
+    assert s.quotient_dim == 3 - face.dim()
+    if face.dim() == 3:  # empty chart: the image is the point of R^0
+        assert s.chart == () and s.valuation_cone_image == Cone.zero(0)
