@@ -210,11 +210,10 @@ def project_to_chart(chart: Sequence[IntVector], x: Sequence) -> Vector:
 
 
 def embed_from_chart(chart: Sequence[IntVector], value: Sequence) -> Vector:
-    dim = len(chart[0]) if chart else 0
-    v = vec([0] * dim)
-    for c, b in zip(value, chart, strict=True):
-        v = vadd(v, vscale(Fraction(c), b))
-    return v
+    """The point sum_k value[k] * chart[k]: ``int``s for ``int`` values."""
+    if len(value) != len(chart):
+        raise ValueError("dimension mismatch")
+    return tuple(sum(map(mul, value, column)) for column in zip(*chart))
 
 
 def orthogonal_parts(vectors: Iterable[Sequence], basis: Iterable[Sequence]

@@ -9,6 +9,13 @@ Both figures draw in one fixed frame, the box of half-width ``BOX``, and
 one ASCII cell is one unit.  Figures are scale-free: anchors are scaled to
 the edge of the box and directions are drawn out to it, so a box of any
 other size would scale the whole figure with it, to the same picture.
+
+ASCII figures are rasterized in integers.  On grid row y each facet row
+(a, b) of a two-dimensional piece bounds x by one floor or ceiling division
+of -b y by a, so the row is filled over one interval.  A ray clears its
+anchor's denominators once, as (A, den), and walks the int points
+(4 A + k den d) / (4 den).  Ray steps and anchor markers are rounded to
+cells by one rule, ``_round``: half to even, as ``round(Fraction)`` does.
 """
 
 from __future__ import annotations
@@ -16,8 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import (Vector, dot, embed_from_chart, is_zero_vec, primitive,
-                     vadd, vscale)
+from .linalg import (Vector, clear_denominators, dot, embed_from_chart,
+                     is_zero_vec, primitive, vadd, vscale)
 from .polyhedra import Cone
 from .troposphere import ExtendedTrop, Stratum
 
@@ -159,43 +166,54 @@ def render_svg(t: ExtendedTrop) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _round(n: int, d: int) -> int:
+    """round(Fraction(n, d)) for d >= 1: the nearest int, ties to even."""
+    q, r = divmod(2 * n + d, 2 * d)        # q = floor(n / d + 1/2)
+    return q - 1 if r == 0 and q & 1 else q  # a tie goes down to even
+
+
+def _plot(grid, x: int, y: int, den: int, mark: str) -> None:
+    """Mark the cell of the point (x, y) / den, if it lies in the box."""
+    edge = BOX * den
+    if abs(x) <= edge and abs(y) <= edge:
+        grid[_round(edge - y, den)][_round(x + edge, den)] = mark
+
+
 def render_ascii(t: ExtendedTrop) -> str:
     """Grid point (i, j) is the point (j - BOX, BOX - i) of the frame."""
     if t.ambient_rank > 2:
         raise ValueError("rendering supports rank <= 2 only")
     n = 2 * BOX + 1
     grid = [[" "] * n for _ in range(n)]
-
-    def at(p: Vector):
-        x, y = p
-        if abs(x) > BOX or abs(y) > BOX:
-            return None
-        return round(BOX - y), round(x + BOX)
-
     pieces = _embedded_pieces(t)
     for dim, anchor, dirs, labels in pieces:
         if dim != 2 or not dirs:
             continue
-        # In rank <= 2 a two-dimensional piece has face {0} and anchor 0.
-        cone = Cone.from_generators(dirs, 2)
+        # In rank <= 2 a two-dimensional piece is full-dimensional, apex 0.
+        facets = Cone.from_generators(dirs, 2).inequalities
         for i in range(n):
-            for j in range(n):
-                if cone.contains((j - BOX, BOX - i)):
-                    grid[i][j] = "."
+            y, lo, hi = BOX - i, -BOX, BOX
+            for a, b in facets:              # a x + b y >= 0
+                if a > 0:
+                    lo = max(lo, -(b * y // a))
+                elif a < 0:
+                    hi = min(hi, b * y // -a)
+                elif b * y < 0:
+                    hi = -BOX - 1
+            for j in range(lo + BOX, hi + BOX + 1):
+                grid[i][j] = "."
     for dim, anchor, dirs, labels in pieces:
         if dim != 1:
             continue
-        for d in map(primitive, dirs):
+        (ax, ay), den = clear_denominators(anchor)
+        for dx, dy in map(primitive, dirs):
+            # step k is the point anchor + (k/4) d = (4A + k den d) / (4 den)
             for k in range(8 * BOX + 1):
-                rc = at(vadd(anchor, vscale(Fraction(k, 4), d)))
-                if rc:
-                    grid[rc[0]][rc[1]] = "*"
+                _plot(grid, 4 * ax + k * den * dx, 4 * ay + k * den * dy,
+                      4 * den, "*")
     for dim, anchor, dirs, labels in pieces:
-        rc = at(anchor)
-        if rc is None:
-            continue
-        if labels:
-            grid[rc[0]][rc[1]] = "@"
-        elif dim == 0:
-            grid[rc[0]][rc[1]] = "o"
+        mark = "@" if labels else "o" if dim == 0 else None
+        if mark:
+            (ax, ay), den = clear_denominators(anchor)
+            _plot(grid, ax, ay, den, mark)
     return "\n".join("".join(row).rstrip() for row in grid) + "\n"

@@ -19,7 +19,9 @@ from sphtrop.linalg import (
     rational_from_input,
     rref,
     solve,
+    vadd,
     vec,
+    vscale,
 )
 
 
@@ -237,3 +239,46 @@ def test_property_primitive_is_the_lcm_then_gcd_row(row, fix_sign):
         got = primitive(u, fix_sign=fix_sign)
         assert got == lcm_primitive(u, fix_sign=fix_sign)
         assert type(got) is tuple and all(type(a) is int for a in got)
+
+
+# The former ``embed_from_chart``, kept verbatim as an oracle: one
+# ``Fraction`` vadd/vscale pass per chart vector.
+def loop_embed_from_chart(chart: Sequence[IntVector], value: Sequence
+                          ) -> Vector:
+    dim = len(chart[0]) if chart else 0
+    v = vec([0] * dim)
+    for c, b in zip(value, chart, strict=True):
+        v = vadd(v, vscale(F(c), b))
+    return v
+
+
+@st.composite
+def charts_and_values(draw):
+    """0-3 integer chart vectors of one length 1-4, and as many int, or
+    int-or-Fraction, values."""
+    dim = draw(st.integers(1, 4))
+    chart = draw(st.lists(st.tuples(*[st.integers(-50, 50)] * dim),
+                          max_size=3))
+    entry = draw(st.sampled_from([st.integers(-50, 50), INT_OR_FRACTION]))
+    value = draw(st.lists(entry, min_size=len(chart), max_size=len(chart)))
+    return chart, value
+
+
+@settings(max_examples=300, deadline=None)
+@given(charts_and_values())
+def test_property_embed_from_chart_is_the_loop(case):
+    chart, value = case
+    got = embed_from_chart(chart, value)
+    assert got == loop_embed_from_chart(chart, value)
+    assert type(got) is tuple
+    if all(type(c) is int for c in value):
+        assert all(type(x) is int for x in got)
+    elif chart:
+        assert all(type(x) is F for x in got)
+
+
+def test_embed_from_chart_rejects_a_length_mismatch():
+    with pytest.raises(ValueError):
+        embed_from_chart([(1, 0), (0, 1)], [1])
+    with pytest.raises(ValueError):
+        embed_from_chart([], [F(1, 2)])

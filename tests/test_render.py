@@ -1,8 +1,10 @@
-"""The scale-free renderer against the extent-taking one it replaced.
+"""The renderer against the ones it replaced.
 
-Every coordinate of the old figures was linear in ``extent`` and both
-canvases divided it out again, so the new figures, drawn in the fixed
-``BOX`` frame, must equal the old ones at every positive extent.
+Every coordinate of the extent-taking figures was linear in ``extent`` and
+both canvases divided it out again, so the figures, drawn in the fixed
+``BOX`` frame, must equal them at every positive extent.  That oracle
+rounds ASCII cells through ``float`` and is exact only for small entries;
+the ``Fraction`` raster that the integer one replaced is exact at any size.
 """
 
 import itertools
@@ -216,17 +218,19 @@ def render_ascii(t: ExtendedTrop, extent: Fraction = Fraction(2)) -> str:
 # -- property -------------------------------------------------------------
 
 @st.composite
-def tropicalizations(draw):
+def tropicalizations(draw, bounds=(2, 40)):
     """A rank-1 or rank-2 tropicalization of a valid colored fan.
 
     Built as ``perfbench/workloads.py:random_valid_fan`` builds its fans: a
     simplicial cone on 0 to m rays and all its faces, under a valuation cone
     spanned by the rays and up to m more vectors, with up to three colors,
     each either a positive multiple of a ray (and then perhaps on the faces
-    holding that ray) or a free vector.  Entries lie in -2..2 or -40..40.
+    holding that ray) or a free vector.  Entries lie in -b..b for a b drawn
+    from ``bounds``.  In half the draws some spanning vectors are negated
+    too, so valuation cones include lines, half-planes and the whole plane.
     """
     m = draw(st.integers(1, 2))
-    bound = draw(st.sampled_from([2, 40]))
+    bound = draw(st.sampled_from(bounds))
     vector = st.tuples(*[st.integers(-bound, bound)] * m).filter(any)
     rays = draw(st.lists(vector, max_size=m))
     if len(rays) == 2 and rays[0][0] * rays[1][1] == rays[0][1] * rays[1][0]:
@@ -243,6 +247,9 @@ def tropicalizations(draw):
         else:
             palette.append(Color(name, draw(vector)))
     extra = draw(st.lists(vector, max_size=m))
+    if draw(st.booleans()):
+        extra += [tuple(-x for x in g) for g in rays + extra
+                  if draw(st.booleans())]
     datum = SphericalDatum(m, Cone.from_generators(rays + extra, m),
                            tuple(palette))
     members = []
@@ -275,3 +282,100 @@ def test_ascii_cells_round_exactly_near_a_half():
     rows = render.render_ascii(tropicalize_embedding(datum, fan)).splitlines()
     assert [i for i, row in enumerate(rows) if "*" in row] == [9]
     assert rows[9] == "." * 20 + "*"
+
+
+# -- oracle: sphtrop.render.render_ascii before it rasterized in integers --
+# Verbatim but for the module prefixes: every fill cell is a Cone.contains
+# test and every ray step is Fraction arithmetic, rounded by round(Fraction).
+
+
+def fraction_render_ascii(t: ExtendedTrop) -> str:
+    """Grid point (i, j) is the point (j - BOX, BOX - i) of the frame."""
+    BOX = render.BOX
+    if t.ambient_rank > 2:
+        raise ValueError("rendering supports rank <= 2 only")
+    n = 2 * BOX + 1
+    grid = [[" "] * n for _ in range(n)]
+
+    def at(p: Vector):
+        x, y = p
+        if abs(x) > BOX or abs(y) > BOX:
+            return None
+        return round(BOX - y), round(x + BOX)
+
+    pieces = render._embedded_pieces(t)
+    for dim, anchor, dirs, labels in pieces:
+        if dim != 2 or not dirs:
+            continue
+        # In rank <= 2 a two-dimensional piece has face {0} and anchor 0.
+        cone = Cone.from_generators(dirs, 2)
+        for i in range(n):
+            for j in range(n):
+                if cone.contains((j - BOX, BOX - i)):
+                    grid[i][j] = "."
+    for dim, anchor, dirs, labels in pieces:
+        if dim != 1:
+            continue
+        for d in map(primitive, dirs):
+            for k in range(8 * BOX + 1):
+                rc = at(vadd(anchor, vscale(Fraction(k, 4), d)))
+                if rc:
+                    grid[rc[0]][rc[1]] = "*"
+    for dim, anchor, dirs, labels in pieces:
+        rc = at(anchor)
+        if rc is None:
+            continue
+        if labels:
+            grid[rc[0]][rc[1]] = "@"
+        elif dim == 0:
+            grid[rc[0]][rc[1]] = "o"
+    return "\n".join("".join(row).rstrip() for row in grid) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(tropicalizations(bounds=(2, 40, 10**17)))
+def test_integer_raster_equals_the_fraction_raster(t):
+    assert render.render_ascii(t) == fraction_render_ascii(t)
+
+
+def _plane_trop(valuation_gens, fan_rays):
+    datum = SphericalDatum(2, Cone.from_generators(valuation_gens, 2), ())
+    fan = ColoredFan(tuple(
+        ColoredCone(Cone.from_generators(rays, 2), frozenset())
+        for rays in [[]] + [[r] for r in fan_rays]))
+    return tropicalize_embedding(datum, fan)
+
+
+BIG = 10**17
+
+
+def test_integer_raster_fills_half_planes_wedges_and_the_plane():
+    cases = [                                 # (valuation cone, fan rays)
+        ([(1, 0), (-1, 0), (0, 1)], [(1, 0), (2 * BIG + 1, BIG + 1)]),
+        ([(BIG, 3), (-BIG, -3), (-7, BIG + 1)], [(BIG, 3), (-7, BIG + 1)]),
+        ([(1, BIG), (-1, BIG)], [(0, 1), (1, BIG)]),
+        ([(1, 0), (-1, 0), (0, 1), (0, -1)], [(1, 0), (-1, -1)]),
+    ]
+    for gens, rays in cases:
+        t = _plane_trop(gens, rays)
+        assert render.render_ascii(t) == fraction_render_ascii(t)
+    upper, _, wedge, plane = (render.render_ascii(_plane_trop(gens, []))
+                              for gens, _ in cases)
+    assert upper == ("." * 21 + "\n") * 11 + "\n" * 10
+    assert wedge == (" " * 10 + ".\n") * 11 + "\n" * 10
+    assert plane == ("." * 21 + "\n") * 21
+
+
+def _halves_and_others():
+    """(n, d) pairs: n/d exactly q + 1/2 for q of either parity, or any."""
+    halves = st.builds(lambda q, e: ((2 * q + 1) * e, 2 * e),
+                       st.integers(-2**79, 2**79), st.integers(1, 2**40))
+    others = st.tuples(st.integers(-2**80, 2**80), st.integers(1, 2**80))
+    return st.one_of(halves, others)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_halves_and_others())
+def test_round_is_round_of_the_fraction(case):
+    n, d = case
+    assert render._round(n, d) == round(Fraction(n, d))
