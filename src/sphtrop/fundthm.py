@@ -263,19 +263,16 @@ def check_equivalence(f: ValuedPolynomial,
                       ) -> EquivalenceReport:
     """Cross-check fundamental-theorem sets on samples and witness points.
 
-    Finite samples and witnesses are tested against the complex of f, which
-    ``trop_hypersurface`` builds once and then returns from its cache;
-    samples with infinite entries go through ``membership_set1``, which
-    restricts f to their orbit.
+    Samples go through ``membership_set1``, which restricts f to the orbit
+    of their infinite entries; finite samples and witnesses are tested
+    against the complex of f, which ``trop_hypersurface`` builds once and
+    then returns from its cache.
     """
     report = EquivalenceReport()
     for w in samples:
         w = tuple(w)
         report.samples.append(SampleVerdict(
-            weight=w,
-            in_complex=(trop_hypersurface(f).contains(w)
-                        if all(map(is_finite, w))
-                        else membership_set1(f, w)),
+            weight=w, in_complex=membership_set1(f, w),
             in_initial_set=membership_set2(f, w)))
     for p in witnesses:
         value = f.evaluate(p.coordinates)

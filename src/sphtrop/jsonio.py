@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .fundthm import Cell, TropicalComplex, canonical_constraint
 from .linalg import MAX_DIM, InputError, Vector, rational_from_input
-from .polyhedra import Cone
+from .polyhedra import Cone, quotient_chart
 from .puiseux import INF, ExtendedRational, PuiseuxScalar, ValuedPolynomial
 from .spherical import Color, ColoredCone, ColoredFan, SphericalDatum
 from .troposphere import ExtendedTrop, Stratum
@@ -129,8 +129,6 @@ def trop_to_json(t: ExtendedTrop) -> dict:
 
 
 def trop_from_json(data) -> ExtendedTrop:
-    from .polyhedra import quotient_chart
-
     rank = dim_from_json(data["ambient_rank"])
     strata = []
     for item in data["strata"]:

@@ -1,5 +1,5 @@
-"""Exact rational linear algebra: row reduction, kernels, solving,
-orthogonal parts, and coordinates in a chart (one Gram solve).
+"""Exact rational linear algebra: row reduction, kernels, orthogonal parts,
+and coordinates in a chart (one ``rref`` for any number of vectors).
 
 Vectors are tuples of exact rationals: ``int`` or ``fractions.Fraction``,
 which compare and hash alike.  Rows of cones and cells are primitive
@@ -10,8 +10,9 @@ fraction-free: ``rref`` clears a pivot column with ``eliminate``, the
 cross-multiply-and-divide-by-the-gcd step that ``polyhedra._dd`` sweeps
 with, and returns primitive ``int`` rows; ``orthogonal_parts`` projects
 off a span by the same step.  ``Fraction`` enters only where input is
-read (``rational_from_input``, ``vec``), in chart coordinates (``solve``
-divides once per coordinate), and in report text (``fraction_rows``).
+read (``rational_from_input``, ``vec``), in the chart coordinates of one
+point (``project_to_chart`` divides ``chart_coordinates`` by its scale),
+and in report text (``fraction_rows``).
 Nothing here is numerically approximate.
 """
 
@@ -184,29 +185,27 @@ def kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[IntVector]:
     return basis
 
 
-def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vector | None:
-    """One solution of Rx = b, or None if inconsistent."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs, strict=True)]
-    red, pivots = rref(aug)
-    sol = [Fraction(0)] * ncols
-    for row, pc in zip(red, pivots):
-        if pc == ncols:
-            return None
-        sol[pc] = Fraction(row[ncols], row[pc])
-    return tuple(sol)
+def chart_coordinates(chart: Sequence[IntVector], vectors: Sequence[Sequence]
+                      ) -> tuple[list[IntVector], int]:
+    """Chart coordinates of the vectors' parts in span(chart), as ``int``
+    rows over one positive scale, by one ``rref`` of [Gram(chart) |
+    chart.x_j]: its row with pivot p at column c gives coordinate c of x_j
+    as entry n + j over p.  A dependent chart's free coordinates are 0."""
+    n = len(chart)
+    red, pivots = rref([[dot(b, c) for c in (*chart, *vectors)]
+                        for b in chart])
+    scale = lcm(*(row[c] for row, c in zip(red, pivots)))
+    coords = [[0] * n for _ in vectors]
+    for row, c in zip(red, pivots):
+        for j, x in enumerate(coords):
+            x[c] = row[n + j] * (scale // row[c])
+    return [tuple(x) for x in coords], scale
 
 
 def project_to_chart(chart: Sequence[IntVector], x: Sequence) -> Vector:
     """Coordinates in the chart of the component of x in span(chart)."""
-    if not chart:
-        return ()
-    gram = [[dot(b1, b2) for b2 in chart] for b1 in chart]
-    coords = solve(gram, [dot(b, x) for b in chart])
-    assert coords is not None
-    return coords
+    (coords,), scale = chart_coordinates(chart, [x])
+    return tuple(Fraction(a, scale) for a in coords)
 
 
 def embed_from_chart(chart: Sequence[IntVector], value: Sequence) -> Vector:

@@ -29,8 +29,10 @@ exact dot products, without a sweep.
 inequalities on the same sweep, so ``_dd`` is the one polyhedral algorithm.
 
 ``quotient_chart`` fixes the canonical basis of the orthogonal complement of
-a span; coordinates in such a chart come from ``linalg.project_to_chart``,
-and ``troposphere.Stratum.of`` is the one place a cone is projected into one.
+a span.  Coordinates in such a chart come from one routine,
+``linalg.chart_coordinates`` (one ``rref`` for all vectors): a cone's
+generators through ``troposphere.Stratum.of``, one point through
+``linalg.project_to_chart``.
 """
 
 from __future__ import annotations

@@ -10,21 +10,21 @@ one ASCII cell is one unit.  Figures are scale-free: anchors are scaled to
 the edge of the box and directions are drawn out to it, so a box of any
 other size would scale the whole figure with it, to the same picture.
 
-ASCII figures are rasterized in integers.  On grid row y each facet row
-(a, b) of a two-dimensional piece bounds x by one floor or ceiling division
-of -b y by a, so the row is filled over one interval.  A ray clears its
-anchor's denominators once, as (A, den), and walks the int points
-(4 A + k den d) / (4 den).  Ray steps and anchor markers are rounded to
-cells by one rule, ``_round``: half to even, as ``round(Fraction)`` does.
+Both figures compute in integers.  An anchor is one ``int`` point (A, den),
+the face's generator sum scaled to the box, and a two-dimensional piece is
+shaded from the facet rows (a, b) of its cone: on ASCII grid row y each row
+bounds x by one floor or ceiling division of -b y by a, and the SVG polygon
+is box ∩ cone (``_shaded_polygon``).  An ASCII ray walks the int points
+(4 A + k den d) / (4 den).  Cells are rounded by one rule, ``_round``: half
+to even, as ``round(Fraction)`` does; SVG text by one correctly rounded
+``int`` division per coordinate, as ``float(Fraction)`` does.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+from math import lcm
 
-from .linalg import (Vector, clear_denominators, dot, embed_from_chart,
-                     is_zero_vec, primitive, vadd, vscale)
+from .linalg import IntVector, embed_from_chart, is_zero_vec, primitive
 from .polyhedra import Cone
 from .troposphere import ExtendedTrop, Stratum
 
@@ -33,94 +33,81 @@ from .troposphere import ExtendedTrop, Stratum
 BOX = 10
 
 
-def _scale_to_box(v: Vector, bound=BOX) -> Vector:
-    """Scale a nonzero vector so its largest coordinate magnitude is bound."""
-    m = max(abs(x) for x in v)
-    if m == 0:
-        return v
-    return vscale(Fraction(bound) / m, v)
+def _pad2(v: IntVector) -> IntVector:
+    return (tuple(v) + (0, 0))[:2]
 
 
-def _anchor(s: Stratum) -> Vector:
+def _anchor(s: Stratum) -> tuple[IntVector, int]:
+    """(A, den): the face's generator sum, scaled to the edge of the box,
+    is the point A / den."""
     gens = s.face.cone.rays + s.face.cone.lineality   # primitive already
     if not gens:
-        return (Fraction(0),) * s.face.cone.ambient_dim
+        return (0, 0), 1
     total = tuple(map(sum, zip(*gens)))
     if is_zero_vec(total):
         total = gens[0]
-    return _scale_to_box(total)
-
-
-def _pad2(v: Sequence[Fraction]) -> Vector:
-    v = tuple(v)
-    return (v + (Fraction(0), Fraction(0)))[:2]
+    return _pad2([BOX * x for x in total]), max(map(abs, total))
 
 
 def _embedded_pieces(t: ExtendedTrop):
-    """Per stratum: (dim, anchor, direction vectors in the plane, labels)."""
+    """Per stratum: (dim, anchor (A, den), int plane directions, labels)."""
     pieces = []
     for key in sorted(t.strata):
         s = t.strata[key]
         img = s.valuation_cone_image
         dirs = [_pad2(embed_from_chart(s.chart, g)) for g in img.generators]
-        pieces.append((img.dim(), _pad2(_anchor(s)), dirs, sorted(s.labels)))
+        pieces.append((img.dim(), _anchor(s), dirs, sorted(s.labels)))
     return pieces
 
 
-def _clip_polygon(poly, coeffs, rhs):
-    """Sutherland-Hodgman clip of a polygon by {x : coeffs . x >= rhs}."""
-    out = []
-    n = len(poly)
-    for i in range(n):
-        a, b = poly[i], poly[(i + 1) % n]
-        fa, fb = dot(coeffs, a) - rhs, dot(coeffs, b) - rhs
-        if fa >= 0:
-            out.append(a)
-        if (fa > 0 and fb < 0) or (fa < 0 and fb > 0):
-            s = fa / (fa - fb)
-            out.append(tuple(x + s * (y - x) for x, y in zip(a, b)))
-    return out
+def _shaded_polygon(facets) -> tuple[list[IntVector], int]:
+    """(vertices, L): box ∩ {x : a . x >= 0 for a in facets}, each vertex
+    v / L, counterclockwise from the corner (BOX, -BOX).
 
-
-def _cone_polygon(anchor: Vector, dirs: Sequence[Vector]):
-    """The translated cone hull clipped to the box, as a polygon."""
-    big = 8 * BOX
-    pts = [anchor] + [vadd(anchor, _scale_to_box(d, big)) for d in dirs]
-    # convex hull by angular sort around the centroid (exact cross products)
-    def cross(o, a, b):
-        return ((a[0] - o[0]) * (b[1] - o[1])
-                - (a[1] - o[1]) * (b[0] - o[0]))
-    pts = sorted(set(pts))
-    if len(pts) <= 2:
-        return pts
-    lower, upper = [], []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    poly = lower[:-1] + upper[:-1]
-    for coeffs in [(1, 0), (-1, 0), (0, 1), (0, -1)]:
-        poly = _clip_polygon(poly, coeffs, -BOX)
-        if not poly:
-            return []
-    return poly
-
-
-def _clip_ray(anchor: Vector, d: Vector):
-    """Endpoint of anchor + s*d at the box, or None if it exits at s = 0.
-
-    The anchor lies in the box and d != 0, so the ray leaves the box at the
-    least s at which a coordinate reaches the bound it moves toward.
+    The box corners and the ends +-BOX (b, -a) / max(|a|, |b|) of each facet
+    line that satisfy every row follow their position along the box, and
+    the apex 0 of a wedge goes in at the one step that turns clockwise about
+    0: the wedge spans less than a half turn, the gap outside it more.
     """
-    s = min(((BOX if di > 0 else -BOX) - ai) / di
-            for ai, di in zip(anchor, d) if di)
-    if s <= 0:
+    L = lcm(*(max(map(abs, a)) for a in facets))
+    e = BOX * L
+    points = {(x, y) for x in (e, -e) for y in (e, -e)}
+    for a, b in facets:
+        k = e // max(abs(a), abs(b))
+        points |= {(k * b, -k * a), (-k * b, k * a)}
+
+    def along(p):                     # position on the boundary, from (e, -e)
+        x, y = p
+        if x == e and y < e:
+            return y + e
+        if y == e and x > -e:
+            return 3 * e - x
+        if x == -e and y > -e:
+            return 5 * e - y
+        return 7 * e + x
+    poly = sorted((p for p in points
+                   if all(a * p[0] + b * p[1] >= 0 for a, b in facets)),
+                  key=along)
+    for i, (p, q) in enumerate(zip(poly, poly[1:] + poly[:1])):
+        if p[0] * q[1] < p[1] * q[0]:
+            poly.insert(i + 1, (0, 0))
+            break
+    return poly, L
+
+
+def _ray_end(anchor: IntVector, den: int, d: IntVector):
+    """(A q + p d, den q): where A / den + s d leaves the box, at the least
+    s = p / (den q) at which a coordinate reaches the bound it moves toward;
+    None if that s is 0.  The anchor lies in the box and d != 0."""
+    p = q = None
+    for a, di in zip(anchor, d):
+        if di:
+            pi, qi = (BOX * den - a, di) if di > 0 else (BOX * den + a, -di)
+            if p is None or pi * q < p * qi:
+                p, q = pi, qi
+    if p <= 0:
         return None
-    return vadd(anchor, vscale(s, d))
+    return tuple(a * q + p * di for a, di in zip(anchor, d)), den * q
 
 
 def render_svg(t: ExtendedTrop) -> str:
@@ -128,11 +115,10 @@ def render_svg(t: ExtendedTrop) -> str:
         raise ValueError("rendering supports rank <= 2 only")
     size, margin = 360, 20
 
-    def px(p: Vector) -> tuple[str, str]:
-        x, y = p
-        sx = margin + Fraction(x + BOX, 2 * BOX) * size
-        sy = margin + Fraction(BOX - y, 2 * BOX) * size
-        return f"{float(sx):.2f}", f"{float(sy):.2f}"
+    def px(p: IntVector, den: int) -> tuple[str, str]:
+        (x, y), span = p, 2 * BOX * den
+        return (f"{(margin * span + (x + BOX * den) * size) / span:.2f}",
+                f"{(margin * span + (BOX * den - y) * size) / span:.2f}")
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
              f'width="{size + 2 * margin}" height="{size + 2 * margin}" '
@@ -140,22 +126,23 @@ def render_svg(t: ExtendedTrop) -> str:
     pieces = _embedded_pieces(t)
     for dim, anchor, dirs, labels in pieces:          # shaded regions first
         if dim == 2:
-            poly = _cone_polygon(anchor, dirs)
-            if poly:
-                coords = " ".join(",".join(px(p)) for p in poly)
-                parts.append(f'<polygon points="{coords}" fill="#d9d9d9" '
-                             f'stroke="none"/>')
-    for dim, anchor, dirs, labels in pieces:
+            # In rank <= 2 a two-dimensional piece is full-dimensional, apex 0.
+            poly, den = _shaded_polygon(
+                Cone.from_generators(dirs, 2).inequalities)
+            coords = " ".join(",".join(px(p, den)) for p in poly)
+            parts.append(f'<polygon points="{coords}" fill="#d9d9d9" '
+                         f'stroke="none"/>')
+    for dim, (a, den), dirs, labels in pieces:
         if dim == 1:
             for d in dirs:
-                end = _clip_ray(anchor, d)
+                end = _ray_end(a, den, d)
                 if end is None:
                     continue
-                (x1, y1), (x2, y2) = px(anchor), px(end)
+                (x1, y1), (x2, y2) = px(a, den), px(*end)
                 parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
                              f'stroke="black" stroke-width="2.5"/>')
     for dim, anchor, dirs, labels in pieces:          # markers on top
-        x, y = px(anchor)
+        x, y = px(*anchor)
         if labels:
             parts.append(f'<circle cx="{x}" cy="{y}" r="7" fill="white" '
                          f'stroke="red" stroke-width="2"/>')
@@ -202,18 +189,16 @@ def render_ascii(t: ExtendedTrop) -> str:
                     hi = -BOX - 1
             for j in range(lo + BOX, hi + BOX + 1):
                 grid[i][j] = "."
-    for dim, anchor, dirs, labels in pieces:
+    for dim, ((ax, ay), den), dirs, labels in pieces:
         if dim != 1:
             continue
-        (ax, ay), den = clear_denominators(anchor)
         for dx, dy in map(primitive, dirs):
             # step k is the point anchor + (k/4) d = (4A + k den d) / (4 den)
             for k in range(8 * BOX + 1):
                 _plot(grid, 4 * ax + k * den * dx, 4 * ay + k * den * dy,
                       4 * den, "*")
-    for dim, anchor, dirs, labels in pieces:
+    for dim, ((ax, ay), den), dirs, labels in pieces:
         mark = "@" if labels else "o" if dim == 0 else None
         if mark:
-            (ax, ay), den = clear_denominators(anchor)
             _plot(grid, ax, ay, den, mark)
     return "\n".join("".join(row).rstrip() for row in grid) + "\n"

@@ -8,7 +8,8 @@ a canonical chart on tau-perp, and evaluation against lattice functionals
 recovers the extended (rational or infinite) semigroup homomorphism.
 
 ``Stratum.of`` is the one builder of V_tau: it fixes the chart of a face and
-projects the valuation cone into it by one integer ``rref``.  Both routes, the
+projects the valuation cone into it by one integer ``rref``
+(``linalg.chart_coordinates``).  Both routes, the
 face-wise one here and the Groebner-side one in ``grobtrop``, build their
 strata with it; they differ only in how they traverse the faces.
 """
@@ -16,12 +17,11 @@ strata with it; they differ only in how they traverse the faces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Mapping, Sequence
 
-from .linalg import (IntVector, Vector, dot, embed_from_chart,
-                     project_to_chart, rref, vec)
-from .polyhedra import Cone, quotient_chart
+from .linalg import (IntVector, Vector, chart_coordinates, dot,
+                     embed_from_chart, project_to_chart, vec)
+from .polyhedra import Cone, affine_feasible, quotient_chart
 from .puiseux import INF, ExtendedRational
 from .spherical import (
     ColoredCone,
@@ -63,16 +63,11 @@ class Stratum:
     def of(cls, datum: SphericalDatum, face: ColoredCone) -> "Stratum":
         """V_tau: the valuation cone in the canonical chart modulo span(tau).
 
-        One ``rref`` of [Gram(chart) | chart.g_j] projects V's generators g_j:
-        entry n + j of row i over the pivot p_i > 0 is g_j's i-th coordinate,
-        so scaling every image by one positive lcm(p) makes them ``int``s."""
+        ``chart_coordinates`` projects all of V's generators by one ``rref``;
+        its common positive scale leaves the cone they span unchanged."""
         chart = quotient_chart(face.cone.generators, datum.rank)
-        gens, n = datum.valuation_cone.generators, len(chart)
-        red, _ = rref([[dot(b, c) for c in chart + gens] for b in chart])
-        scale = lcm(*(row[i] for i, row in enumerate(red)))
-        return cls(face, chart, Cone.from_generators(
-            [tuple(row[n + j] * (scale // row[i]) for i, row in enumerate(red))
-             for j in range(len(gens))], n))
+        gens, _ = chart_coordinates(chart, datum.valuation_cone.generators)
+        return cls(face, chart, Cone.from_generators(gens, len(chart)))
 
     @property
     def labels(self) -> frozenset[str]:
@@ -209,8 +204,6 @@ def assemble_subvariety_trop(trop: ExtendedTrop,
     Each set must live inside the stratum's valuation cone; containment is
     checked exactly, cell by cell.
     """
-    from .polyhedra import affine_feasible
-
     tagged = {}
     for key, cx in per_stratum_sets.items():
         if key not in trop.strata:

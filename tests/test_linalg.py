@@ -10,6 +10,7 @@ from sphtrop.linalg import (
     InputError,
     IntVector,
     Vector,
+    chart_coordinates,
     dot,
     embed_from_chart,
     kernel_basis,
@@ -18,7 +19,6 @@ from sphtrop.linalg import (
     project_to_chart,
     rational_from_input,
     rref,
-    solve,
     vadd,
     vec,
     vscale,
@@ -47,9 +47,32 @@ def test_kernel_basis_deterministic():
     assert len(k) == 2 and all(dot(vec([1, 2, 3]), b) == 0 for b in k)
 
 
-def test_solve():
-    assert solve([vec([2, 0]), vec([0, 4])], [F(2), F(2)]) == vec([1, F(1, 2)])
-    assert solve([vec([1, 1]), vec([1, 1])], [F(1), F(2)]) is None
+# The former ``solve`` and ``project_to_chart``, kept verbatim (renamed) as
+# the oracle of ``chart_coordinates``: one Gram solve per vector, which
+# divides in ``Fraction``s once per coordinate.
+def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vector | None:
+    """One solution of Rx = b, or None if inconsistent."""
+    if not rows:
+        return None
+    ncols = len(rows[0])
+    aug = [list(r) + [b] for r, b in zip(rows, rhs, strict=True)]
+    red, pivots = rref(aug)
+    sol = [F(0)] * ncols
+    for row, pc in zip(red, pivots):
+        if pc == ncols:
+            return None
+        sol[pc] = F(row[ncols], row[pc])
+    return tuple(sol)
+
+
+def gram_project_to_chart(chart: Sequence[IntVector], x: Sequence) -> Vector:
+    """Coordinates in the chart of the component of x in span(chart)."""
+    if not chart:
+        return ()
+    gram = [[dot(b1, b2) for b2 in chart] for b1 in chart]
+    coords = solve(gram, [dot(b, x) for b in chart])
+    assert coords is not None
+    return coords
 
 
 # The former ``vsub`` and ``project_off``, kept verbatim as the oracle of
@@ -63,7 +86,7 @@ def project_off(v: Sequence[F], basis: Sequence[IntVector]) -> Vector:
     v = tuple(v)
     if not basis:
         return v
-    return vsub(v, embed_from_chart(basis, project_to_chart(basis, v)))
+    return vsub(v, embed_from_chart(basis, gram_project_to_chart(basis, v)))
 
 
 def test_orthogonal_parts():
@@ -77,6 +100,9 @@ def vectors(dim):
     return st.tuples(*[st.integers(-3, 3)] * dim).map(vec)
 
 
+ENTRIES = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+
+
 @st.composite
 def dependent_bases(draw, dim):
     """1-5 vectors, often with zeros, multiples and integer combinations of
@@ -86,6 +112,22 @@ def dependent_bases(draw, dim):
         i, j = draw(st.integers(0, len(basis) - 1)), draw(st.integers(-2, 2))
         basis.append(tuple(j * x + y for x, y in zip(basis[i], basis[-1])))
     return draw(st.permutations(basis))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda d: st.tuples(
+    st.lists(st.one_of(vectors(d), st.tuples(*[ENTRIES] * d)), max_size=3),
+    dependent_bases(d))))
+def test_property_chart_coordinates_are_the_gram_solve(system):
+    """One ``rref`` for all vectors, even on a dependent chart, whose free
+    coordinates are 0 as the Gram solve leaves them."""
+    vs, chart = system
+    coords, scale = chart_coordinates(chart, vs)
+    assert scale > 0 and len(coords) == len(vs)
+    for v, c in zip(vs, coords, strict=True):
+        assert all(type(x) is int for x in c)
+        assert project_to_chart(chart, v) == gram_project_to_chart(chart, v)
+        assert tuple(F(x, scale) for x in c) == gram_project_to_chart(chart, v)
 
 
 @settings(max_examples=300, deadline=None)
@@ -165,24 +207,6 @@ def fraction_kernel_basis(rows, ncols):
     return basis
 
 
-def fraction_solve(rows, rhs) -> Vector | None:
-    """The former ``solve``, on the oracle."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs, strict=True)]
-    red, pivots = fraction_rref(aug)
-    sol = [F(0)] * ncols
-    for row, pc in zip(red, pivots):
-        if pc == ncols:
-            return None
-        sol[pc] = row[ncols]
-    return tuple(sol)
-
-
-ENTRIES = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
-
-
 @st.composite
 def matrices(draw):
     """0-4 rows of 1-5 rational entries, -3..3 over denominators 1-3."""
@@ -204,12 +228,10 @@ def test_property_rref_scales_the_fraction_rref(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(matrices(), st.lists(ENTRIES, min_size=4, max_size=4))
-def test_property_kernel_and_solve_agree_with_the_fraction_rref(case, rhs):
+@given(matrices())
+def test_property_kernel_agrees_with_the_fraction_rref(case):
     rows, ncols = case
     assert kernel_basis(rows, ncols) == fraction_kernel_basis(rows, ncols)
-    rhs = rhs[:len(rows)]
-    assert solve(rows, rhs) == fraction_solve(rows, rhs)
 
 
 # The former ``primitive``, kept as an oracle: it always clears the

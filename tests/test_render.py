@@ -2,11 +2,15 @@
 
 Every coordinate of the extent-taking figures was linear in ``extent`` and
 both canvases divided it out again, so the figures, drawn in the fixed
-``BOX`` frame, must equal them at every positive extent.  That oracle
-rounds ASCII cells through ``float`` and is exact only for small entries;
-the ``Fraction`` raster that the integer one replaced is exact at any size.
+``BOX`` frame, must equal them at every positive extent, but for the
+shaded polygons: the oracle clipped a hull that misses part of the box for
+cones wider than about 160 degrees, so each polygon is checked against
+box ∩ cone, found from every pair of lines.  That oracle rounds ASCII cells
+through ``float`` and is exact only for small entries; the ``Fraction``
+raster that the integer one replaced is exact at any size.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Sequence
@@ -264,11 +268,120 @@ def tropicalizations(draw, bounds=(2, 40)):
 EXTENTS = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**3))
 
 
+# -- the shaded polygon: box ∩ cone, from every pair of lines ----------------
+
+
+def box_cone_vertices(facets) -> list[Vector]:
+    """Vertices of box ∩ {x : a . x >= 0 for a in facets}, counterclockwise:
+    the pairwise intersections of the box edges and the facet lines that
+    lie in the box and satisfy every row, sorted by angle about their
+    centroid."""
+    B = render.BOX
+    lines = [((1, 0), B), ((1, 0), -B), ((0, 1), B), ((0, 1), -B)]
+    lines += [(a, 0) for a in facets]
+    points = set()
+    for (u, r), (v, s) in itertools.combinations(lines, 2):
+        det = u[0] * v[1] - u[1] * v[0]
+        if det:
+            p = (Fraction(r * v[1] - s * u[1], det),
+                 Fraction(u[0] * s - v[0] * r, det))
+            if max(map(abs, p)) <= B and all(dot(a, p) >= 0 for a in facets):
+                points.add(p)
+    cx = sum(p[0] for p in points) / len(points)
+    cy = sum(p[1] for p in points) / len(points)
+
+    def before(p, q):
+        (px, py), (qx, qy) = (p[0] - cx, p[1] - cy), (q[0] - cx, q[1] - cy)
+        hp, hq = (py < 0 or py == 0 and px < 0), (qy < 0 or qy == 0 and qx < 0)
+        if hp != hq:
+            return -1 if hq else 1
+        return -1 if px * qy > py * qx else 1
+    return sorted(points, key=functools.cmp_to_key(before))
+
+
+def is_strictly_convex_ccw(poly) -> bool:
+    n = len(poly)
+    return n >= 3 and all(
+        (b[0] - a[0]) * (c[1] - b[1]) > (b[1] - a[1]) * (c[0] - b[0])
+        for a, b, c in ((poly[i], poly[(i + 1) % n], poly[(i + 2) % n])
+                        for i in range(n)))
+
+
+def same_cycle(a, b) -> bool:
+    return len(a) == len(b) and any(a[i:] + a[:i] == b
+                                    for i in range(len(a) or 1))
+
+
+def pixel(p) -> str:
+    """The oracle's pixel text of a point of the BOX frame."""
+    B, (x, y) = render.BOX, p
+    return (f"{float(20 + Fraction(x + B, 2 * B) * 360):.2f},"
+            f"{float(20 + Fraction(B - y, 2 * B) * 360):.2f}")
+
+
+def polygon_points(svg: str) -> list[list[str]]:
+    return [line.split('"')[1].split() for line in svg.splitlines()
+            if line.startswith("<polygon")]
+
+
 @settings(max_examples=150, deadline=None)
 @given(tropicalizations(), EXTENTS)
 def test_render_equals_the_extent_taking_oracle(t, extent):
-    assert render.render_svg(t) == render_svg(t, extent)
+    """The figures equal the oracle's, but for the shaded polygons: each is
+    box ∩ cone, which the oracle's hull misses for cones wider than about
+    160 degrees; where the oracle's vertex set is exact, so is its order."""
+    svg, expected = render.render_svg(t), render_svg(t, extent)
+    assert ([l for l in svg.splitlines() if not l.startswith("<polygon")]
+            == [l for l in expected.splitlines()
+                if not l.startswith("<polygon")])
+    wedges = [(anchor, dirs) for dim, anchor, dirs, _ in
+              _embedded_pieces(t, extent) if dim == 2]
+    got, oracle = polygon_points(svg), polygon_points(expected)
+    assert len(got) == len(wedges)
+    for points, (anchor, dirs) in zip(got, wedges):
+        vertices = box_cone_vertices(Cone.from_generators(dirs, 2).inequalities)
+        assert is_strictly_convex_ccw(vertices)
+        assert same_cycle(points, [pixel(p) for p in vertices])
+        hull = [vscale(render.BOX / extent, p)
+                for p in _cone_polygon(anchor, dirs, extent)]
+        theirs = oracle.pop(0) if hull else None
+        if len(set(hull)) == len(hull) and set(hull) == set(vertices):
+            assert same_cycle(points, theirs)
+    assert oracle == []
     assert render.render_ascii(t) == render_ascii(t, extent)
+
+
+def test_a_wide_cone_is_shaded_to_the_box():
+    """V = cone((1, 0), (-5, -1)) spans more than a half turn's worth of the
+    box's bottom strip: (10, -10), (10, 0), 0, (-10, -2), (-10, -10)."""
+    datum = SphericalDatum(2, Cone.from_generators([(1, 0), (-5, -1)], 2), ())
+    t = tropicalize_embedding(
+        datum, ColoredFan((ColoredCone(Cone.zero(2), frozenset()),)))
+    assert polygon_points(render.render_svg(t)) == [
+        "380.00,380.00 380.00,200.00 200.00,200.00 20.00,236.00 "
+        "20.00,380.00".split()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tropicalizations(bounds=(2, 40, 10**17)))
+def test_shaded_polygon_is_box_and_cone_on_every_grid_point(t):
+    """Each polygon is box ∩ cone, strictly convex and counterclockwise, and
+    it holds exactly the integer points of the box on which every facet
+    row is nonnegative."""
+    B = render.BOX
+    for dim, _, dirs, _ in render._embedded_pieces(t):
+        if dim != 2:
+            continue
+        facets = Cone.from_generators(dirs, 2).inequalities
+        poly, den = render._shaded_polygon(facets)
+        exact = [(Fraction(x, den), Fraction(y, den)) for x, y in poly]
+        assert is_strictly_convex_ccw(exact)
+        assert same_cycle(exact, box_cone_vertices(facets))
+        for x, y in itertools.product(range(-B, B + 1), repeat=2):
+            inside = all(
+                (q[0] - p[0]) * (y * den - p[1]) >= (q[1] - p[1]) * (x * den - p[0])
+                for p, q in zip(poly, poly[1:] + poly[:1]))
+            assert inside == all(a * x + b * y >= 0 for a, b in facets)
 
 
 def test_ascii_cells_round_exactly_near_a_half():
@@ -287,6 +400,8 @@ def test_ascii_cells_round_exactly_near_a_half():
 # -- oracle: sphtrop.render.render_ascii before it rasterized in integers --
 # Verbatim but for the module prefixes: every fill cell is a Cone.contains
 # test and every ray step is Fraction arithmetic, rounded by round(Fraction).
+# Its Fraction anchors come from the extent oracle's ``_embedded_pieces`` at
+# extent BOX, which is what ``render._embedded_pieces`` computed then.
 
 
 def fraction_render_ascii(t: ExtendedTrop) -> str:
@@ -303,7 +418,7 @@ def fraction_render_ascii(t: ExtendedTrop) -> str:
             return None
         return round(BOX - y), round(x + BOX)
 
-    pieces = render._embedded_pieces(t)
+    pieces = _embedded_pieces(t, BOX)
     for dim, anchor, dirs, labels in pieces:
         if dim != 2 or not dirs:
             continue

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from sphtrop.examples import all_fans, blowup_a4, table2_datum
 from sphtrop.fundthm import TropicalComplex, extended_trop_sets
-from sphtrop.linalg import project_to_chart, vadd, vscale
+from sphtrop.linalg import vadd, vscale
 from sphtrop.polyhedra import Cone, quotient_chart
 from sphtrop.puiseux import INF, ValuedPolynomial
 from sphtrop.spherical import Color, ColoredCone, ColoredFan, SphericalDatum
@@ -19,6 +19,7 @@ from sphtrop.troposphere import (
     stratum_valuation_cone,
     tropicalize_embedding,
 )
+from test_linalg import gram_project_to_chart
 from test_polyhedra import rows
 
 
@@ -170,7 +171,7 @@ def gram_solve_stratum(datum: SphericalDatum, face: ColoredCone) -> Stratum:
     """V_tau: the valuation cone in the canonical chart modulo span(tau)."""
     chart = quotient_chart(face.cone.generators, datum.rank)
     return Stratum(face, chart, Cone.from_generators(
-        [project_to_chart(chart, g)
+        [gram_project_to_chart(chart, g)
          for g in datum.valuation_cone.generators], len(chart)))
 
 
