@@ -93,8 +93,7 @@ def grobner_tropicalize_embedding(datum: SphericalDatum, fan: ColoredFan
     for a in fan.cones:
         below = set()
         for b in fan.cones:
-            # a face has at most the dimension of its cone
-            if b.cone.dim() > a.cone.dim() or not b.cone.is_face_of(a.cone):
+            if not b.cone.is_face_of(a.cone):
                 continue
             inherited = frozenset(
                 name for name in a.colors

@@ -38,6 +38,18 @@ def dim_from_json(data) -> int:
     return data
 
 
+def name_from_json(data) -> str:
+    if type(data) is not str:
+        raise InputError(f"expected a color name (a string), got {data!r}")
+    return data
+
+
+def colors_from_json(data) -> frozenset[str]:
+    if type(data) is not list:
+        raise InputError(f"expected a list of color names, got {data!r}")
+    return frozenset(map(name_from_json, data))
+
+
 def weight_to_json(w: Sequence[ExtendedRational]) -> list[str]:
     return ["inf" if x is INF else frac_to_json(x) for x in w]
 
@@ -77,7 +89,8 @@ def datum_from_json(data) -> SphericalDatum:
     return SphericalDatum(
         rank=dim_from_json(data["rank"]),
         valuation_cone=cone_from_json(vc),
-        palette=tuple(Color(c["name"], vector_from_json(c["rho"]))
+        palette=tuple(Color(name_from_json(c["name"]),
+                            vector_from_json(c["rho"]))
                       for c in data.get("palette", [])))
 
 
@@ -93,7 +106,8 @@ def fan_from_json(data, rank: int) -> ColoredFan:
     for item in data["cones"]:
         cone = Cone.from_generators(
             [vector_from_json(g) for g in item["generators"]], rank)
-        cones.append(ColoredCone(cone, frozenset(item.get("colors", []))))
+        cones.append(ColoredCone(cone,
+                                 colors_from_json(item.get("colors", []))))
     return ColoredFan(tuple(cones))
 
 
@@ -135,7 +149,7 @@ def trop_from_json(data) -> ExtendedTrop:
         face = ColoredCone(
             Cone.from_generators([vector_from_json(g)
                                   for g in item["face_generators"]], rank),
-            frozenset(item["colors"]))
+            colors_from_json(item["colors"]))
         chart = quotient_chart(face.cone.generators, rank)
         qdim = item["quotient_dim"]
         if type(qdim) is not int or qdim != len(chart):

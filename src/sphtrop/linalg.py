@@ -63,14 +63,6 @@ def dot(u: Sequence, v: Sequence):
     return sum(map(mul, u, v))
 
 
-def vadd(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vscale(c: Fraction, u: Sequence[Fraction]) -> Vector:
-    return tuple(c * a for a in u)
-
-
 def vneg(u: Sequence[Fraction]) -> Vector:
     return tuple(-a for a in u)
 

@@ -14,15 +14,17 @@ and the ray-facet incidence, in canonical form: facets primitive modulo
 the span, rays modulo the lineality space (``linalg.orthogonal_parts``),
 lineality and equations the primitive reduced rows of ``rref``.  That
 key decides ``==`` and ``hash``.  All four are ``int`` tuples; input rows
-may hold ``Fraction`` entries.  Construction is memoised on the ambient
-dimension and the set of nonzero input generators in an LRU cache of at
-most ``CONE_CACHE_SIZE`` entries; a hit returns the same immutable
-``Cone``.  ``from_inequalities`` keeps no cache of its own: one keyed on
-inequality systems raised the peak memory of the toric-arrangement
-benchmark by about 13% for little gain.  It is called less instead:
-``faces`` and ``is_face_of`` read faces off the ray-facet incidence sets
-(a face is spanned by the lineality space and the rays tight on some
-facets), and ``intersect`` returns a cone that lies inside the other, by
+may hold ``Fraction`` entries.  The cone keeps the incidence: bit i of
+``incidence[k]`` is set when facet k is zero on ray i.  Nothing else
+computes it.  Construction is memoised on the ambient dimension and the
+set of nonzero input generators in an LRU cache of at most
+``CONE_CACHE_SIZE`` entries; a hit returns the same immutable ``Cone``.
+``from_inequalities`` keeps no cache of its own: one keyed on inequality
+systems raised the peak memory of the toric-arrangement benchmark by
+about 13% for little gain.  It is called less instead: ``faces`` and
+``is_face_of`` read faces off the stored incidence (a face is spanned by
+the lineality space and the rays tight on some facets) by bitmask work
+alone, and ``intersect`` returns a cone that lies inside the other, by
 exact dot products, without a sweep.
 
 ``affine_feasible`` decides an affine system of equations, weak and strict
@@ -121,15 +123,16 @@ class Cone:
     """A rational convex polyhedral cone, immutable after construction."""
 
     __slots__ = ("ambient_dim", "rays", "lineality", "inequalities",
-                 "equations", "_key")
+                 "equations", "incidence", "_key")
 
     def __init__(self, ambient_dim: int, rays, lineality, inequalities,
-                 equations):
+                 equations, incidence):
         self.ambient_dim = ambient_dim
         self.rays: tuple[IntVector, ...] = rays
         self.lineality: tuple[IntVector, ...] = lineality
         self.inequalities: tuple[IntVector, ...] = inequalities
         self.equations: tuple[IntVector, ...] = equations
+        self.incidence: tuple[int, ...] = incidence
         self._key = (ambient_dim, self.rays, self.lineality)
 
     # -- construction -------------------------------------------------
@@ -196,8 +199,6 @@ class Cone:
 
     def intersect(self, other: "Cone") -> "Cone":
         """The intersection; a cone inside the other is returned as it is."""
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("dimension mismatch")
         if other.contains_cone(self):
             return self
         if self.contains_cone(other):
@@ -211,33 +212,38 @@ class Cone:
 
         A face is spanned by the lineality space and the rays tight on some
         set of facets.  Those ray sets are the full set closed under
-        intersection with each facet's tight set, so no face needs a sweep.
+        intersection with the facets' incidence masks, so no face needs a
+        sweep or a dot product; each is built once by ``from_generators``.
         """
-        sets = {frozenset(range(len(self.rays)))}
-        for a in self.inequalities:
-            tight = frozenset(i for i, r in enumerate(self.rays)
-                              if dot(a, r) == 0)
-            sets |= {s & tight for s in sets}
+        sets = {(1 << len(self.rays)) - 1}
+        for column in self.incidence:
+            sets |= {s & column for s in sets}
         lin = self.lineality + tuple(vneg(l) for l in self.lineality)
         return sorted((Cone.from_generators(
-            [self.rays[i] for i in s] + list(lin), self.ambient_dim)
-            for s in sets), key=Cone.canonical_key)
+            [r for i, r in enumerate(self.rays) if s >> i & 1] + list(lin),
+            self.ambient_dim) for s in sets), key=Cone.canonical_key)
 
     def is_face_of(self, other: "Cone") -> bool:
-        """True iff self is a face of other.
+        """True iff self is a face of other, decided on ray sets alone.
 
-        The least face of other containing self is spanned by the generators
-        of other that are tight on every facet tight on self.
+        A face of other has other's lineality rows and a set S of other's
+        rays (both canonical, so tuples compare), and S is every ray tight
+        on all facets tight on S.
         """
-        if not other.contains_cone(self):
+        if other.ambient_dim != self.ambient_dim:
+            raise ValueError("dimension mismatch")
+        s = sum(1 << i for i, r in enumerate(other.rays) if r in self.rays)
+        if self.lineality != other.lineality or s.bit_count() != len(self.rays):
             return False
-        tight = [a for a in other.inequalities
-                 if all(dot(a, g) == 0 for g in self.generators)]
-        face = [g for g in other.generators
-                if all(dot(a, g) == 0 for a in tight)]
-        return Cone.from_generators(face, self.ambient_dim) == self
+        closure = (1 << len(other.rays)) - 1
+        for column in other.incidence:
+            if s & column == s:
+                closure &= column
+        return closure == s
 
     def contains_cone(self, other: "Cone") -> bool:
+        if other.ambient_dim != self.ambient_dim:
+            raise ValueError("dimension mismatch")
         return all(self.contains(g) for g in other.generators)
 
     def canonical_key(self):
@@ -276,7 +282,9 @@ def _cone_from_generators(ambient_dim: int, gens: frozenset[tuple]) -> Cone:
              for r in orthogonal_parts(gens, lin_rows) if any(r)}
     rays = tuple(sorted(r for r, t in tight.items()
                         if not any(t < u for u in tight.values())))
-    return Cone(ambient_dim, rays, lin_rows, ineqs, equations)
+    incidence = tuple(sum(1 << i for i, r in enumerate(rays) if k in tight[r])
+                      for k in range(len(ineqs)))
+    return Cone(ambient_dim, rays, lin_rows, ineqs, equations, incidence)
 
 
 # -- quotient charts ----------------------------------------------------

@@ -20,7 +20,6 @@ from sphtrop.fundthm import (
     trop_hypersurface,
 )
 from sphtrop.grobtrop import compare_tropicalizations, grobner_tropicalize_embedding
-from sphtrop.linalg import vadd, vscale
 from sphtrop.polyhedra import Cone
 from sphtrop.puiseux import INF, PuiseuxScalar, ValuedPolynomial
 from sphtrop.spherical import (
@@ -33,6 +32,7 @@ from sphtrop.spherical import (
     validate_colored_fan,
 )
 from sphtrop.troposphere import evaluate_point, limit_point, tropicalize_embedding
+from test_linalg import vadd, vscale
 
 
 VERDICTS: list[str] = []

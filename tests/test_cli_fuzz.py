@@ -128,3 +128,56 @@ def test_mutated_text_polynomial_exits_0_1_or_2(text):
                  ["ftt", "--poly", text, "--weight", "0,inf",
                   "--weight", "1,0"]):
         assert_exits_0_1_or_2(argv)
+
+
+@pytest.fixture(scope="module")
+def table2(tmp_path_factory):
+    out = tmp_path_factory.mktemp("table2")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["examples", "table2", "--out", str(out)]) == 0
+    return out
+
+
+def set_colors(kind, value):
+    """Replace the colors of the one colored member of a table2.P4 file."""
+    def edit(data):
+        items = data["cones"] if kind == "fan" else data["strata"]
+        next(i for i in items if i["colors"] == ["D"])["colors"] = value
+    return edit
+
+
+def set_palette_name(value):
+    def edit(data):
+        data["palette"][0]["name"] = value
+    return edit
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("table2.P4.fan.json", set_colors("fan", "D")),
+    ("table2.P4.fan.json", set_colors("fan", "D1")),
+    ("table2.P4.fan.json", set_colors("fan", [1])),
+    ("table2.P4.trop.json", set_colors("trop", "D")),
+    ("table2.P4.trop.json", set_colors("trop", {"D": 1})),
+    ("table2.datum.json", set_palette_name(["D"])),
+    ("table2.datum.json", set_palette_name(1)),
+], ids=["fan-string", "fan-name-string", "fan-int-list", "trop-string",
+        "trop-dict", "palette-name-list", "palette-name-int"])
+def test_colors_and_names_of_another_type_exit_2(table2, name, edit):
+    """A color list that is not a list of strings, or a palette name that is
+    not a string, is malformed input, not a set of characters or a name."""
+    data = json.loads((table2 / name).read_text())
+    edit(data)
+    bad = table2 / f"bad.{name}"
+    bad.write_text(json.dumps(data))
+    datum, fan = table2 / "table2.datum.json", table2 / "table2.P4.fan.json"
+    if name.endswith(".trop.json"):
+        argv = ["compare", str(bad), str(table2 / name)]
+    else:
+        datum, fan = (bad, fan) if "datum" in name else (datum, bad)
+        argv = ["validate", "--datum", str(datum), "--fan", str(fan)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        assert main(argv) == 2
+    assert err.getvalue().count("\n") == 1, err.getvalue()
+    assert "expected a" in err.getvalue()

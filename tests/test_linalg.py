@@ -19,10 +19,18 @@ from sphtrop.linalg import (
     project_to_chart,
     rational_from_input,
     rref,
-    vadd,
     vec,
-    vscale,
 )
+
+
+# Vector sum and scalar multiple in exact arithmetic, for the oracles here
+# and in other test modules.
+def vadd(u: Sequence, v: Sequence) -> Vector:
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def vscale(c, u: Sequence) -> Vector:
+    return tuple(c * a for a in u)
 
 
 def test_primitive_scales_and_fixes_sign():

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphtrop.linalg import (dot, embed_from_chart, is_zero_vec, primitive,
-                            project_to_chart, rref, vadd, vec)
+                            project_to_chart, rref, vec)
 from sphtrop.polyhedra import Cone, _dd, affine_feasible, quotient_chart
 from sphtrop.spherical import _facet_separates
-from test_linalg import project_off
+from test_linalg import project_off, vadd
 
 
 def test_generators_inequalities_round_trip():
@@ -86,6 +86,20 @@ def test_affine_feasible():
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         Cone.from_generators([(1, 0, 0)], 2)
+
+
+# The zero cone has no generators, so only the ambient dimensions differ.
+C3 = Cone.from_generators([(1, 0, 0), (0, 1, 0)], 3)
+
+
+def test_is_face_of_rejects_another_ambient_dimension():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        Cone.zero(2).is_face_of(C3)
+
+
+def test_contains_cone_rejects_another_ambient_dimension():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        C3.contains_cone(Cone.zero(2))
 
 
 # -- properties --------------------------------------------------------------
@@ -395,7 +409,11 @@ def two_sweep_cone(ambient_dim, gens):
     lin_rows = tuple(rref(lin)[0]) if lin else ()
     canon_rays = tuple(sorted(
         {primitive(project_off(r, lin_rows)) for r in rays}))
-    return Cone(ambient_dim, canon_rays, lin_rows, ineqs, equations)
+    # The ray-facet incidence, by one dot product per ray and facet.
+    incidence = tuple(sum(1 << i for i, r in enumerate(canon_rays)
+                          if dot(a, r) == 0) for a in ineqs)
+    return Cone(ambient_dim, canon_rays, lin_rows, ineqs, equations,
+                incidence)
 
 
 @st.composite
@@ -434,3 +452,4 @@ def test_property_from_generators_is_the_two_sweep_cone(case):
     assert got.rays == want.rays and got.lineality == want.lineality
     assert got.inequalities == want.inequalities
     assert got.equations == want.equations
+    assert got.incidence == want.incidence

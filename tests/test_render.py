@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 
 from sphtrop import render
 from sphtrop.linalg import (Vector, dot, embed_from_chart, is_zero_vec,
-                            primitive, vadd, vec, vscale)
+                            primitive, vec)
 from sphtrop.polyhedra import Cone
 from sphtrop.spherical import Color, ColoredCone, ColoredFan, SphericalDatum
 from sphtrop.troposphere import ExtendedTrop, Stratum, tropicalize_embedding
+from test_linalg import vadd, vscale
 
 # -- oracle: sphtrop.render as it was before it dropped ``extent``, verbatim --
 

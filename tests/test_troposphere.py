@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from sphtrop.examples import all_fans, blowup_a4, table2_datum
 from sphtrop.fundthm import TropicalComplex, extended_trop_sets
-from sphtrop.linalg import vadd, vscale
 from sphtrop.polyhedra import Cone, quotient_chart
 from sphtrop.puiseux import INF, ValuedPolynomial
 from sphtrop.spherical import Color, ColoredCone, ColoredFan, SphericalDatum
@@ -19,7 +18,7 @@ from sphtrop.troposphere import (
     stratum_valuation_cone,
     tropicalize_embedding,
 )
-from test_linalg import gram_project_to_chart
+from test_linalg import gram_project_to_chart, vadd, vscale
 from test_polyhedra import rows
 
 
