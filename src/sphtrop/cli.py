@@ -32,12 +32,26 @@ class DomainError(Exception):
     pass
 
 
-def _load_json(path: str) -> dict:
+def _read(path: str) -> str:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return fh.read()
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}")
+
+
+def _write(path: str, text: str):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e}")
+
+
+def _load_json(path: str) -> dict:
+    text = _read(path)
+    try:
+        return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as e:
         raise InputError(f"malformed JSON in {path}: {e}")
 
@@ -55,8 +69,7 @@ def _load_poly(source: str, laurent: bool) -> ValuedPolynomial:
         if os.path.exists(source):
             if source.endswith(".json"):
                 return jsonio.polynomial_from_json(_load_json(source))
-            with open(source) as fh:
-                return ValuedPolynomial.parse(fh.read(), laurent=laurent)
+            return ValuedPolynomial.parse(_read(source), laurent=laurent)
         return ValuedPolynomial.parse(source, laurent=laurent)
     except (KeyError, ValueError, TypeError) as e:
         raise InputError(f"cannot parse polynomial: {e}")
@@ -64,8 +77,7 @@ def _load_poly(source: str, laurent: bool) -> ValuedPolynomial:
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -196,11 +208,13 @@ EXAMPLES = {
 
 def cmd_examples(args) -> int:
     outdir = args.out or "."
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as e:
+        raise InputError(f"cannot write {outdir}: {e}")
     for name, payload in EXAMPLES[args.name](args.name):
         path = os.path.join(outdir, name)
-        with open(path, "w") as fh:
-            fh.write(jsonio.dumps(payload))
+        _write(path, jsonio.dumps(payload))
         print(path)
     return 0
 
@@ -219,12 +233,10 @@ def cmd_render(args) -> int:
     except (KeyError, ValueError, TypeError) as e:
         raise InputError(f"bad tropicalization file: {e}")
     try:
-        if args.format == "svg":
-            _emit(render_svg(trop), args.out)
-        else:
-            _emit(render_ascii(trop), args.out)
+        figure = render_svg(trop) if args.format == "svg" else render_ascii(trop)
     except ValueError as e:
         raise DomainError(str(e))
+    _emit(figure, args.out)
     return 0
 
 

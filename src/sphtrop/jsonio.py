@@ -190,10 +190,18 @@ def polynomial_to_json(f: ValuedPolynomial) -> dict:
 
 
 def polynomial_from_json(data) -> ValuedPolynomial:
-    coeffs = {tuple(t["exponents"]): scalar_from_json(t["coefficient"])
-              for t in data["terms"]}
+    laurent = data["laurent"]
+    if type(laurent) is not bool:
+        raise InputError(f"expected laurent to be true or false, "
+                         f"got {laurent!r}")
+    coeffs = {}
+    for t in data["terms"]:
+        u = tuple(t["exponents"])
+        if u in coeffs:
+            raise InputError(f"repeated exponent vector {list(u)}")
+        coeffs[u] = scalar_from_json(t["coefficient"])
     return ValuedPolynomial.from_dict(
-        dim_from_json(data["nvars"]), coeffs, laurent=data["laurent"])
+        dim_from_json(data["nvars"]), coeffs, laurent=laurent)
 
 
 def complex_to_json(cx: TropicalComplex) -> dict:

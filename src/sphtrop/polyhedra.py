@@ -8,15 +8,16 @@ in exact arithmetic, so equality of cones is decidable and deterministic.
 The sweep (``_dd``) is fraction-free: it scales every row to a primitive
 integer row, updates rays and lineality vectors with ``linalg.eliminate``
 (cross-multiplication followed by division by the gcd), and returns
-primitive ``int`` vectors.  ``linalg.rref`` reduces with the same step.
-Every ``Cone`` is built by ``Cone.from_generators`` from one V -> H sweep
-and the ray-facet incidence, in canonical form: facets primitive modulo
-the span, rays modulo the lineality space (``linalg.orthogonal_parts``),
+primitive ``int`` vectors, each ray with its tight set as an ``int`` mask.
+It is the one place that decides zero patterns.  ``linalg.rref`` reduces
+with the same step.  Every ``Cone`` is built by ``Cone.from_generators``
+from one V -> H sweep, in canonical form: facets primitive modulo the
+span, rays modulo the lineality space (``linalg.orthogonal_parts``),
 lineality and equations the primitive reduced rows of ``rref``.  That
 key decides ``==`` and ``hash``.  All four are ``int`` tuples; input rows
-may hold ``Fraction`` entries.  The cone keeps the incidence: bit i of
-``incidence[k]`` is set when facet k is zero on ray i.  Nothing else
-computes it.  Construction is memoised on the ambient dimension and the
+may hold ``Fraction`` entries.  The cone keeps the incidence (bit i of
+``incidence[k]`` is set when facet k is zero on ray i), read off the
+sweep's masks.  Construction is memoised on the ambient dimension and the
 set of nonzero input generators in an LRU cache of at most
 ``CONE_CACHE_SIZE`` entries; a hit returns the same immutable ``Cone``.
 ``from_inequalities`` keeps no cache of its own: one keyed on inequality
@@ -28,7 +29,7 @@ alone, and ``intersect`` returns a cone that lies inside the other, by
 exact dot products, without a sweep.
 
 ``affine_feasible`` decides an affine system of equations, weak and strict
-inequalities on the same sweep, so ``_dd`` is the one polyhedral algorithm.
+inequalities from the same sweep's masks, so ``_dd`` is the one algorithm.
 
 ``quotient_chart`` fixes the canonical basis of the orthogonal complement of
 a span.  Coordinates in such a chart come from one routine,
@@ -40,7 +41,7 @@ generators through ``troposphere.Stratum.of``, one point through
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 from .linalg import (
@@ -57,17 +58,18 @@ from .linalg import (
 
 
 def _dd(equations: Sequence[Sequence], inequalities: Sequence[Sequence],
-        dim: int) -> tuple[list[IntVector], list[IntVector]]:
+        dim: int) -> tuple[list[IntVector], list[tuple[IntVector, int]]]:
     """Generators of {x : e.x = 0 for e in equations, a.x >= 0 for a in inequalities}.
 
-    Returns (lineality basis, extreme rays).  Rays are extreme modulo the
-    lineality space.  The sweep is fraction-free: every row is scaled to a
-    primitive integer row, and every new vector comes from
+    Returns (lineality basis, [(ray, mask), ...]); rays are extreme modulo
+    the lineality space, and bit i of a ray's ``int`` mask is set when
+    inequality i is zero on it.  The sweep is fraction-free: every row is
+    scaled to a primitive integer row, and every new vector comes from
     ``linalg.eliminate`` (cross-multiplication, then division by the gcd),
     so every result is a primitive ``int`` vector.
     """
     lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    rays: list[tuple[tuple[int, ...], frozenset[int]]] = []
+    rays: list[tuple[IntVector, int]] = []
 
     def cut(vals: list[int], j: int) -> list[tuple[int, ...]]:
         """The lineality basis with lin[j] traded for the row's kernel."""
@@ -88,10 +90,9 @@ def _dd(equations: Sequence[Sequence], inequalities: Sequence[Sequence],
             # a cuts the lineality space: one lineality generator becomes a ray.
             l0, v0 = lin[j], vals[j]
             lin = cut(vals, j)
-            rays = [(eliminate(r, dot(a, r), l0, v0), tight | {idx})
+            rays = [(eliminate(r, dot(a, r), l0, v0), tight | 1 << idx)
                     for r, tight in rays]
-            newray = l0 if v0 > 0 else tuple(-x for x in l0)
-            rays.append((newray, frozenset(range(idx))))
+            rays.append((l0 if v0 > 0 else vneg(l0), (1 << idx) - 1))
             continue
         pos, zero, neg = [], [], []
         for k, (r, tight) in enumerate(rays):
@@ -101,22 +102,20 @@ def _dd(equations: Sequence[Sequence], inequalities: Sequence[Sequence],
             elif s < 0:
                 neg.append((k, r, tight, s))
             else:
-                zero.append((r, tight | {idx}))
+                zero.append((r, tight | 1 << idx))
         kept = [(r, t) for _, r, t, _ in pos] + zero
         for kp, rp, tp, sp in pos:
             for kn, rn, tn, sn in neg:
                 common = tp & tn
-                adjacent = not any(
-                    common <= t for k, (_, t) in enumerate(rays)
-                    if k != kp and k != kn)
-                if not adjacent:
-                    continue
+                if any(common & t == common for k, (_, t) in enumerate(rays)
+                       if k != kp and k != kn):
+                    continue  # not adjacent
                 w = eliminate(rn, sn, rp, sp)
                 if any(w):
-                    kept.append((w, common | {idx}))
+                    kept.append((w, common | 1 << idx))
         rays = kept
 
-    return lin, [r for r, _ in rays]
+    return lin, rays
 
 
 class Cone:
@@ -155,7 +154,7 @@ class Cone:
         if any(len(row) != ambient_dim for row in ineqs + eqs):
             raise ValueError("inequality dimension mismatch")
         lin, rays = _dd(eqs, ineqs, ambient_dim)
-        gens = list(rays) + list(lin) + [vneg(l) for l in lin]
+        gens = [r for r, _ in rays] + lin + [vneg(l) for l in lin]
         return cls.from_generators(gens, ambient_dim)
 
     @classmethod
@@ -276,14 +275,17 @@ def _cone_from_generators(ambient_dim: int, gens: frozenset[tuple]) -> Cone:
     lineality, whose extreme rays are generators tight on more facets."""
     dlin, drays = _dd([], list(gens), ambient_dim)
     equations = tuple(rref(dlin)[0])
-    ineqs = tuple(sorted(set(orthogonal_parts(drays, equations))))
+    # Facet -> mask of the generators zero on it, kept by the projection.
+    zeros = dict(zip(orthogonal_parts((r for r, _ in drays), equations),
+                     (m for _, m in drays)))
+    ineqs = tuple(sorted(zeros))
     lin_rows = tuple(rref(kernel_basis(equations + ineqs, ambient_dim))[0])
-    tight = {r: frozenset(i for i, a in enumerate(ineqs) if dot(a, r) == 0)
-             for r in orthogonal_parts(gens, lin_rows) if any(r)}
+    tight = {r: sum(1 << k for k, a in enumerate(ineqs) if zeros[a] >> i & 1)
+             for i, r in enumerate(orthogonal_parts(gens, lin_rows)) if any(r)}
     rays = tuple(sorted(r for r, t in tight.items()
-                        if not any(t < u for u in tight.values())))
-    incidence = tuple(sum(1 << i for i, r in enumerate(rays) if k in tight[r])
-                      for k in range(len(ineqs)))
+                        if not any(t & u == t != u for u in tight.values())))
+    incidence = tuple(sum(1 << i for i, r in enumerate(rays)
+                          if tight[r] >> k & 1) for k in range(len(ineqs)))
     return Cone(ambient_dim, rays, lin_rows, ineqs, equations, incidence)
 
 
@@ -313,9 +315,9 @@ def affine_feasible(equalities: Sequence[tuple[Sequence, Fraction]],
 
     Constraints are (coefficient vector, rhs) pairs.  The system is
     homogenized with one more coordinate s >= 0: a row (c, r) becomes
-    c.x - r s = 0 or >= 0.  It is feasible exactly when s and every strict
-    row are positive on some extreme ray of that cone: all of them are
-    nonnegative on the cone, so the sum of the rays is then one witness.
+    c.x - r s = 0 or >= 0.  It is feasible exactly when neither s nor any
+    strict row is zero on every ray (one AND over the masks): all of them
+    are nonnegative on the cone, so the sum of the rays is then a witness.
     """
     def homogenize(rows):
         return [(*c, -r) for c, r in rows]
@@ -323,4 +325,4 @@ def affine_feasible(equalities: Sequence[tuple[Sequence, Fraction]],
     positive = homogenize(strict) + [(0,) * dim + (1,)]
     _, rays = _dd(homogenize(equalities), homogenize(weak) + positive,
                   dim + 1)
-    return all(any(dot(f, r) > 0 for r in rays) for f in positive)
+    return reduce(int.__and__, (t for _, t in rays), -1) >> len(weak) == 0

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 from .linalg import (IntVector, Vector, chart_coordinates, dot,
                      embed_from_chart, project_to_chart, vec)
-from .polyhedra import Cone, affine_feasible, quotient_chart
+from .polyhedra import Cone, quotient_chart
 from .puiseux import INF, ExtendedRational
 from .spherical import (
     ColoredCone,
@@ -133,7 +133,7 @@ def tropicalize_embedding(datum: SphericalDatum, fan: ColoredFan
 
     Faces shared by several cones are glued, i.e. contribute one stratum.
     The faces below a colored face are the colored faces of its maximal
-    cone that it contains.
+    cone whose canonical rays are among its own.
     """
     report = validate_colored_fan(datum, fan)
     if not report.ok:
@@ -147,7 +147,7 @@ def tropicalize_embedding(datum: SphericalDatum, fan: ColoredFan
             if key not in strata:
                 strata[key] = Stratum.of(datum, f)
             sub = frozenset(stratum_key(g) for g in faces
-                            if f.cone.contains_cone(g.cone))
+                            if set(g.cone.rays) <= set(f.cone.rays))
             face_of[key] = face_of.get(key, frozenset()) | sub
     return ExtendedTrop(datum.rank, list(strata.values()), face_of)
 
@@ -201,8 +201,9 @@ def assemble_subvariety_trop(trop: ExtendedTrop,
                              ) -> TropSubset:
     """Tag user- or fundthm-supplied polyhedral sets onto the strata.
 
-    Each set must live inside the stratum's valuation cone; containment is
-    checked exactly, cell by cell.
+    Each set must live inside the stratum's valuation cone.  A cell with
+    homogenization h (rows (c, -r) and s >= 0) is empty when s = 0 on h,
+    and else lies in the cone exactly when the w-parts of h's generators do.
     """
     tagged = {}
     for key, cx in per_stratum_sets.items():
@@ -211,17 +212,14 @@ def assemble_subvariety_trop(trop: ExtendedTrop,
         s = trop.strata[key]
         if cx.ambient_dim != s.quotient_dim:
             raise ValueError("set dimension does not match the stratum")
-        cone = s.valuation_cone_image
-        halfspaces = ([(h, 0) for h in cone.inequalities]
-                      + [(e, 0) for e in cone.equations]
-                      + [(tuple(-x for x in e), 0) for e in cone.equations])
+        n = cx.ambient_dim
         for cell in cx.cells:
-            for coeffs, rhs in halfspaces:
-                escapes = affine_feasible(
-                    list(cell.equalities), list(cell.inequalities),
-                    [(tuple(-c for c in coeffs), -rhs)], cx.ambient_dim)
-                if escapes:
-                    raise ValueError(
-                        "set escapes the stratum's valuation cone")
+            h = Cone.from_inequalities(
+                [(*c, -r) for c, r in cell.inequalities] + [(0,) * n + (1,)],
+                n + 1, [(*c, -r) for c, r in cell.equalities])
+            if any(r[-1] for r in h.rays) and not all(
+                    s.valuation_cone_image.contains(g[:n])
+                    for g in h.generators):
+                raise ValueError("set escapes the stratum's valuation cone")
         tagged[key] = cx
     return TropSubset(trop, tagged)

@@ -178,10 +178,10 @@ def random_colored_cone(rng, datum):
     return cc
 
 
-def random_valid_fans(seed=987, count=100):
-    rng = random.Random(seed)
-    fans = []
-    while len(fans) < count:
+def random_valid_fan(rng):
+    """A random datum and the colored faces of one or two random colored
+    cones on it, drawn again until they form a valid fan."""
+    while True:
         datum = random_datum(rng, rng.randint(1, 3))
         cc = random_colored_cone(rng, datum)
         if cc is None:
@@ -194,8 +194,12 @@ def random_valid_fans(seed=987, count=100):
                 members.setdefault((f.cone.canonical_key(), f.colors), f)
         fan = ColoredFan(tuple(members.values()))
         if validate_colored_fan(datum, fan).ok:
-            fans.append((datum, fan))
-    return fans
+            return datum, fan
+
+
+def random_valid_fans(seed=987, count=100):
+    rng = random.Random(seed)
+    return [random_valid_fan(rng) for _ in range(count)]
 
 
 def test_criterion_6_grobner_equals_facewise():

@@ -435,3 +435,44 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert rc == 2 and err.count("\n") == 1
     assert err.startswith("error: ") and "malformed JSON in" in err
+
+
+def file_error(capsys, verb):
+    """One stderr line saying the file could not be read or written."""
+    err = capsys.readouterr().err
+    return (err.startswith("error: ") and err.count("\n") == 1
+            and f"cannot {verb} " in err and "Traceback" not in err)
+
+
+def test_poly_file_that_is_a_directory_exits_2(tmp_path, capsys):
+    rc = main(["poly", "trop", "--poly", str(tmp_path), "--weight", "1"])
+    assert rc == 2 and file_error(capsys, "read")
+
+
+@pytest.mark.parametrize("argv", [
+    ["poly", "trop", "--poly", "x1 + 1", "--weight", "1"],
+    ["poly", "hypersurface", "--poly", "x1 + x2 + 1"],
+    ["validate", "--datum", "CORPUS/table2.datum.json",
+     "--fan", "CORPUS/table2.P4.fan.json"],
+    ["render", "--trop", "CORPUS/table2.Bl0A4.trop.json"],
+], ids=["poly-trop", "poly-hypersurface", "validate", "render"])
+def test_out_in_a_missing_directory_exits_2(corpus, tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "x.json"
+    argv = [a.replace("CORPUS", str(corpus)) for a in argv]
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 2 and file_error(capsys, "write")
+    assert not out.parent.exists()
+
+
+def test_examples_out_that_is_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    assert main(["examples", "table2", "--out", str(taken)]) == 2
+    assert file_error(capsys, "write")
+    assert taken.read_text() == "not a directory"
+
+
+def test_examples_file_that_cannot_be_written_exits_2(tmp_path, capsys):
+    (tmp_path / "table2.datum.json").mkdir()
+    assert main(["examples", "table2", "--out", str(tmp_path)]) == 2
+    assert file_error(capsys, "write")

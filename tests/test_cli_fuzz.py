@@ -181,3 +181,51 @@ def test_colors_and_names_of_another_type_exit_2(table2, name, edit):
         assert main(argv) == 2
     assert err.getvalue().count("\n") == 1, err.getvalue()
     assert "expected a" in err.getvalue()
+
+
+def term(exponents, coeff):
+    return {"exponents": exponents,
+            "coefficient": [{"exponent": "0", "coeff": coeff}]}
+
+
+def poly_exit_code(tmp_path, data):
+    """The exit code of two commands on the polynomial file, and whether
+    each wrote exactly one line to stderr."""
+    path = tmp_path / "bad.poly.json"
+    path.write_text(json.dumps(data))
+    codes = []
+    for argv in (["poly", "hypersurface"], ["poly", "trop", "--weight", "1"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = main(argv + ["--poly", str(path)])
+        codes.append((rc, err.getvalue().count("\n")))
+    return codes
+
+
+@pytest.mark.parametrize("laurent", ["no", "false", 1, [False]],
+                         ids=["string-no", "string-false", "int", "list"])
+def test_laurent_flag_of_another_type_exits_2(tmp_path, laurent):
+    """A "laurent" flag that is not a JSON boolean is malformed input, not
+    read by its truthiness: with "no", x1^-1 must not load as Laurent."""
+    data = {"nvars": 1, "laurent": laurent,
+            "terms": [term([-1], "1"), term([0], "1")]}
+    assert poly_exit_code(tmp_path, data) == [(2, 1), (2, 1)]
+
+
+@pytest.mark.parametrize("terms", [
+    [term([1], "1"), term([1], "-1"), term([0], "1")],
+    [term([1], "2"), term([0], "1"), term([1], "2")],
+], ids=["cancelling", "equal"])
+def test_repeated_exponent_vector_exits_2(tmp_path, terms):
+    """Two terms with one exponent vector are malformed input: neither
+    silently dropped (the last one winning) nor summed."""
+    data = {"nvars": 1, "laurent": False, "terms": terms}
+    assert poly_exit_code(tmp_path, data) == [(2, 1), (2, 1)]
+
+
+def test_boolean_laurent_flag_and_distinct_exponents_still_load(tmp_path):
+    for laurent in (True, False):
+        data = {"nvars": 1, "laurent": laurent,
+                "terms": [term([1], "1"), term([0], "1")]}
+        assert poly_exit_code(tmp_path, data) == [(0, 0), (0, 0)]

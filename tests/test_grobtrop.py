@@ -16,6 +16,7 @@ from sphtrop.puiseux import INF, ValuedPolynomial
 from sphtrop.spherical import ColoredCone, ColoredFan, ValidationReport
 from sphtrop.troposphere import (ExtendedTrop, stratum_key,
                                  tropicalize_embedding)
+from test_polyhedra import dd_is_face_of
 from test_spherical import data_and_collections
 
 
@@ -106,12 +107,14 @@ class TestComparison:
 
 
 def former_adjacency(datum, fan):
-    """The Groebner route's adjacency loop before its dimension pre-filter."""
+    """The Groebner route's adjacency loop before its dimension pre-filter,
+    with each face test made by one double-description sweep
+    (``dd_is_face_of``) instead of the route's ``Cone.is_face_of``."""
     adjacency = {}
     for a in fan.cones:
         below = set()
         for b in fan.cones:
-            if not b.cone.is_face_of(a.cone):
+            if not dd_is_face_of(b.cone, a.cone):
                 continue
             inherited = frozenset(
                 name for name in a.colors

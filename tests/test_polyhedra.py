@@ -221,13 +221,18 @@ def test_property_dual_of_dual(c):
     st.just(d), rows(d, 2), rows(d, 6))))
 def test_property_dd_generators_satisfy_every_row(system):
     dim, equations, inequalities = system
-    lin, rays = _dd([vec(e) for e in equations],
-                    [vec(a) for a in inequalities], dim)
+    lin, pairs = _dd([vec(e) for e in equations],
+                     [vec(a) for a in inequalities], dim)
+    rays = [r for r, _ in pairs]
     for e in equations:
         assert all(dot(vec(e), g) == 0 for g in lin + rays)
     for a in inequalities:
         assert all(dot(vec(a), l) == 0 for l in lin)
         assert all(dot(vec(a), r) >= 0 for r in rays)
+    # each mask is the ray's zero pattern over the inequalities
+    for r, mask in pairs:
+        assert mask == sum(1 << i for i, a in enumerate(inequalities)
+                           if dot(vec(a), r) == 0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -342,6 +347,27 @@ def test_property_is_face_of_agrees_with_summed_facet_sweep(pair):
     assert b.is_face_of(a) == dd_is_face_of(b, a)
 
 
+@st.composite
+def pyramids(draw):
+    """A pointed cone over random points at height 1 in dimension 3 or 4:
+    it often has more rays than its dimension, so that some sets of its
+    rays span no face."""
+    dim = draw(st.integers(3, 4))
+    base = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * (dim - 1)),
+                         min_size=dim, max_size=7))
+    return Cone.from_generators([p + (1,) for p in base], dim)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pyramids(), st.data())
+def test_property_is_face_of_rejects_spans_of_rays_that_are_no_face(c, data):
+    """The span of two or more rays of a cone is a face only when the
+    summed-facet sweep says so (two opposite rays of a square are not)."""
+    rays = data.draw(st.lists(st.sampled_from(c.rays), min_size=2))
+    span = Cone.from_generators(rays, c.ambient_dim)
+    assert span.is_face_of(c) == dd_is_face_of(span, c)
+
+
 @settings(max_examples=200, deadline=None)
 @given(related_pairs())
 def test_property_intersect_agrees_with_joined_system(pair):
@@ -400,12 +426,14 @@ def two_sweep_cone(ambient_dim, gens):
     ray projected off a span by the ``Fraction`` Gram solve."""
     # V -> H: the dual cone's generators are our facets and span equations.
     dlin, drays = _dd([], list(gens), ambient_dim)
+    drays = [r for r, _ in drays]
     equations = tuple(rref(dlin)[0])
     ineqs = tuple(sorted(
         a for a in {primitive(project_off(r, equations)) for r in drays}
         if not is_zero_vec(a)))
     # H -> V again for a canonical generator description.
     lin, rays = _dd(equations, ineqs, ambient_dim)
+    rays = [r for r, _ in rays]
     lin_rows = tuple(rref(lin)[0]) if lin else ()
     canon_rays = tuple(sorted(
         {primitive(project_off(r, lin_rows)) for r in rays}))

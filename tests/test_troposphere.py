@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -5,19 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphtrop.examples import all_fans, blowup_a4, table2_datum
-from sphtrop.fundthm import TropicalComplex, extended_trop_sets
-from sphtrop.polyhedra import Cone, quotient_chart
+from sphtrop.fundthm import (Cell, TropicalComplex, canonical_constraint,
+                             extended_trop_sets)
+from sphtrop.polyhedra import Cone, affine_feasible, quotient_chart
 from sphtrop.puiseux import INF, ValuedPolynomial
-from sphtrop.spherical import Color, ColoredCone, ColoredFan, SphericalDatum
+from sphtrop.spherical import (Color, ColoredCone, ColoredFan, SphericalDatum,
+                               colored_faces)
 from sphtrop.troposphere import (
     Stratum,
+    TropSubset,
     assemble_subvariety_trop,
     contains_point,
     evaluate_point,
     limit_point,
+    stratum_key,
     stratum_valuation_cone,
     tropicalize_embedding,
 )
+from test_acceptance import arrangement_fan, random_valid_fan
+from test_fundthm import valued_polynomials
 from test_linalg import gram_project_to_chart, vadd, vscale
 from test_polyhedra import rows
 
@@ -214,3 +221,129 @@ def test_stratum_matches_the_gram_solve_on_extreme_faces(face,
     assert s.quotient_dim == 3 - face.dim()
     if face.dim() == 3:  # empty chart: the image is the point of R^0
         assert s.chart == () and s.valuation_cone_image == Cone.zero(0)
+
+
+# -- valid fans, for the properties below ------------------------------------
+
+@st.composite
+def valid_fans(draw):
+    """A valid colored fan: the colored faces of one or two random colored
+    cones on a random datum, or a complete hyperplane-arrangement fan of
+    rank 1-3 with V the whole space and no colors."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        return random_valid_fan(rng)
+    m = rng.randint(1, 3)
+    return (SphericalDatum(m, Cone.full_space(m), ()),
+            ColoredFan(tuple(map(ColoredCone, arrangement_fan(rng, m)))))
+
+
+# -- sub-face sets against the former containment loop -----------------------
+
+def contains_cone_adjacency(datum, fan):
+    """The sub-face sets of ``tropicalize_embedding`` before they were read
+    off ray sets: one ``contains_cone`` test per pair of colored faces of
+    each maximal cone, kept as an oracle."""
+    face_of = {}
+    for cc in fan.maximal_cones():
+        faces = colored_faces(datum, cc)
+        for f in faces:
+            key = stratum_key(f)
+            sub = frozenset(stratum_key(g) for g in faces
+                            if f.cone.contains_cone(g.cone))
+            face_of[key] = face_of.get(key, frozenset()) | sub
+    return face_of
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_fans())
+def test_property_adjacency_is_the_contains_cone_loop(case):
+    datum, fan = case
+    assert (tropicalize_embedding(datum, fan).adjacency
+            == contains_cone_adjacency(datum, fan))
+
+
+# -- one sweep per cell against one sweep per cell and halfspace -------------
+
+def per_halfspace_assemble(trop, per_stratum_sets):
+    """``assemble_subvariety_trop`` before it swept each cell once, kept
+    verbatim as an oracle: one ``affine_feasible`` sweep per pair of a cell
+    and a halfspace of the stratum cone."""
+    tagged = {}
+    for key, cx in per_stratum_sets.items():
+        if key not in trop.strata:
+            raise KeyError(f"unknown stratum key {key!r}")
+        s = trop.strata[key]
+        if cx.ambient_dim != s.quotient_dim:
+            raise ValueError("set dimension does not match the stratum")
+        cone = s.valuation_cone_image
+        halfspaces = ([(h, 0) for h in cone.inequalities]
+                      + [(e, 0) for e in cone.equations]
+                      + [(tuple(-x for x in e), 0) for e in cone.equations])
+        for cell in cx.cells:
+            for coeffs, rhs in halfspaces:
+                escapes = affine_feasible(
+                    list(cell.equalities), list(cell.inequalities),
+                    [(tuple(-c for c in coeffs), -rhs)], cx.ambient_dim)
+                if escapes:
+                    raise ValueError(
+                        "set escapes the stratum's valuation cone")
+        tagged[key] = cx
+    return TropSubset(trop, tagged)
+
+
+@st.composite
+def cells(draw, stratum):
+    """A cell in the stratum's chart: random rows (it mostly escapes V_tau),
+    the rows of V_tau with shifted right-hand sides and extra rows (it lies
+    inside), or a pair of contradictory rows (it is empty)."""
+    n = stratum.quotient_dim
+    row = st.tuples(st.tuples(*[st.integers(-2, 2)] * n), st.integers(-2, 2))
+    eqs, ineqs = draw(st.lists(row, max_size=1)), draw(st.lists(row,
+                                                                max_size=3))
+    kind = draw(st.sampled_from(["random", "inside", "contradictory"]))
+    if kind == "inside":
+        cone = stratum.valuation_cone_image
+        ineqs += [(h, draw(st.integers(0, 2))) for h in cone.inequalities]
+        eqs = [(e, 0) for e in cone.equations] + eqs[:draw(st.integers(0, 1))]
+    elif kind == "contradictory":
+        c, r = draw(row)
+        ineqs += [(c, r), (tuple(-x for x in c), 1 - r)]
+    return Cell(n, tuple(canonical_constraint(c, r) for c, r in eqs),
+                tuple(canonical_constraint(c, r) for c, r in ineqs))
+
+
+@st.composite
+def trops_and_sets(draw):
+    """A tropicalization of a valid fan and, on some of its strata, a
+    complex of the stratum's dimension: a per-orbit set of a random
+    polynomial, the whole space, or up to three cells from ``cells``."""
+    trop = tropicalize_embedding(*draw(valid_fans()))
+    pool = extended_trop_sets(draw(valued_polynomials())).values()
+    sets = {}
+    for key in draw(st.lists(st.sampled_from(list(trop.strata)), max_size=3,
+                             unique=True)):
+        s = trop.strata[key]
+        n = s.quotient_dim
+        options = [TropicalComplex.whole_space(n), TropicalComplex(
+            n, tuple(draw(st.lists(cells(s), min_size=1, max_size=3))))]
+        options += [cx for cx in pool if cx.ambient_dim == n]
+        sets[key] = draw(st.sampled_from(options))
+    return trop, sets
+
+
+def outcome(assemble, trop, sets):
+    try:
+        return assemble(trop, sets).sets
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trops_and_sets())
+def test_property_one_sweep_per_cell_is_the_per_halfspace_loop(case):
+    """Both accept or both raise, on the whole family and on each set."""
+    trop, sets = case
+    for part in [sets] + [{k: cx} for k, cx in sets.items()]:
+        assert (outcome(assemble_subvariety_trop, trop, part)
+                == outcome(per_halfspace_assemble, trop, part))
