@@ -82,6 +82,7 @@ def _dd(equations: Sequence[Sequence], inequalities: Sequence[Sequence],
         j = next((i for i, v in enumerate(vals) if v), None)
         if j is not None:
             lin = cut(vals, j)
+    base = len(lin)
 
     for idx, a in enumerate(map(primitive, inequalities)):
         vals = [dot(a, l) for l in lin]
@@ -107,6 +108,11 @@ def _dd(equations: Sequence[Sequence], inequalities: Sequence[Sequence],
         for kp, rp, tp, sp in pos:
             for kn, rn, tn, sn in neg:
                 common = tp & tn
+                # Adjacent rays share at least base - len(lin) - 2 tight rows
+                # (Fukuda & Prodon 1996), also on a cone that is not
+                # full-dimensional: its implicit equalities are tight on both.
+                if common.bit_count() < base - len(lin) - 2:
+                    continue
                 if any(common & t == common for k, (_, t) in enumerate(rays)
                        if k != kp and k != kn):
                     continue  # not adjacent

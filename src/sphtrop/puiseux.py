@@ -4,8 +4,10 @@ Coefficients live in Q((t^(1/n))) restricted to finite support; the base
 field is Q.  Tropical evaluation and initial forms follow the min-plus
 convention, with infinity handled explicitly: an infinite weight entry
 sends every monomial with a nonzero exponent there to infinity.
-Term weights clear the denominators of the weight once and compare
-``int`` dot products; each finite term weight costs one ``Fraction``.
+Term weights are ``int``s: each polynomial scales its valuations once by
+their common denominator, and each weight clears its own denominators once,
+so ``trop_eval`` builds one ``Fraction`` (its minimum) and ``initial_form``
+picks the minimal terms by ``int`` comparison.
 Text is parsed in one pass into one dict of monomials t^e x^u: a sum adds
 into it, a product pairs the terms of its factors (at most
 ``MAX_TERM_PAIRS`` pairs over all products), parentheses nest at most
@@ -17,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -71,16 +74,6 @@ ExtendedWeight = tuple[ExtendedRational, ...]
 
 def is_finite(x) -> bool:
     return x is not INF
-
-
-def q_min(values: Iterable[ExtendedRational]) -> ExtendedRational:
-    best: ExtendedRational = INF
-    for v in values:
-        if v is INF:
-            continue
-        if best is INF or v < best:
-            best = v
-    return best
 
 
 @dataclass(frozen=True)
@@ -193,26 +186,30 @@ def _bounded_product(a: PuiseuxScalar, b: PuiseuxScalar) -> PuiseuxScalar:
     return a * b
 
 
-def _term_weights(terms: Iterable[tuple[tuple[int, ...], PuiseuxScalar]],
-                  w: ExtendedWeight) -> list[ExtendedRational]:
-    """v(c) + u.w for every term (u, c), with the infinity convention.
+_Scaled = tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]
 
-    The finite entries of w are scaled once to ``int``s over a common
-    denominator, so each finite term weight is one ``int`` dot product and
-    one ``Fraction``.  A term with a nonzero exponent at an infinite entry
-    weighs infinity.
+
+def _scale(terms: Sequence[tuple[tuple[int, ...], PuiseuxScalar]]) -> _Scaled:
+    """The exponent vectors, the valuations times dv, and dv, the lcm of
+    the valuations' denominators."""
+    V, dv = clear_denominators([c.valuation() for _, c in terms])
+    return tuple(u for u, _ in terms), V, dv
+
+
+def _term_weights(scaled: _Scaled, w: ExtendedWeight
+                  ) -> tuple[list[int | None], int]:
+    """v(c) + u.w for every term (u, c), as ``int``s over one denominator.
+
+    Returns the numerators and their common denominator ``den * dv``: w's
+    finite entries are cleared once to ``W / den``, so each term weight is
+    ``v * den + dv * (u . W)`` for the scaled valuation ``v``.  A term with
+    a nonzero exponent at an infinite entry of w weighs infinity, ``None``.
     """
+    exps, V, dv = scaled
     inf_at = [i for i, x in enumerate(w) if x is INF]
     W, den = clear_denominators([0 if x is INF else x for x in w])
-    out: list[ExtendedRational] = []
-    for u, c in terms:
-        if any(u[i] for i in inf_at):
-            out.append(INF)
-        else:
-            v = c.valuation()
-            out.append(Fraction(v.numerator * den + v.denominator * dot(u, W),
-                                v.denominator * den))
-    return out
+    return [None if any(u[i] for i in inf_at) else v * den + dv * dot(u, W)
+            for u, v in zip(exps, V)], den * dv
 
 
 def _exp_str(e: Fraction) -> str:
@@ -308,9 +305,15 @@ class ValuedPolynomial:
 
     # -- tropical semantics -------------------------------------------
 
+    @cached_property
+    def _scaled(self) -> _Scaled:
+        return _scale(self.terms)
+
     def term_weight(self, u: tuple[int, ...], c: PuiseuxScalar,
                     w: Sequence[ExtendedRational]) -> ExtendedRational:
-        return _term_weights(((u, c),), tuple(w))[0]
+        """v(c) + u.w, with the infinity conventions of ``trop_eval``."""
+        (x,), d = _term_weights(_scale(((u, c),)), self._check_weight(w))
+        return INF if x is None else Fraction(x, d)
 
     def _check_weight(self, w: Sequence[ExtendedRational]) -> ExtendedWeight:
         w = tuple(w)
@@ -322,8 +325,9 @@ class ValuedPolynomial:
 
     def trop_eval(self, w: Sequence[ExtendedRational]) -> ExtendedRational:
         """min over terms of v(a_u) + u.w, with the infinity conventions."""
-        w = self._check_weight(w)
-        return q_min(_term_weights(self.terms, w))
+        xs, d = _term_weights(self._scaled, self._check_weight(w))
+        best = min((x for x in xs if x is not None), default=None)
+        return INF if best is None else Fraction(best, d)
 
     def initial_form(self, w: Sequence[ExtendedRational]) -> ResiduePolynomial:
         """Sum of residues of the weight-minimal terms; zero if the min is infinite."""
@@ -331,10 +335,10 @@ class ValuedPolynomial:
         best = self.trop_eval(w)
         if best is INF:
             return ResiduePolynomial.zero(self.nvars)
-        coeffs = {
-            u: c.leading_coefficient()
-            for (u, c), x in zip(self.terms, _term_weights(self.terms, w))
-            if x == best}
+        xs, d = _term_weights(self._scaled, w)
+        best = best.numerator * (d // best.denominator)
+        coeffs = {u: c.leading_coefficient()
+                  for (u, c), x in zip(self.terms, xs) if x == best}
         return ResiduePolynomial.from_dict(self.nvars, coeffs)
 
     def initial_form_substitution(self, w: Sequence[Fraction]) -> ResiduePolynomial:

@@ -17,6 +17,8 @@ from sphtrop.spherical import ColoredCone, ColoredFan, ValidationReport
 from sphtrop.troposphere import (ExtendedTrop, stratum_key,
                                  tropicalize_embedding)
 from test_polyhedra import dd_is_face_of
+from test_puiseux import (fraction_initial_form, fraction_term_weight,
+                          polynomials_and_weights, q_min)
 from test_spherical import data_and_collections
 
 
@@ -45,6 +47,31 @@ class TestGradedInitialForm:
         assert g.representative == f
         assert g.residue.is_zero()
         assert not g.is_unit_class()
+
+
+def fraction_graded_initial_form(f, v):
+    """The grade, representative, infinite part and residue of f under v,
+    from per-term ``Fraction`` sums."""
+    weights = [fraction_term_weight(u, c, v) for u, c in f.terms]
+    grade = q_min(weights)
+    finite_min = {u: c for (u, c), x in zip(f.terms, weights)
+                  if x is not INF and x == grade}
+    infinite = {u: c for (u, c), x in zip(f.terms, weights) if x is INF}
+    rep = f if grade is INF else ValuedPolynomial.from_dict(
+        f.nvars, finite_min, laurent=f.laurent)
+    return (grade, rep,
+            ValuedPolynomial.from_dict(f.nvars, infinite, laurent=f.laurent),
+            fraction_initial_form(f, v))
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomials_and_weights())
+def test_property_graded_initial_form_agrees_with_fraction_sums(case):
+    f, weights = case
+    for v in weights:
+        g = graded_initial_form(f, v)
+        assert (g.grade, g.representative, g.infinite_part, g.residue) == \
+            fraction_graded_initial_form(f, v)
 
 
 class TestGrobnerTrop:

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphtrop.linalg import (dot, embed_from_chart, is_zero_vec, primitive,
-                            project_to_chart, rref, vec)
+from sphtrop.linalg import (IntVector, dot, eliminate, embed_from_chart,
+                            is_zero_vec, primitive, project_to_chart, rref,
+                            vec, vneg)
 from sphtrop.polyhedra import Cone, _dd, affine_feasible, quotient_chart
 from sphtrop.spherical import _facet_separates
 from test_linalg import project_off, vadd
@@ -481,3 +482,82 @@ def test_property_from_generators_is_the_two_sweep_cone(case):
     assert got.inequalities == want.inequalities
     assert got.equations == want.equations
     assert got.incidence == want.incidence
+
+
+# -- the sweep against itself without the adjacency pre-test ---------------
+
+def dd_without_pretest(equations, inequalities, dim):
+    """The former ``_dd``, kept verbatim as an oracle: every pair of a
+    positive and a negative ray goes straight to the combinatorial
+    adjacency test, with no bound on the size of their common tight set."""
+    lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays: list[tuple[IntVector, int]] = []
+
+    def cut(vals: list[int], j: int) -> list[tuple[int, ...]]:
+        """The lineality basis with lin[j] traded for the row's kernel."""
+        l0, v0 = lin[j], vals[j]
+        return [eliminate(l, v, l0, v0)
+                for i, (l, v) in enumerate(zip(lin, vals)) if i != j]
+
+    for e in map(primitive, equations):
+        vals = [dot(e, l) for l in lin]
+        j = next((i for i, v in enumerate(vals) if v), None)
+        if j is not None:
+            lin = cut(vals, j)
+
+    for idx, a in enumerate(map(primitive, inequalities)):
+        vals = [dot(a, l) for l in lin]
+        j = next((i for i, v in enumerate(vals) if v), None)
+        if j is not None:
+            # a cuts the lineality space: one lineality generator becomes a ray.
+            l0, v0 = lin[j], vals[j]
+            lin = cut(vals, j)
+            rays = [(eliminate(r, dot(a, r), l0, v0), tight | 1 << idx)
+                    for r, tight in rays]
+            rays.append((l0 if v0 > 0 else vneg(l0), (1 << idx) - 1))
+            continue
+        pos, zero, neg = [], [], []
+        for k, (r, tight) in enumerate(rays):
+            s = dot(a, r)
+            if s > 0:
+                pos.append((k, r, tight, s))
+            elif s < 0:
+                neg.append((k, r, tight, s))
+            else:
+                zero.append((r, tight | 1 << idx))
+        kept = [(r, t) for _, r, t, _ in pos] + zero
+        for kp, rp, tp, sp in pos:
+            for kn, rn, tn, sn in neg:
+                common = tp & tn
+                if any(common & t == common for k, (_, t) in enumerate(rays)
+                       if k != kp and k != kn):
+                    continue  # not adjacent
+                w = eliminate(rn, sn, rp, sp)
+                if any(w):
+                    kept.append((w, common | 1 << idx))
+        rays = kept
+
+    return lin, rays
+
+
+@st.composite
+def dd_systems(draw):
+    """Equations and inequalities in dimension 1-5; some inequalities come
+    with their negation, so the cone they cut out is often not
+    full-dimensional."""
+    dim = draw(st.integers(1, 5))
+    inequalities = draw(rows(dim, 8))
+    for a in draw(st.lists(st.sampled_from(inequalities), max_size=2)
+                  if inequalities else st.just([])):
+        inequalities.insert(draw(st.integers(0, len(inequalities))),
+                            tuple(-x for x in a))
+    return dim, draw(rows(dim, 2)), inequalities
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(dd_systems(), generator_sets().map(
+    lambda case: (case[0], [], [g for g in case[1] if any(g)]))))
+def test_property_dd_pretest_changes_no_output(case):
+    dim, equations, inequalities = case
+    assert _dd(equations, inequalities, dim) == \
+        dd_without_pretest(equations, inequalities, dim)

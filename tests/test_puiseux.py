@@ -16,7 +16,6 @@ from sphtrop.puiseux import (
     _tokenize,
     is_finite,
     parse_weight,
-    q_min,
 )
 
 E3 = ("2*t + (t^-1 + 3*t^3)*x1 + (7 - t^1000)*x2 - 6*x1^2"
@@ -144,6 +143,16 @@ class TestParsing:
 # -- oracles: the per-term Fraction sums the term-weight helper replaced ----
 
 
+def q_min(values):
+    best = INF
+    for v in values:
+        if v is INF:
+            continue
+        if best is INF or v < best:
+            best = v
+    return best
+
+
 def fraction_term_weight(u, c, w):
     total = c.valuation()
     for ui, wi in zip(u, w, strict=True):
@@ -211,8 +220,33 @@ def test_property_term_weights_agree_with_fraction_sums(case):
     for w in weights:
         expected = [fraction_term_weight(u, c, w) for u, c in f.terms]
         assert [f.term_weight(u, c, w) for u, c in f.terms] == expected
-        assert f.trop_eval(w) == q_min(expected)
+        value = f.trop_eval(w)
+        assert value is INF or type(value) is Fraction
+        assert value == q_min(expected)
         assert f.initial_form(w) == fraction_initial_form(f, w)
+
+
+def test_scaled_terms_are_computed_once_and_are_no_part_of_equality():
+    text = "t^(1/2)*x1 + (1/3)*t^(-2/3)*x2 + 1"
+    f, g = (ValuedPolynomial.parse(text, nvars=2) for _ in range(2))
+    before = (hash(f), repr(f))
+    scaled = f._scaled
+    assert scaled == (((1, 0), (0, 1), (0, 0)), (3, -4, 0), 6)
+    f.trop_eval((F(1), F(2)))
+    f.initial_form((F(1), F(2)))
+    assert f._scaled is scaled
+    assert "_scaled" not in vars(g)
+    assert f == g and (hash(f), repr(f)) == before == (hash(g), repr(g))
+
+
+def test_term_weight_checks_the_weight_as_trop_eval_does():
+    f = ValuedPolynomial.parse("x1 + x2^-1 + 1", nvars=2)
+    u, c = f.terms[0]
+    for bad in ((INF, F(0)), (F(0),)):
+        with pytest.raises(ValueError) as raised:
+            f.trop_eval(bad)
+        with pytest.raises(ValueError, match=re.escape(str(raised.value))):
+            f.term_weight(u, c, bad)
 
 
 @settings(max_examples=60, deadline=None)

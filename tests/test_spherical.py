@@ -217,7 +217,9 @@ def data_and_collections(draw):
     """A datum of rank 1-3 and a collection of colored cones: often the
     faces of a few cones with inherited colors (a valid fan or close to
     one), else random cones with random colors, with repeats, nested cones
-    of one dimension and a cone of the same span as another."""
+    of one dimension and a cone of the same span as another.  In rank 3 a
+    cone over a quadrilateral often comes with the span of two opposite
+    rays of it, which is no face of it."""
     rank = draw(st.integers(1, 3))
     if draw(st.booleans()):
         valuation_cone = Cone.full_space(rank)
@@ -252,6 +254,19 @@ def data_and_collections(draw):
                 for r in outer.rays[1:])
         cones.append(ColoredCone(Cone.from_generators(inner, rank)))
         cones += draw(st.lists(st.sampled_from(tops), max_size=2))
+    if rank == 3 and draw(st.booleans()):
+        # a cone over a quadrilateral and the span of two opposite rays of
+        # it, with the colors it would inherit: a member whose rays are
+        # rays of another member but form no face of it
+        a, b, c, d = draw(st.tuples(*[st.integers(1, 3)] * 4))
+        corners = [(a, 0, 1), (0, b, 1), (-c, 0, 1), (0, -d, 1)]
+        top = ColoredCone(Cone.from_generators(corners, rank),
+                          draw(st.frozensets(st.sampled_from(names))
+                               if names else st.just(frozenset())))
+        k = draw(st.integers(0, 1))
+        diagonal = Cone.from_generators([corners[k], corners[k + 2]], rank)
+        cones += [top, ColoredCone(diagonal, frozenset(
+            n for n in top.colors if diagonal.contains(datum.color(n).rho)))]
     return datum, ColoredFan(tuple(draw(st.permutations(cones))))
 
 
