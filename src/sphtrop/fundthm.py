@@ -8,11 +8,11 @@ those the initial ideal is generated by the initial form of f.
 
 Both sides run on integers.  A weight is scaled once by the lcm of its
 denominators, so every cell test compares ``int`` dot products of the
-primitive cell rows; a polynomial's valuations are scaled once by the lcm
-of theirs, so every cell row is built from ``int``s.
+primitive cell rows, which are read off the polynomial's one integer form,
+``ValuedPolynomial.weight_forms``; this module scales no valuation.
 
 A complex depends only on the number of variables and the tropical
-polynomial, the ``(exponent, valuation)`` pairs of the terms: residues do
+polynomial, the ``int`` pairs (dv u, dv v(a)) of the terms: residues do
 not enter it.  Each is built once and kept in an LRU cache of at most
 ``COMPLEX_CACHE_SIZE`` complexes, shared by a polynomial's orbits, samples
 and witnesses; a ``TropicalComplex`` is frozen, so sharing one is safe.
@@ -27,21 +27,14 @@ from typing import Iterable, Sequence
 
 from .linalg import IntVector, Vector, clear_denominators, dot, primitive, vec
 from .polyhedra import affine_feasible
-from .puiseux import (
-    INF,
-    ExtendedRational,
-    PuiseuxScalar,
-    ValuedPolynomial,
-    is_finite,
-)
+from .puiseux import INF, ExtendedRational, PuiseuxScalar, ValuedPolynomial
 
 Constraint = tuple[IntVector, int]  # coeffs . w  (rel)  rhs
 
 
-def canonical_constraint(coeffs: Sequence, rhs, fix_sign: bool = False
-                         ) -> Constraint:
+def canonical_constraint(coeffs: Sequence, rhs) -> Constraint:
     """The constraint scaled by a positive rational to primitive integers."""
-    row = primitive((*coeffs, rhs), fix_sign=fix_sign)
+    row = primitive((*coeffs, rhs))
     return row[:-1], row[-1]
 
 
@@ -95,19 +88,18 @@ def trop_hypersurface(f: ValuedPolynomial) -> TropicalComplex:
     """The locus where the minimum of v(a_u) + u.w is attained at least twice.
 
     One cell per pair of terms achieving a common minimum; empty cells are
-    pruned by exact feasibility on the double-description sweep.  The
-    valuations are scaled once by the lcm ``D`` of their denominators, so
-    every row ``(D (u_i - u_j), D (v_j - v_i))`` is built in ``int``s; the
-    positive factor ``D`` is divided out again by ``canonical_constraint``.
+    pruned by exact feasibility on the double-description sweep.
 
-    Memoised on ``f.nvars`` and the ``(exponent, valuation)`` pairs of the
-    terms, all that the complex depends on, so polynomials that differ only
-    in their residues share one object; at most ``COMPLEX_CACHE_SIZE`` kept.
+    Memoised on ``f.nvars`` and the pairs (dv u, dv v(a)) of
+    ``f.weight_forms``, all that the complex depends on: dv is left out,
+    since scaling every (u, v(a)) by one positive factor moves no cell.  So
+    polynomials that differ in their residues, or by such a factor
+    (``t*x1^2 + 1`` and ``t^(1/2)*x1 + 1``), share one object; at most
+    ``COMPLEX_CACHE_SIZE`` are kept.
     """
     if f.is_zero():
         raise ValueError("tropical hypersurface of the zero polynomial")
-    return _complex_of(f.nvars,
-                       tuple((u, c.valuation()) for u, c in f.terms))
+    return _complex_of(f.nvars, f.weight_forms[0])
 
 
 # Bound on the distinct tropical polynomials whose complexes are kept; it
@@ -116,22 +108,22 @@ COMPLEX_CACHE_SIZE = 32
 
 
 @lru_cache(maxsize=COMPLEX_CACHE_SIZE)
-def _complex_of(m: int, tropical: tuple[tuple[tuple[int, ...], Fraction], ...]
+def _complex_of(m: int, pairs: tuple[tuple[IntVector, int], ...]
                 ) -> TropicalComplex:
-    """The complex of a nonzero tropical polynomial in m variables."""
-    vals, D = clear_denominators([v for _, v in tropical])
-    terms = [(tuple(D * a for a in u), v) for (u, _), v in zip(tropical, vals)]
-    n = len(terms)
-    # row[i][k]: term k weighs at least term i; row[j][i] gives pair (i, j)'s
-    # equation.  Each is built once and shared by the cells that use it.
+    """The complex of a nonzero tropical polynomial in m variables, read off
+    the ``int`` pairs (U, V) of its terms, in decreasing order of U."""
+    n = len(pairs)
+    # row[i][k]: term k weighs at least term i.  For i < j the first nonzero
+    # entry of U_i - U_j is positive, so row[j][i] is pair (i, j)'s equation
+    # with its sign fixed.  Each row is built once and shared by its cells.
     row = [[canonical_constraint([a - b for a, b in zip(uk, ui)], ci - ck)
-            if k != i else None for k, (uk, ck) in enumerate(terms)]
-           for i, (ui, ci) in enumerate(terms)]
+            if k != i else None for k, (uk, ck) in enumerate(pairs)]
+           for i, (ui, ci) in enumerate(pairs)]
     cells: list[Cell] = []
     seen = set()
     for i in range(n):
         for j in range(i + 1, n):
-            eq = canonical_constraint(*row[j][i], fix_sign=True)
+            eq = row[j][i]
             ineqs = tuple(sorted(
                 row[i][k] for k in range(n) if k not in (i, j)))
             cell = Cell(m, (eq,), ineqs)
@@ -158,10 +150,11 @@ def _orbit_complex(f: ValuedPolynomial, sigma: frozenset[int]
                    ) -> TropicalComplex:
     """The tropical set of f on the orbit where the sigma coordinates vanish.
 
-    A zero restriction means the hypersurface contains the whole orbit, so
-    the full stratum is returned; a monomial restriction has empty locus.
+    The empty sigma is the torus, where f is its own restriction.  A zero
+    restriction means the hypersurface contains the whole orbit, so the
+    full stratum is returned; a monomial restriction has empty locus.
     """
-    g = f.restrict_to_orbit(sigma)
+    g = f.restrict_to_orbit(sigma) if sigma else f
     if g.is_zero():
         return TropicalComplex.whole_space(g.nvars)
     if len(g.terms) == 1:
@@ -185,11 +178,9 @@ def extended_trop_sets(f: ValuedPolynomial
 def membership_set1(f: ValuedPolynomial, w: Sequence[ExtendedRational]) -> bool:
     """Membership of an extended weight in set (1) of the fundamental theorem."""
     w = tuple(w)
-    if all(is_finite(x) for x in w):
-        return trop_hypersurface(f).contains(w)
-    if f.laurent:
-        raise ValueError("infinite weight entry on a Laurent polynomial")
     sigma = frozenset(i for i, x in enumerate(w) if x is INF)
+    if sigma and f.laurent:
+        raise ValueError("infinite weight entry on a Laurent polynomial")
     finite = tuple(x for x in w if x is not INF)
     return _orbit_complex(f, sigma).contains(finite)
 
@@ -264,9 +255,9 @@ def check_equivalence(f: ValuedPolynomial,
     """Cross-check fundamental-theorem sets on samples and witness points.
 
     Samples go through ``membership_set1``, which restricts f to the orbit
-    of their infinite entries; finite samples and witnesses are tested
-    against the complex of f, which ``trop_hypersurface`` builds once and
-    then returns from its cache.
+    of their infinite entries; witnesses are tested against the set of f on
+    the torus, ``_orbit_complex(f, frozenset())``, the complex that
+    ``trop_hypersurface`` builds once and then returns from its cache.
     """
     report = EquivalenceReport()
     for w in samples:
@@ -280,6 +271,5 @@ def check_equivalence(f: ValuedPolynomial,
         report.witnesses.append(WitnessVerdict(
             valuations=vv,
             residual_zero=not value,
-            in_complex=(not f.is_zero()
-                        and trop_hypersurface(f).contains(vv))))
+            in_complex=_orbit_complex(f, frozenset()).contains(vv)))
     return report

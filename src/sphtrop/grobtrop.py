@@ -53,8 +53,7 @@ def graded_initial_form(f: ValuedPolynomial, v: Sequence[ExtendedRational]
     grade = f.trop_eval(v)
     finite_min = {}
     infinite = {}
-    for u, c in f.terms:
-        w = f.term_weight(u, c, v)
+    for (u, c), w in zip(f.terms, f.term_weights(v)):
         if w is INF:
             infinite[u] = c
         elif w == grade:

@@ -276,8 +276,9 @@ def _cone_from_generators(ambient_dim: int, gens: frozenset[tuple]) -> Cone:
     """The canonical cone spanned by nonzero generators, shared per input set.
 
     The dual's rays, each positive on a generator and so nonzero off the
-    equations, give the facets; the kernel of both is the lineality space.
-    A non-extreme generator lies inside a face of dimension >= 2 modulo
+    equations, give the facets.  The lineality space, the minimal face, is
+    spanned by the generators zero on every facet (set in every mask).  A
+    non-extreme generator lies inside a face of dimension >= 2 modulo
     lineality, whose extreme rays are generators tight on more facets."""
     dlin, drays = _dd([], list(gens), ambient_dim)
     equations = tuple(rref(dlin)[0])
@@ -285,7 +286,8 @@ def _cone_from_generators(ambient_dim: int, gens: frozenset[tuple]) -> Cone:
     zeros = dict(zip(orthogonal_parts((r for r, _ in drays), equations),
                      (m for _, m in drays)))
     ineqs = tuple(sorted(zeros))
-    lin_rows = tuple(rref(kernel_basis(equations + ineqs, ambient_dim))[0])
+    lin = reduce(int.__and__, zeros.values(), -1)
+    lin_rows = tuple(rref([g for i, g in enumerate(gens) if lin >> i & 1])[0])
     tight = {r: sum(1 << k for k, a in enumerate(ineqs) if zeros[a] >> i & 1)
              for i, r in enumerate(orthogonal_parts(gens, lin_rows)) if any(r)}
     rays = tuple(sorted(r for r, t in tight.items()

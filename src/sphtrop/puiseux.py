@@ -4,9 +4,10 @@ Coefficients live in Q((t^(1/n))) restricted to finite support; the base
 field is Q.  Tropical evaluation and initial forms follow the min-plus
 convention, with infinity handled explicitly: an infinite weight entry
 sends every monomial with a nonzero exponent there to infinity.
-Term weights are ``int``s: each polynomial scales its valuations once by
-their common denominator, and each weight clears its own denominators once,
-so ``trop_eval`` builds one ``Fraction`` (its minimum) and ``initial_form``
+This module alone turns a polynomial into integers, once, as its
+``weight_forms``; term weights, graded initial forms and the hypersurface
+cells read that form.  Each weight clears its own denominators once, so
+``trop_eval`` builds one ``Fraction`` (its minimum) and ``initial_form``
 picks the minimal terms by ``int`` comparison.
 Text is parsed in one pass into one dict of monomials t^e x^u: a sum adds
 into it, a product pairs the terms of its factors (at most
@@ -186,30 +187,23 @@ def _bounded_product(a: PuiseuxScalar, b: PuiseuxScalar) -> PuiseuxScalar:
     return a * b
 
 
-_Scaled = tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]
+WeightForms = tuple[tuple[tuple[tuple[int, ...], int], ...], int]
 
 
-def _scale(terms: Sequence[tuple[tuple[int, ...], PuiseuxScalar]]) -> _Scaled:
-    """The exponent vectors, the valuations times dv, and dv, the lcm of
-    the valuations' denominators."""
-    V, dv = clear_denominators([c.valuation() for _, c in terms])
-    return tuple(u for u, _ in terms), V, dv
-
-
-def _term_weights(scaled: _Scaled, w: ExtendedWeight
+def _term_weights(forms: WeightForms, w: ExtendedWeight
                   ) -> tuple[list[int | None], int]:
-    """v(c) + u.w for every term (u, c), as ``int``s over one denominator.
+    """v(a) + u.w for every term, as ``int``s over one denominator.
 
     Returns the numerators and their common denominator ``den * dv``: w's
     finite entries are cleared once to ``W / den``, so each term weight is
-    ``v * den + dv * (u . W)`` for the scaled valuation ``v``.  A term with
-    a nonzero exponent at an infinite entry of w weighs infinity, ``None``.
+    ``V * den + U . W`` for the term's pair (U, V).  A term with a nonzero
+    exponent at an infinite entry of w weighs infinity, ``None``.
     """
-    exps, V, dv = scaled
+    pairs, dv = forms
     inf_at = [i for i, x in enumerate(w) if x is INF]
     W, den = clear_denominators([0 if x is INF else x for x in w])
-    return [None if any(u[i] for i in inf_at) else v * den + dv * dot(u, W)
-            for u, v in zip(exps, V)], den * dv
+    return [None if any(U[i] for i in inf_at) else V * den + dot(U, W)
+            for U, V in pairs], den * dv
 
 
 def _exp_str(e: Fraction) -> str:
@@ -306,14 +300,20 @@ class ValuedPolynomial:
     # -- tropical semantics -------------------------------------------
 
     @cached_property
-    def _scaled(self) -> _Scaled:
-        return _scale(self.terms)
+    def weight_forms(self) -> WeightForms:
+        """Per term the ``int`` pair (dv u, dv v(a)), and dv, the lcm of the
+        valuations' denominators: the term weighs (dv u . w + dv v(a)) / dv.
+        The one integer form of f, read by the term weights and the cells
+        of ``fundthm.trop_hypersurface``; no part of ``==`` or ``hash``."""
+        V, dv = clear_denominators([c.valuation() for _, c in self.terms])
+        return tuple((tuple(dv * a for a in u), v)
+                     for (u, _), v in zip(self.terms, V)), dv
 
-    def term_weight(self, u: tuple[int, ...], c: PuiseuxScalar,
-                    w: Sequence[ExtendedRational]) -> ExtendedRational:
-        """v(c) + u.w, with the infinity conventions of ``trop_eval``."""
-        (x,), d = _term_weights(_scale(((u, c),)), self._check_weight(w))
-        return INF if x is None else Fraction(x, d)
+    def term_weights(self, w: Sequence[ExtendedRational]
+                     ) -> list[ExtendedRational]:
+        """Each term's v(a_u) + u.w, with the conventions of ``trop_eval``."""
+        xs, d = _term_weights(self.weight_forms, self._check_weight(w))
+        return [INF if x is None else Fraction(x, d) for x in xs]
 
     def _check_weight(self, w: Sequence[ExtendedRational]) -> ExtendedWeight:
         w = tuple(w)
@@ -325,7 +325,7 @@ class ValuedPolynomial:
 
     def trop_eval(self, w: Sequence[ExtendedRational]) -> ExtendedRational:
         """min over terms of v(a_u) + u.w, with the infinity conventions."""
-        xs, d = _term_weights(self._scaled, self._check_weight(w))
+        xs, d = _term_weights(self.weight_forms, self._check_weight(w))
         best = min((x for x in xs if x is not None), default=None)
         return INF if best is None else Fraction(best, d)
 
@@ -335,7 +335,7 @@ class ValuedPolynomial:
         best = self.trop_eval(w)
         if best is INF:
             return ResiduePolynomial.zero(self.nvars)
-        xs, d = _term_weights(self._scaled, w)
+        xs, d = _term_weights(self.weight_forms, w)
         best = best.numerator * (d // best.denominator)
         coeffs = {u: c.leading_coefficient()
                   for (u, c), x in zip(self.terms, xs) if x == best}

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -97,6 +98,22 @@ def test_ftt_command(capsys):
     data = json.loads(out)
     assert data["ok"]
     assert data["witnesses"][0]["valuations"] == ["1", "0"]
+
+
+def test_ftt_zero_polynomial_is_in_set_1_on_the_torus(capsys):
+    """The zero polynomial vanishes everywhere, so a finite sample and a
+    witness lie in set (1) as an infinite sample does, Laurent or not."""
+    rc, out = run(capsys, "ftt", "--poly", "x1 - x1", "--ordinary",
+                  "--weight", "0", "--weight", "inf")
+    data = json.loads(out)
+    assert rc == 0 and data["ok"]
+    assert [(s["set1"], s["set2"]) for s in data["samples"]] == [
+        (True, True), (True, True)]
+    rc, out = run(capsys, "ftt", "--poly", "x1 - x1", "--witness", "t")
+    data = json.loads(out)
+    assert rc == 0 and data["ok"]
+    assert data["witnesses"] == [
+        {"valuations": ["1"], "residual_zero": True, "in_complex": True}]
 
 
 def test_examples_unknown_name(capsys):
@@ -476,3 +493,19 @@ def test_examples_file_that_cannot_be_written_exits_2(tmp_path, capsys):
     (tmp_path / "table2.datum.json").mkdir()
     assert main(["examples", "table2", "--out", str(tmp_path)]) == 2
     assert file_error(capsys, "write")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_lines_run_as_written(tmp_path, monkeypatch, capsys):
+    """Every line of README.md that starts with "sphtrop " exits 0, run in
+    order in one fresh directory, as CI runs them through the console
+    script."""
+    lines = [line for line in README.read_text().splitlines()
+             if line.startswith("sphtrop ")]
+    assert len(lines) >= 10
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+        capsys.readouterr()

@@ -17,7 +17,7 @@ from sphtrop.fundthm import (
     membership_set2,
     trop_hypersurface,
 )
-from sphtrop.linalg import dot
+from sphtrop.linalg import dot, primitive
 from sphtrop.puiseux import INF, PuiseuxScalar, ValuedPolynomial
 
 LINE = ValuedPolynomial.parse("x1 + x2 + 1", laurent=False)
@@ -122,8 +122,9 @@ def fraction_trop_hypersurface(f):
         ui, ci = terms[i]
         for j in range(i + 1, len(terms)):
             uj, cj = terms[j]
-            eq = canonical_constraint(
-                [a - b for a, b in zip(ui, uj)], cj - ci, fix_sign=True)
+            row = primitive(
+                (*[a - b for a, b in zip(ui, uj)], cj - ci), fix_sign=True)
+            eq = row[:-1], row[-1]
             ineqs = tuple(sorted(
                 canonical_constraint([a - b for a, b in zip(uk, ui)], ci - ck)
                 for k, (uk, ck) in enumerate(terms) if k not in (i, j)))
@@ -235,3 +236,55 @@ def test_memo_is_bounded_and_rebuilds_what_it_evicted():
     again = trop_hypersurface(polys[0])
     assert info().misses == misses + 1
     assert again == first == fraction_trop_hypersurface(polys[0])
+
+
+def test_proportional_pairs_share_one_complex():
+    """t*x1^2 + 1 and t^(1/2)*x1 + 1 have the same integer pairs, so one
+    complex serves both, and it is the complex built afresh."""
+    f = ValuedPolynomial.parse("t*x1^2 + 1", laurent=False)
+    g = ValuedPolynomial.parse("t^(1/2)*x1 + 1", laurent=False)
+    assert f.weight_forms[0] == g.weight_forms[0]
+    assert (f.weight_forms[1], g.weight_forms[1]) == (1, 2)
+    shared = trop_hypersurface(f)
+    assert trop_hypersurface(g) is shared
+    fundthm._complex_of.cache_clear()
+    assert trop_hypersurface(g) == shared == fraction_trop_hypersurface(g)
+
+
+# -- set (1) on every orbit, the torus included ------------------------------
+
+
+@st.composite
+def ordinary_polynomials_and_weights(draw):
+    """Ordinary polynomials in 1-3 variables with 0-5 terms, so the zero
+    polynomial and monomials too, and extended weights."""
+    m = draw(st.integers(1, 3))
+    exponents = draw(st.lists(st.tuples(*[st.integers(0, 2)] * m),
+                              max_size=5, unique=True))
+    coeffs = {u: PuiseuxScalar.from_terms(
+                  [(draw(RATIONALS), draw(st.sampled_from((-2, -1, 1))))])
+              for u in exponents}
+    f = ValuedPolynomial.from_dict(m, coeffs, laurent=False)
+    entry = st.one_of(RATIONALS, st.just(INF))
+    weights = draw(st.lists(st.tuples(*[entry] * m), min_size=1, max_size=4))
+    return f, weights
+
+
+@settings(max_examples=150, deadline=None)
+@given(ordinary_polynomials_and_weights())
+def test_property_set1_is_the_extended_set_of_the_weights_orbit(case):
+    """membership_set1(f, w) is whether the finite part of w lies in the set
+    of f on the orbit of w's infinite entries, also when that orbit is the
+    torus and f is zero; weights are also moved onto each cell's equation."""
+    f, weights = case
+    sets = extended_trop_sets(f)
+    for w in weights:
+        sigma = frozenset(i for i, x in enumerate(w) if x is INF)
+        finite = tuple(x for x in w if x is not INF)
+        cx = sets[sigma]
+        for point in [finite] + [on_hyperplane(finite, cell.equalities[0])
+                                 for cell in cx.cells if cell.equalities]:
+            rest = iter(point)
+            extended = tuple(INF if x is INF else next(rest) for x in w)
+            assert membership_set1(f, extended) == cx.contains(point)
+

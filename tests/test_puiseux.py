@@ -219,7 +219,7 @@ def test_property_term_weights_agree_with_fraction_sums(case):
     f, weights = case
     for w in weights:
         expected = [fraction_term_weight(u, c, w) for u, c in f.terms]
-        assert [f.term_weight(u, c, w) for u, c in f.terms] == expected
+        assert f.term_weights(w) == expected
         value = f.trop_eval(w)
         assert value is INF or type(value) is Fraction
         assert value == q_min(expected)
@@ -230,23 +230,32 @@ def test_scaled_terms_are_computed_once_and_are_no_part_of_equality():
     text = "t^(1/2)*x1 + (1/3)*t^(-2/3)*x2 + 1"
     f, g = (ValuedPolynomial.parse(text, nvars=2) for _ in range(2))
     before = (hash(f), repr(f))
-    scaled = f._scaled
-    assert scaled == (((1, 0), (0, 1), (0, 0)), (3, -4, 0), 6)
+    forms = f.weight_forms
+    assert forms == ((((6, 0), 3), ((0, 6), -4), ((0, 0), 0)), 6)
     f.trop_eval((F(1), F(2)))
     f.initial_form((F(1), F(2)))
-    assert f._scaled is scaled
-    assert "_scaled" not in vars(g)
+    assert f.weight_forms is forms
+    assert "weight_forms" not in vars(g)
     assert f == g and (hash(f), repr(f)) == before == (hash(g), repr(g))
 
 
 def test_term_weight_checks_the_weight_as_trop_eval_does():
     f = ValuedPolynomial.parse("x1 + x2^-1 + 1", nvars=2)
-    u, c = f.terms[0]
     for bad in ((INF, F(0)), (F(0),)):
         with pytest.raises(ValueError) as raised:
             f.trop_eval(bad)
         with pytest.raises(ValueError, match=re.escape(str(raised.value))):
-            f.term_weight(u, c, bad)
+            f.term_weights(bad)
+
+
+def test_infinity_orders_above_every_rational_and_absorbs_sums():
+    for q in (F(-3), F(0), F(7, 2)):
+        assert q < INF and not INF < q
+        assert INF <= INF and not INF <= q
+        assert sorted([INF, q]) == [q, INF]
+        assert INF + q is INF and q + INF is INF
+    with pytest.raises(ArithmeticError):
+        -INF
 
 
 @settings(max_examples=60, deadline=None)
