@@ -47,13 +47,15 @@ def graded_initial_form(f: ValuedPolynomial, v: Sequence[ExtendedRational]
     The grade of f is its tropical value; terms of strictly larger grade
     vanish in the quotient, and terms of infinite grade live in the extra
     summand.  For finite v the residue agrees with the ordinary initial
-    form of f.
+    form of f.  One pass of term weights gives all of it: the grade is the
+    least finite weight, and the residue is read off the grade-minimal terms.
     """
     v = tuple(v)
-    grade = f.trop_eval(v)
+    weights = f.term_weights(v)
+    grade = min(weights, default=INF)
     finite_min = {}
     infinite = {}
-    for (u, c), w in zip(f.terms, f.term_weights(v)):
+    for (u, c), w in zip(f.terms, weights):
         if w is INF:
             infinite[u] = c
         elif w == grade:
@@ -68,7 +70,8 @@ def graded_initial_form(f: ValuedPolynomial, v: Sequence[ExtendedRational]
         representative=rep,
         infinite_part=ValuedPolynomial.from_dict(f.nvars, infinite,
                                                  laurent=f.laurent),
-        residue=f.initial_form(v))
+        residue=ResiduePolynomial.from_dict(f.nvars, {
+            u: c.leading_coefficient() for u, c in finite_min.items()}))
 
 
 def grobner_tropicalize_embedding(datum: SphericalDatum, fan: ColoredFan

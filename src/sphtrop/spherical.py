@@ -6,7 +6,12 @@ images in N_Q.  Colors are identified by name; several colors may share
 the same image vector.  A fan's validity depends on nothing but the datum
 and the fan, so ``validate_colored_fan`` copies it from ``_validate_fan``, an
 LRU memo of at most ``FAN_CACHE_SIZE`` verdicts (errors are not cached), to
-a fresh report on every call.
+a fresh report on every call.  In the same way a colored cone's verdict
+(``_validate_cone``) and its colored faces (``_colored_faces``) depend only
+on the datum and the colored cone: each is built once per LRU memo entry,
+at most ``polyhedra.CONE_CACHE_SIZE`` of them (every key holds a cone of
+that memo), and ``validate_colored_cone`` and ``colored_faces`` copy it to
+a fresh report or list.  A cone of the wrong rank raises before the memo.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .linalg import Vector, dot, fraction_rows, vec
-from .polyhedra import Cone
+from .polyhedra import CONE_CACHE_SIZE, Cone
 
 
 @dataclass(frozen=True)
@@ -106,9 +111,18 @@ def relint_meets_valuation_cone(datum: SphericalDatum, cone: Cone) -> bool:
 def validate_colored_cone(datum: SphericalDatum, cc: ColoredCone,
                           ) -> ValidationReport:
     """Check the colored-cone axioms; strict convexity is reported separately."""
-    sigma = cc.cone
-    if sigma.ambient_dim != datum.rank:
+    if cc.cone.ambient_dim != datum.rank:
         raise ValueError("cone ambient dimension must equal the rank")
+    failures, strictly_convex = _validate_cone(datum, cc)
+    return ValidationReport(ok=not failures, failures=list(failures),
+                            strictly_convex=strictly_convex)
+
+
+@lru_cache(maxsize=CONE_CACHE_SIZE)
+def _validate_cone(datum: SphericalDatum, cc: ColoredCone
+                   ) -> tuple[tuple[str, ...], bool]:
+    """The verdict ``(failures, strictly_convex)`` on a cone of the rank."""
+    sigma = cc.cone
     rho_images = [datum.color(name).rho for name in sorted(cc.colors)]
 
     failures = []
@@ -123,8 +137,7 @@ def validate_colored_cone(datum: SphericalDatum, cc: ColoredCone,
         failures.append("interior-meets-V")
     strictly_convex = (sigma.is_strictly_convex()
                        and all(any(x != 0 for x in r) for r in rho_images))
-    return ValidationReport(ok=not failures, failures=failures,
-                            strictly_convex=strictly_convex)
+    return tuple(failures), strictly_convex
 
 
 def colored_faces(datum: SphericalDatum, cc: ColoredCone) -> list[ColoredCone]:
@@ -136,11 +149,12 @@ def colored_faces(datum: SphericalDatum, cc: ColoredCone) -> list[ColoredCone]:
     report = validate_colored_cone(datum, cc)
     if not report.ok:
         raise ValueError(f"invalid colored cone: {report.failures}")
-    return _colored_faces(datum, cc)
+    return list(_colored_faces(datum, cc))
 
 
+@lru_cache(maxsize=CONE_CACHE_SIZE)
 def _colored_faces(datum: SphericalDatum, cc: ColoredCone
-                   ) -> list[ColoredCone]:
+                   ) -> tuple[ColoredCone, ...]:
     """``colored_faces`` of a colored cone already known to be valid."""
     out = []
     for tau in cc.cone.faces():
@@ -150,7 +164,7 @@ def _colored_faces(datum: SphericalDatum, cc: ColoredCone
             name for name in cc.colors
             if tau.contains(datum.color(name).rho))
         out.append(ColoredCone(tau, inherited))
-    return out
+    return tuple(out)
 
 
 def _facet_separates(a: Cone, b: Cone) -> bool:

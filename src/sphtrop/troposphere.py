@@ -11,17 +11,22 @@ recovers the extended (rational or infinite) semigroup homomorphism.
 projects the valuation cone into it by one integer ``rref``
 (``linalg.chart_coordinates``).  Both routes, the
 face-wise one here and the Groebner-side one in ``grobtrop``, build their
-strata with it; they differ only in how they traverse the faces.
+strata with it; they differ only in how they traverse the faces.  V_tau
+depends only on V and span(tau), which the face's canonical equations fix,
+so the chart and the image are built once per (V, equations) pair in an LRU
+memo of at most ``polyhedra.CONE_CACHE_SIZE`` entries, ``_quotient_image``;
+faces that share a span share one image cone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .linalg import (IntVector, Vector, chart_coordinates, dot,
-                     embed_from_chart, project_to_chart, vec)
-from .polyhedra import Cone, quotient_chart
+                     embed_from_chart, kernel_basis, project_to_chart, vec)
+from .polyhedra import CONE_CACHE_SIZE, Cone, quotient_chart
 from .puiseux import INF, ExtendedRational
 from .spherical import (
     ColoredCone,
@@ -65,9 +70,10 @@ class Stratum:
 
         ``chart_coordinates`` projects all of V's generators by one ``rref``;
         its common positive scale leaves the cone they span unchanged."""
-        chart = quotient_chart(face.cone.generators, datum.rank)
-        gens, _ = chart_coordinates(chart, datum.valuation_cone.generators)
-        return cls(face, chart, Cone.from_generators(gens, len(chart)))
+        if face.cone.ambient_dim != datum.rank:
+            raise ValueError("dimension mismatch")
+        return cls(face, *_quotient_image(datum.valuation_cone,
+                                          face.cone.equations))
 
     @property
     def labels(self) -> frozenset[str]:
@@ -83,6 +89,19 @@ class Stratum:
 
     def point(self, value: Sequence) -> "ExtendedPoint":
         return ExtendedPoint(self, vec(value))
+
+
+@lru_cache(maxsize=CONE_CACHE_SIZE)
+def _quotient_image(valuation_cone: Cone, equations: tuple[IntVector, ...]
+                    ) -> tuple[tuple[IntVector, ...], Cone]:
+    """The chart of the span cut out by the equations, and V's image in it.
+
+    The span is the kernel of the equations; ``quotient_chart`` reads only
+    its row space, so the chart is the one a face's generators give."""
+    rank = valuation_cone.ambient_dim
+    chart = quotient_chart(kernel_basis(equations, rank), rank)
+    gens, _ = chart_coordinates(chart, valuation_cone.generators)
+    return chart, Cone.from_generators(gens, len(chart))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 
-from sphtrop import grobtrop
+from sphtrop import grobtrop, puiseux
 from sphtrop.examples import all_fans, blowup_a4, e3_polynomial
 from sphtrop.grobtrop import (
     compare_tropicalizations,
@@ -47,6 +47,20 @@ class TestGradedInitialForm:
         assert g.representative == f
         assert g.residue.is_zero()
         assert not g.is_unit_class()
+
+
+def test_graded_initial_form_computes_the_term_weights_once():
+    parse = lambda text: ValuedPolynomial.parse(text, laurent=False)
+    for f, w in [(parse("x1 + t*x2 + 1"), (F(0), F(0))),
+                 (parse("x1 + x2"), (INF, F(0))),
+                 (parse("x1*x2"), (INF, F(0))),
+                 (ValuedPolynomial.zero(2, laurent=False), (F(1), F(2)))]:
+        with mock.patch.object(puiseux, "_term_weights",
+                               wraps=puiseux._term_weights) as spy:
+            g = graded_initial_form(f, w)
+        assert spy.call_count == 1
+        assert g.grade == f.trop_eval(w)
+        assert g.residue == f.initial_form(w)
 
 
 def fraction_graded_initial_form(f, v):

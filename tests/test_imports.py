@@ -183,3 +183,93 @@ def test_every_unread_public_definition_is_listed():
     unread = [entry.rpartition(" (line ")[0]
               for entry in unread_definitions(sources, is_public)]
     assert sorted(unread) == sorted(UNREAD_PUBLIC)
+
+
+def unbounded_memos(source: str) -> list[str]:
+    """Memoised functions that may grow without a fixed bound.
+
+    An ``lru_cache`` must take as its ``maxsize`` an upper-case name bound
+    at module level (assigned or imported); a bare ``lru_cache``, a number
+    or ``None`` fails.  ``functools.cache`` is unbounded, so it is allowed
+    only on a function with no parameters, which holds one entry.
+    """
+    tree = ast.parse(source)
+    constants = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            constants |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                             ast.Name):
+            constants.add(node.target.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            constants |= {a.asname or a.name for a in node.names}
+    constants = {name for name in constants if name.isupper()}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            func = call.func if call else dec
+            name = (func.attr if isinstance(func, ast.Attribute)
+                    else getattr(func, "id", None))
+            if name == "lru_cache":
+                size = None
+                if call and call.args:
+                    size = call.args[0]
+                elif call:
+                    size = next((k.value for k in call.keywords
+                                 if k.arg == "maxsize"), None)
+                bounded = (isinstance(size, ast.Name)
+                           and size.id in constants)
+            elif name == "cache":
+                a = node.args
+                bounded = not (a.posonlyargs or a.args or a.vararg
+                               or a.kwonlyargs or a.kwarg)
+            else:
+                continue
+            if not bounded:
+                found.append((dec.lineno, node.name))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_memo_scan_finds_each_unbounded_memo():
+    source = ("import functools\n"
+              "from functools import cache, lru_cache\n"
+              "from .polyhedra import CONE_CACHE_SIZE\n"
+              "SIZE = 8\n"
+              "size = 8\n"
+              "@lru_cache(maxsize=SIZE)\n"
+              "def ok(x): pass\n"
+              "@functools.lru_cache(CONE_CACHE_SIZE)\n"
+              "def ok_imported(x): pass\n"
+              "@functools.cache\n"
+              "def ok_no_parameters(): pass\n"
+              "@lru_cache(maxsize=None)\n"
+              "def unbounded(x): pass\n"
+              "@lru_cache\n"
+              "def default_size(x): pass\n"
+              "@lru_cache()\n"
+              "def default_size_called(x): pass\n"
+              "@lru_cache(maxsize=64)\n"
+              "def literal(x): pass\n"
+              "@lru_cache(maxsize=size)\n"
+              "def lower_case(x): pass\n"
+              "def outer():\n"
+              "    LOCAL = 4\n"
+              "    @lru_cache(maxsize=LOCAL)\n"
+              "    def inner(x): pass\n"
+              "@cache\n"
+              "def cached(x): pass\n"
+              "@functools.cache\n"
+              "def cached_keywords(*, x): pass\n")
+    assert unbounded_memos(source) == [
+        "unbounded (line 12)", "default_size (line 14)",
+        "default_size_called (line 16)", "literal (line 18)",
+        "lower_case (line 20)", "inner (line 24)", "cached (line 26)",
+        "cached_keywords (line 28)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_memo_is_bounded(path):
+    assert unbounded_memos(path.read_text()) == []

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from sphtrop import spherical
 from sphtrop.examples import all_fans, p1xp1, table2_datum
 from sphtrop.linalg import fraction_rows
-from sphtrop.polyhedra import Cone
+from sphtrop.polyhedra import CONE_CACHE_SIZE, Cone
 from sphtrop.spherical import (
     FAN_CACHE_SIZE,
     Color,
@@ -13,9 +13,9 @@ from sphtrop.spherical import (
     ColoredFan,
     SphericalDatum,
     ValidationReport,
-    _colored_faces,
     _facet_separates,
     colored_faces,
+    relint_meets_valuation_cone,
     validate_colored_cone,
     validate_colored_fan,
 )
@@ -144,7 +144,45 @@ def test_datum_invariants():
                        (Color("D", (1,)), Color("D", (-1,))))
 
 
-# -- the validation memo against the former unmemoised body ------------------
+# -- the validation memos against the former unmemoised bodies --------------
+
+def unmemoised_validate_colored_cone(datum: SphericalDatum, cc: ColoredCone,
+                                     ) -> ValidationReport:
+    """Check the colored-cone axioms; strict convexity is reported separately."""
+    sigma = cc.cone
+    if sigma.ambient_dim != datum.rank:
+        raise ValueError("cone ambient dimension must equal the rank")
+    rho_images = [datum.color(name).rho for name in sorted(cc.colors)]
+
+    failures = []
+    if not all(sigma.contains(r) for r in rho_images):
+        failures.append("rho-containment")
+    meet = sigma.intersect(datum.valuation_cone)
+    generated = Cone.from_generators(
+        list(rho_images) + list(meet.generators), datum.rank)
+    if generated != sigma:
+        failures.append("generation")
+    if not sigma.relint_contains(meet.relint_point()):
+        failures.append("interior-meets-V")
+    strictly_convex = (sigma.is_strictly_convex()
+                       and all(any(x != 0 for x in r) for r in rho_images))
+    return ValidationReport(ok=not failures, failures=failures,
+                            strictly_convex=strictly_convex)
+
+
+def unmemoised_colored_faces(datum: SphericalDatum, cc: ColoredCone
+                             ) -> list[ColoredCone]:
+    """``colored_faces`` of a colored cone already known to be valid."""
+    out = []
+    for tau in cc.cone.faces():
+        if not relint_meets_valuation_cone(datum, tau):
+            continue
+        inherited = frozenset(
+            name for name in cc.colors
+            if tau.contains(datum.color(name).rho))
+        out.append(ColoredCone(tau, inherited))
+    return out
+
 
 def unmemoised_validate_colored_fan(datum: SphericalDatum, fan: ColoredFan,
                                     require_strict: bool = False
@@ -154,7 +192,7 @@ def unmemoised_validate_colored_fan(datum: SphericalDatum, fan: ColoredFan,
     strict = True
     valid_members: list[ColoredCone] = []
     for i, cc in enumerate(fan.cones):
-        rep = validate_colored_cone(datum, cc)
+        rep = unmemoised_validate_colored_cone(datum, cc)
         if not rep.ok:
             failures.append(f"member-invalid[{i}]: {','.join(rep.failures)}")
         else:
@@ -165,7 +203,7 @@ def unmemoised_validate_colored_fan(datum: SphericalDatum, fan: ColoredFan,
     # fan members, then each missing face once it has been reported
     seen = {(cc.cone.canonical_key(), cc.colors) for cc in fan.cones}
     for cc in valid_members:
-        for face in _colored_faces(datum, cc):
+        for face in unmemoised_colored_faces(datum, cc):
             key = (face.cone.canonical_key(), face.colors)
             if key not in seen:
                 seen.add(key)
@@ -339,3 +377,83 @@ def test_a_cone_of_the_wrong_dimension_raises_on_every_call():
     for _ in range(3):
         with pytest.raises(ValueError, match="ambient dimension"):
             validate_colored_fan(datum, fan)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data_and_collections())
+def test_property_cone_memos_give_the_unmemoised_verdict_and_faces(case):
+    datum, fan = case
+    spherical._validate_cone.cache_clear()
+    spherical._colored_faces.cache_clear()
+    for cc in fan.cones:
+        oracle = unmemoised_validate_colored_cone(datum, cc)
+        faces = unmemoised_colored_faces(datum, cc) if oracle.ok else None
+        for _ in range(2):  # a miss, then a hit (a repeated member: two hits)
+            report = validate_colored_cone(datum, cc)
+            assert report == oracle
+            assert type(report.failures) is list
+            if oracle.ok:
+                assert colored_faces(datum, cc) == faces
+            else:
+                with pytest.raises(ValueError, match="invalid colored cone"):
+                    colored_faces(datum, cc)
+    assert spherical._validate_cone.cache_info().hits >= len(fan.cones)
+
+
+def test_mutating_a_cone_report_or_face_list_leaves_the_next_one_unchanged():
+    datum = table2_datum()
+    cc = ColoredCone(Cone.from_generators([(-1, 1), (1, 0)], 2), {"D"})
+    bad = ColoredCone(Cone.from_generators([(1, 0), (1, 1)], 2), {"D"})
+    faces = colored_faces(datum, cc)
+    expected = list(faces)
+    faces.pop()
+    faces.append(ColoredCone(Cone.zero(2), {"D"}))
+    assert colored_faces(datum, cc) == expected
+    assert colored_faces(datum, cc) is not colored_faces(datum, cc)
+    report = validate_colored_cone(datum, bad)
+    failures = list(report.failures)
+    report.failures.clear()
+    report.ok = True
+    again = validate_colored_cone(datum, bad)
+    assert again.failures == failures
+    assert "rho-containment" in failures and not again.ok
+
+
+def test_a_cone_of_the_wrong_rank_raises_on_every_call():
+    datum = table2_datum()
+    cc = ColoredCone(Cone.from_generators([(1, 0, 0)], 3))
+    before = (spherical._validate_cone.cache_info(),
+              spherical._colored_faces.cache_info())
+    for _ in range(3):
+        with pytest.raises(ValueError, match="ambient dimension"):
+            validate_colored_cone(datum, cc)
+        with pytest.raises(ValueError, match="ambient dimension"):
+            colored_faces(datum, cc)
+    # raised before either memo was asked
+    assert (spherical._validate_cone.cache_info(),
+            spherical._colored_faces.cache_info()) == before
+
+
+@pytest.mark.parametrize("memo, call, oracle", [
+    (spherical._validate_cone, validate_colored_cone,
+     unmemoised_validate_colored_cone),
+    (spherical._colored_faces, colored_faces, unmemoised_colored_faces),
+], ids=["validate_cone", "colored_faces"])
+def test_each_cone_memo_is_bounded_and_rebuilds_what_it_evicted(memo, call,
+                                                                oracle):
+    datum = SphericalDatum(2, Cone.full_space(2), (Color("D", (1, 0)),))
+    cones = [ColoredCone(Cone.from_generators([(1, 0), (k, 1)], 2), {"D"})
+             for k in range(CONE_CACHE_SIZE + 5)]
+    info = memo.cache_info
+    assert info().maxsize == CONE_CACHE_SIZE
+    memo.cache_clear()
+    first = call(datum, cones[0])
+    for cc in cones[1:]:
+        call(datum, cc)
+        assert info().currsize <= CONE_CACHE_SIZE
+    assert info().currsize == CONE_CACHE_SIZE
+    misses = info().misses
+    again = call(datum, cones[0])
+    assert info().misses == misses + 1
+    assert again == first == oracle(datum, cones[0])
+    assert unmemoised_validate_colored_cone(datum, cones[0]).ok

@@ -2,13 +2,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sphtrop import troposphere
 from sphtrop.examples import all_fans, blowup_a4, table2_datum
 from sphtrop.fundthm import (Cell, TropicalComplex, canonical_constraint,
                              extended_trop_sets)
-from sphtrop.polyhedra import Cone, affine_feasible, quotient_chart
+from sphtrop.polyhedra import (CONE_CACHE_SIZE, Cone, affine_feasible,
+                               quotient_chart)
 from sphtrop.puiseux import INF, ValuedPolynomial
 from sphtrop.spherical import (Color, ColoredCone, ColoredFan, SphericalDatum,
                                colored_faces)
@@ -201,7 +203,70 @@ def datum_and_face(draw):
 @given(datum_and_face())
 def test_property_stratum_is_the_gram_solve_stratum(case):
     datum, face = case
-    assert Stratum.of(datum, face) == gram_solve_stratum(datum, face)
+    troposphere._quotient_image.cache_clear()
+    first = Stratum.of(datum, face)  # a miss, then a hit
+    assert first == Stratum.of(datum, face) == gram_solve_stratum(datum, face)
+
+
+@st.composite
+def datum_and_cones_of_one_span(draw):
+    """A valuation cone as in ``datum_and_face`` and, in random order, cones
+    with one span and different rays: a ray, its negation and the line
+    through it, or a quadrant, its half-plane and the plane."""
+    rank = draw(st.integers(1, 4))
+    gens, lines = draw(rows(rank, 5)), draw(rows(rank, 2))
+    gens += lines + [vscale(-1, l) for l in lines]
+    datum = SphericalDatum(rank, Cone.from_generators(gens, rank), ())
+    r, s = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * rank),
+                         min_size=2, max_size=2))
+    assume(any(r))
+    if Cone.from_generators([r, s], rank).dim() == 2:
+        group = [[r, s], [r, s, vscale(-1, s)],
+                 [r, vscale(-1, r), s, vscale(-1, s)]]
+    else:
+        group = [[r], [vscale(-1, r)], [r, vscale(-1, r)]]
+    return datum, [Cone.from_generators(g, rank)
+                   for g in draw(st.permutations(group))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(datum_and_cones_of_one_span())
+def test_property_cones_of_one_span_share_one_stratum_image(case):
+    datum, cones = case
+    troposphere._quotient_image.cache_clear()
+    first = Stratum.of(datum, ColoredCone(cones[0]))
+    for cone in cones:
+        s = Stratum.of(datum, ColoredCone(cone))
+        assert s == gram_solve_stratum(datum, ColoredCone(cone))
+        assert s.valuation_cone_image is first.valuation_cone_image
+    info = troposphere._quotient_image.cache_info()
+    assert (info.misses, info.hits) == (1, len(cones))
+
+
+def test_stratum_memo_is_bounded_and_rebuilds_what_it_evicted():
+    datum = SphericalDatum(2, Cone.from_generators([(1, 0), (1, 2)], 2), ())
+    faces = [ColoredCone(Cone.from_generators([(1, k)], 2))
+             for k in range(CONE_CACHE_SIZE + 5)]
+    info = troposphere._quotient_image.cache_info
+    assert info().maxsize == CONE_CACHE_SIZE
+    troposphere._quotient_image.cache_clear()
+    first = Stratum.of(datum, faces[0])
+    for face in faces[1:]:
+        Stratum.of(datum, face)
+        assert info().currsize <= CONE_CACHE_SIZE
+    assert info().currsize == CONE_CACHE_SIZE
+    misses = info().misses
+    again = Stratum.of(datum, faces[0])
+    assert info().misses == misses + 1
+    assert again == first == gram_solve_stratum(datum, faces[0])
+    assert again.valuation_cone_image is not first.valuation_cone_image
+
+
+def test_stratum_of_a_face_of_the_wrong_rank_raises():
+    datum = SphericalDatum(3, Cone.full_space(3), ())
+    for face in (Cone.zero(2), Cone.from_generators([(1, 0)], 2)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            Stratum.of(datum, ColoredCone(face))
 
 
 @pytest.mark.parametrize("face", [Cone.zero(3), Cone.full_space(3),
