@@ -145,7 +145,8 @@ def trop_to_json(t: ExtendedTrop) -> dict:
 def trop_from_json(data) -> ExtendedTrop:
     rank = dim_from_json(data["ambient_rank"])
     strata = []
-    for item in data["strata"]:
+    first: dict = {}
+    for i, item in enumerate(data["strata"]):
         face = ColoredCone(
             Cone.from_generators([vector_from_json(g)
                                   for g in item["face_generators"]], rank),
@@ -155,8 +156,12 @@ def trop_from_json(data) -> ExtendedTrop:
         if type(qdim) is not int or qdim != len(chart):
             raise InputError(f"quotient_dim {qdim!r} is not the face's "
                              f"quotient dimension {len(chart)}")
-        strata.append(Stratum(face, chart,
-                              cone_from_json(item["valuation_cone_image"])))
+        s = Stratum(face, chart, cone_from_json(item["valuation_cone_image"]))
+        j = first.setdefault(s.key, i)
+        if j != i:
+            raise InputError(f"strata {j} and {i} have the same face and "
+                             "colors")
+        strata.append(s)
     adjacency = {}
     for item, s in zip(data["strata"], strata):
         for i in item["adjacent"]:

@@ -6,12 +6,12 @@ images in N_Q.  Colors are identified by name; several colors may share
 the same image vector.  A fan's validity depends on nothing but the datum
 and the fan, so ``validate_colored_fan`` copies it from ``_validate_fan``, an
 LRU memo of at most ``FAN_CACHE_SIZE`` verdicts (errors are not cached), to
-a fresh report on every call.  In the same way a colored cone's verdict
-(``_validate_cone``) and its colored faces (``_colored_faces``) depend only
-on the datum and the colored cone: each is built once per LRU memo entry,
-at most ``polyhedra.CONE_CACHE_SIZE`` of them (every key holds a cone of
-that memo), and ``validate_colored_cone`` and ``colored_faces`` copy it to
-a fresh report or list.  A cone of the wrong rank raises before the memo.
+a fresh report on every call.  In the same way a colored cone's verdict and
+its colored faces depend only on the datum and the colored cone: both are
+built once per entry of one LRU memo, ``_cone_record``, of at most
+``polyhedra.CONE_CACHE_SIZE`` entries (every key holds a cone of that memo),
+and ``validate_colored_cone`` and ``colored_faces`` copy them to a fresh
+report or list.  A cone of the wrong rank raises before the memo.
 """
 
 from __future__ import annotations
@@ -113,15 +113,16 @@ def validate_colored_cone(datum: SphericalDatum, cc: ColoredCone,
     """Check the colored-cone axioms; strict convexity is reported separately."""
     if cc.cone.ambient_dim != datum.rank:
         raise ValueError("cone ambient dimension must equal the rank")
-    failures, strictly_convex = _validate_cone(datum, cc)
+    failures, strictly_convex, _ = _cone_record(datum, cc)
     return ValidationReport(ok=not failures, failures=list(failures),
                             strictly_convex=strictly_convex)
 
 
 @lru_cache(maxsize=CONE_CACHE_SIZE)
-def _validate_cone(datum: SphericalDatum, cc: ColoredCone
-                   ) -> tuple[tuple[str, ...], bool]:
-    """The verdict ``(failures, strictly_convex)`` on a cone of the rank."""
+def _cone_record(datum: SphericalDatum, cc: ColoredCone
+                 ) -> tuple[tuple[str, ...], bool, tuple[ColoredCone, ...]]:
+    """``(failures, strictly_convex, colored_faces)`` of a cone of the rank;
+    an invalid cone has no faces."""
     sigma = cc.cone
     rho_images = [datum.color(name).rho for name in sorted(cc.colors)]
 
@@ -137,7 +138,13 @@ def _validate_cone(datum: SphericalDatum, cc: ColoredCone
         failures.append("interior-meets-V")
     strictly_convex = (sigma.is_strictly_convex()
                        and all(any(x != 0 for x in r) for r in rho_images))
-    return tuple(failures), strictly_convex
+    if failures:
+        return tuple(failures), strictly_convex, ()
+    faces = tuple(
+        ColoredCone(tau, frozenset(name for name in cc.colors
+                                   if tau.contains(datum.color(name).rho)))
+        for tau in sigma.faces() if relint_meets_valuation_cone(datum, tau))
+    return (), strictly_convex, faces
 
 
 def colored_faces(datum: SphericalDatum, cc: ColoredCone) -> list[ColoredCone]:
@@ -149,22 +156,7 @@ def colored_faces(datum: SphericalDatum, cc: ColoredCone) -> list[ColoredCone]:
     report = validate_colored_cone(datum, cc)
     if not report.ok:
         raise ValueError(f"invalid colored cone: {report.failures}")
-    return list(_colored_faces(datum, cc))
-
-
-@lru_cache(maxsize=CONE_CACHE_SIZE)
-def _colored_faces(datum: SphericalDatum, cc: ColoredCone
-                   ) -> tuple[ColoredCone, ...]:
-    """``colored_faces`` of a colored cone already known to be valid."""
-    out = []
-    for tau in cc.cone.faces():
-        if not relint_meets_valuation_cone(datum, tau):
-            continue
-        inherited = frozenset(
-            name for name in cc.colors
-            if tau.contains(datum.color(name).rho))
-        out.append(ColoredCone(tau, inherited))
-    return tuple(out)
+    return list(_cone_record(datum, cc)[2])
 
 
 def _facet_separates(a: Cone, b: Cone) -> bool:
@@ -193,20 +185,18 @@ def _validate_fan(datum: SphericalDatum, fan: ColoredFan,
     """The verdict ``(ok, failures, strictly_convex)`` on a fan."""
     failures: list[str] = []
     strict = True
-    valid_members: list[ColoredCone] = []
     for i, cc in enumerate(fan.cones):
         rep = validate_colored_cone(datum, cc)
         if not rep.ok:
             failures.append(f"member-invalid[{i}]: {','.join(rep.failures)}")
-        else:
-            valid_members.append(cc)
         if not rep.strictly_convex:
             strict = False
 
-    # fan members, then each missing face once it has been reported
+    # fan members, then each missing face once it has been reported; an
+    # invalid member has no colored faces
     seen = {(cc.cone.canonical_key(), cc.colors) for cc in fan.cones}
-    for cc in valid_members:
-        for face in _colored_faces(datum, cc):
+    for cc in fan.cones:
+        for face in _cone_record(datum, cc)[2]:
             key = (face.cone.canonical_key(), face.colors)
             if key not in seen:
                 seen.add(key)
@@ -219,7 +209,8 @@ def _validate_fan(datum: SphericalDatum, fan: ColoredFan,
         for b in fan.cones[i + 1:]:
             if a.cone == b.cone:
                 failures.append("interior-overlap: duplicate cone with "
-                                "different colors")
+                                + ("the same" if a.colors == b.colors
+                                   else "different") + " colors")
                 continue
             # a facet of one cone that separates the pair needs no sweep
             if (_facet_separates(a.cone, b.cone)

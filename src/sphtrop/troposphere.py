@@ -2,10 +2,12 @@
 
 The tropicalization of an embedding with colored fan Sigma is the disjoint
 union, over all colored faces tau, of the image V_tau of the valuation cone
-in the quotient N_Q / span(tau).  Strata shared by several maximal cones are
-glued by identifying equal colored faces.  Points of a stratum are stored in
-a canonical chart on tau-perp, and evaluation against lattice functionals
-recovers the extended (rational or infinite) semigroup homomorphism.
+in the quotient N_Q / span(tau).  A valid fan is closed under colored faces,
+so each member's own colored faces give its strata and the faces below it;
+equal colored faces of several members are glued into one stratum.  Points
+of a stratum are stored in a canonical chart on tau-perp, and evaluation
+against lattice functionals recovers the extended (rational or infinite)
+semigroup homomorphism.
 
 ``Stratum.of`` is the one builder of V_tau: it fixes the chart of a face and
 projects the valuation cone into it by one integer ``rref``
@@ -148,26 +150,24 @@ class ExtendedTrop:
 
 def tropicalize_embedding(datum: SphericalDatum, fan: ColoredFan
                           ) -> ExtendedTrop:
-    """One stratum per distinct colored face across all maximal cones.
+    """One stratum per distinct colored face of the fan's members.
 
-    Faces shared by several cones are glued, i.e. contribute one stratum.
-    The faces below a colored face are the colored faces of its maximal
-    cone whose canonical rays are among its own.
+    Faces shared by several members are glued, i.e. contribute one stratum.
+    A valid fan is closed under colored faces, so the faces below a member
+    are its own colored faces.
     """
     report = validate_colored_fan(datum, fan)
     if not report.ok:
         raise ValueError(f"invalid colored fan: {report.failures}")
     strata: dict[StratumKey, Stratum] = {}
     face_of: dict[StratumKey, frozenset[StratumKey]] = {}
-    for cc in fan.maximal_cones():
+    for cc in fan.cones:
         faces = colored_faces(datum, cc)
         for f in faces:
             key = stratum_key(f)
             if key not in strata:
                 strata[key] = Stratum.of(datum, f)
-            sub = frozenset(stratum_key(g) for g in faces
-                            if set(g.cone.rays) <= set(f.cone.rays))
-            face_of[key] = face_of.get(key, frozenset()) | sub
+        face_of[stratum_key(cc)] = frozenset(map(stratum_key, faces))
     return ExtendedTrop(datum.rank, list(strata.values()), face_of)
 
 

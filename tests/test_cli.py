@@ -261,6 +261,22 @@ def test_trop_adjacent_index_out_of_range_exits_2(corpus, capsys, tmp_path,
         lambda strata: strata[0]["adjacent"].append(index))
 
 
+def test_trop_repeated_stratum_exits_2(corpus, capsys, tmp_path):
+    """A stratum listed twice (same face and colors) is refused, not kept
+    once."""
+    assert_corrupt_trop_exits_2(corpus, capsys, tmp_path,
+                                lambda strata: strata.append(strata[0]))
+    trop = json.loads((corpus / "table2.A4.trop.json").read_text())
+    last = len(trop["strata"])
+    trop["strata"].append(trop["strata"][0])
+    bad = tmp_path / "repeated.trop.json"
+    bad.write_text(json.dumps(trop))
+    rc = main(["compare", str(corpus / "table2.A4.trop.json"), str(bad)])
+    assert rc == 2
+    assert capsys.readouterr().err.endswith(
+        f": strata 0 and {last} have the same face and colors\n")
+
+
 def stored_quotient_dim(value):
     def corrupt(strata):
         strata[0]["quotient_dim"] = value

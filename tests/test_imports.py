@@ -173,6 +173,8 @@ UNREAD_PUBLIC = {
     "puiseux.py: initial_form_substitution":
         "the substitution definition that criterion 5 compares with "
         "initial_form",
+    "spherical.py: maximal_cones":
+        "criterion 7 and the troposphere oracle walk the maximal cones",
 }
 
 

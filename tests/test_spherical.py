@@ -129,6 +129,20 @@ def test_same_cone_different_colors_rejected():
     assert any("duplicate" in f for f in report.failures)
 
 
+def test_a_repeated_member_is_reported_with_or_without_its_colors():
+    datum = table2_datum()
+    zero = ColoredCone(Cone.zero(2))
+    ray = ColoredCone(Cone.from_generators([(-1, 1)], 2), {"D"})
+    for repeat, reported in [(ray, "the same"),
+                             (ColoredCone(ray.cone), "different")]:
+        fan = ColoredFan((zero, ray, repeat))
+        failures = validate_colored_fan(datum, fan).failures
+        assert f"interior-overlap: duplicate cone with {reported} colors" in (
+            failures)
+        assert failures == unmemoised_validate_colored_fan(
+            datum, fan).failures
+
+
 def test_unknown_color_raises():
     datum, _ = p1xp1()
     with pytest.raises(KeyError):
@@ -216,7 +230,8 @@ def unmemoised_validate_colored_fan(datum: SphericalDatum, fan: ColoredFan,
         for b in fan.cones[i + 1:]:
             if a.cone == b.cone:
                 failures.append("interior-overlap: duplicate cone with "
-                                "different colors")
+                                + ("the same" if a.colors == b.colors
+                                   else "different") + " colors")
                 continue
             # a facet of one cone that separates the pair needs no sweep
             if (_facet_separates(a.cone, b.cone)
@@ -383,8 +398,7 @@ def test_a_cone_of_the_wrong_dimension_raises_on_every_call():
 @given(data_and_collections())
 def test_property_cone_memos_give_the_unmemoised_verdict_and_faces(case):
     datum, fan = case
-    spherical._validate_cone.cache_clear()
-    spherical._colored_faces.cache_clear()
+    spherical._cone_record.cache_clear()
     for cc in fan.cones:
         oracle = unmemoised_validate_colored_cone(datum, cc)
         faces = unmemoised_colored_faces(datum, cc) if oracle.ok else None
@@ -397,7 +411,10 @@ def test_property_cone_memos_give_the_unmemoised_verdict_and_faces(case):
             else:
                 with pytest.raises(ValueError, match="invalid colored cone"):
                     colored_faces(datum, cc)
-    assert spherical._validate_cone.cache_info().hits >= len(fan.cones)
+    # one record per distinct cone serves both calls
+    info = spherical._cone_record.cache_info()
+    assert info.misses == len(set(fan.cones))
+    assert info.hits >= len(fan.cones)
 
 
 def test_mutating_a_cone_report_or_face_list_leaves_the_next_one_unchanged():
@@ -422,31 +439,27 @@ def test_mutating_a_cone_report_or_face_list_leaves_the_next_one_unchanged():
 def test_a_cone_of_the_wrong_rank_raises_on_every_call():
     datum = table2_datum()
     cc = ColoredCone(Cone.from_generators([(1, 0, 0)], 3))
-    before = (spherical._validate_cone.cache_info(),
-              spherical._colored_faces.cache_info())
+    before = spherical._cone_record.cache_info()
     for _ in range(3):
         with pytest.raises(ValueError, match="ambient dimension"):
             validate_colored_cone(datum, cc)
         with pytest.raises(ValueError, match="ambient dimension"):
             colored_faces(datum, cc)
-    # raised before either memo was asked
-    assert (spherical._validate_cone.cache_info(),
-            spherical._colored_faces.cache_info()) == before
+    # raised before the memo was asked
+    assert spherical._cone_record.cache_info() == before
 
 
-@pytest.mark.parametrize("memo, call, oracle", [
-    (spherical._validate_cone, validate_colored_cone,
-     unmemoised_validate_colored_cone),
-    (spherical._colored_faces, colored_faces, unmemoised_colored_faces),
+@pytest.mark.parametrize("call, oracle", [
+    (validate_colored_cone, unmemoised_validate_colored_cone),
+    (colored_faces, unmemoised_colored_faces),
 ], ids=["validate_cone", "colored_faces"])
-def test_each_cone_memo_is_bounded_and_rebuilds_what_it_evicted(memo, call,
-                                                                oracle):
+def test_each_cone_memo_is_bounded_and_rebuilds_what_it_evicted(call, oracle):
     datum = SphericalDatum(2, Cone.full_space(2), (Color("D", (1, 0)),))
     cones = [ColoredCone(Cone.from_generators([(1, 0), (k, 1)], 2), {"D"})
              for k in range(CONE_CACHE_SIZE + 5)]
-    info = memo.cache_info
+    info = spherical._cone_record.cache_info
     assert info().maxsize == CONE_CACHE_SIZE
-    memo.cache_clear()
+    spherical._cone_record.cache_clear()
     first = call(datum, cones[0])
     for cc in cones[1:]:
         call(datum, cc)

@@ -13,9 +13,11 @@ from sphtrop.polyhedra import (CONE_CACHE_SIZE, Cone, affine_feasible,
                                quotient_chart)
 from sphtrop.puiseux import INF, ValuedPolynomial
 from sphtrop.spherical import (Color, ColoredCone, ColoredFan, SphericalDatum,
-                               colored_faces)
+                               colored_faces, validate_colored_fan)
 from sphtrop.troposphere import (
+    ExtendedTrop,
     Stratum,
+    StratumKey,
     TropSubset,
     assemble_subvariety_trop,
     contains_point,
@@ -326,6 +328,43 @@ def test_property_adjacency_is_the_contains_cone_loop(case):
     datum, fan = case
     assert (tropicalize_embedding(datum, fan).adjacency
             == contains_cone_adjacency(datum, fan))
+
+
+# -- the member-wise route against the former maximal-cone loop --------------
+
+def former_tropicalize_embedding(datum, fan):
+    """``tropicalize_embedding`` before it read each member's own colored
+    faces, kept verbatim as an oracle: one pass over the maximal cones,
+    the faces below a colored face read off canonical ray sets."""
+    report = validate_colored_fan(datum, fan)
+    if not report.ok:
+        raise ValueError(f"invalid colored fan: {report.failures}")
+    strata: dict[StratumKey, Stratum] = {}
+    face_of: dict[StratumKey, frozenset[StratumKey]] = {}
+    for cc in fan.maximal_cones():
+        faces = colored_faces(datum, cc)
+        for f in faces:
+            key = stratum_key(f)
+            if key not in strata:
+                strata[key] = Stratum.of(datum, f)
+            sub = frozenset(stratum_key(g) for g in faces
+                            if set(g.cone.rays) <= set(f.cone.rays))
+            face_of[key] = face_of.get(key, frozenset()) | sub
+    return ExtendedTrop(datum.rank, list(strata.values()), face_of)
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_fans())
+def test_property_member_faces_give_the_maximal_cone_trop(case):
+    datum, fan = case
+    assert (tropicalize_embedding(datum, fan)
+            == former_tropicalize_embedding(datum, fan))
+
+
+def test_member_faces_give_the_maximal_cone_trop_on_the_corpus():
+    for name, datum, fan, _ in all_fans():
+        assert (tropicalize_embedding(datum, fan)
+                == former_tropicalize_embedding(datum, fan)), name
 
 
 # -- one sweep per cell against one sweep per cell and halfspace -------------
