@@ -128,15 +128,17 @@ def _shown(key: StratumKey) -> str:
 
 def compare_tropicalizations(a: ExtendedTrop, b: ExtendedTrop
                              ) -> ComparisonReport:
-    """Stratum-by-stratum equality of two extended tropicalizations."""
+    """Stratum-by-stratum equality of two extended tropicalizations; each
+    loop runs over its keys in sorted order, so the report does not depend
+    on string hashing."""
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient ranks differ")
     report = ComparisonReport()
-    for key in a.strata.keys() - b.strata.keys():
+    for key in sorted(a.strata.keys() - b.strata.keys()):
         report.mismatches.append(f"stratum only on the left: {_shown(key)}")
-    for key in b.strata.keys() - a.strata.keys():
+    for key in sorted(b.strata.keys() - a.strata.keys()):
         report.mismatches.append(f"stratum only on the right: {_shown(key)}")
-    for key in a.strata.keys() & b.strata.keys():
+    for key in sorted(a.strata.keys() & b.strata.keys()):
         report.strata_checked += 1
         if (a.strata[key].valuation_cone_image
                 != b.strata[key].valuation_cone_image):

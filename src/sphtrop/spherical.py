@@ -12,6 +12,16 @@ built once per entry of one LRU memo, ``_cone_record``, of at most
 ``polyhedra.CONE_CACHE_SIZE`` entries (every key holds a cone of that memo),
 and ``validate_colored_cone`` and ``colored_faces`` copy them to a fresh
 report or list.  A cone of the wrong rank raises before the memo.
+
+The fan's overlap pass and ``ColoredFan.maximal_cones`` read one sign table
+(``_SignTable``), built from the members alone: a mask per member over one
+index of the distinct generators, and per distinct facet or equation row
+the masks of the generators where it is positive and negative.  A pair
+that some row separates (>= 0 on one member, <= 0 on the other, nonzero on
+a generator of either) has disjoint relative interiors and skips the
+sweep; every other pair runs the intersect and relative-interior-point
+test.  A member lies in another when its mask lies in the other's
+``inside`` mask (not negative on its facets, zero on its equations).
 """
 
 from __future__ import annotations
@@ -73,17 +83,74 @@ class ColoredFan:
         object.__setattr__(self, "cones", tuple(self.cones))
 
     def maximal_cones(self) -> list[ColoredCone]:
-        out = []
-        for cc in self.cones:
-            # a strict container may share the dimension (half-plane, quadrant)
-            strictly_below = any(
-                other is not cc and other.cone.dim() >= cc.cone.dim()
-                and other.cone.contains_cone(cc.cone)
-                and other.cone != cc.cone
-                for other in self.cones)
-            if not strictly_below:
-                out.append(cc)
-        return out
+        # a strict container may share the dimension (half-plane, quadrant);
+        # equal generator masks are equal cones
+        table = _SignTable([cc.cone for cc in self.cones])
+        inside = [table.inside(cc.cone) for cc in self.cones]
+        return [cc for cc, g in zip(self.cones, table.gens)
+                if not any(g & ~s == 0 and g != h
+                           for s, h in zip(inside, table.gens))]
+
+
+class _SignTable:
+    """The signs of a fan's facet and equation rows on its generators.
+
+    ``gens[i]`` masks the generators of member i (rays, lineality vectors
+    and their negatives) in one index of the distinct generators of all
+    members; ``signs[h]`` is ``(pos, neg)``, the masks of the generators on
+    which a facet or equation row h of some member is > 0 and < 0.
+    """
+
+    def __init__(self, cones: list[Cone]):
+        index: dict[tuple, int] = {}
+        self.gens = []
+        for cone in cones:
+            mask = 0
+            for g in cone.generators:
+                mask |= 1 << index.setdefault(g, len(index))
+            self.gens.append(mask)
+        self.signs: dict[tuple, tuple[int, int]] = {}
+        for h in dict.fromkeys(r for cone in cones
+                               for r in cone.inequalities + cone.equations):
+            pos = neg = 0
+            for bit, g in enumerate(index):
+                s = dot(h, g)
+                if s > 0:
+                    pos |= 1 << bit
+                elif s < 0:
+                    neg |= 1 << bit
+            self.signs[h] = pos, neg
+
+    def inside(self, cone: Cone) -> int:
+        """The generators in a member: not negative on its facets, zero on
+        its equations."""
+        mask = -1
+        for h in cone.inequalities:
+            mask &= ~self.signs[h][1]
+        for e in cone.equations:
+            mask &= ~(self.signs[e][0] | self.signs[e][1])
+        return mask
+
+    def apart(self) -> list[int]:
+        """Bit j of entry i is set when some row h separates members i and j.
+
+        Per row, a member is in class 0, 1 or 2 when h is zero on all its
+        generators, >= 0 and not all zero, or <= 0 and not all zero, and in
+        class 3 (mixed) otherwise.  Two members of different classes, neither
+        mixed, are separated: h > 0 or h < 0 on the relative interior of one
+        and the opposite weak sign on the other.
+        """
+        apart = [0] * len(self.gens)
+        for pos, neg in self.signs.values():
+            side = [bool(g & pos) | bool(g & neg) << 1 for g in self.gens]
+            members = [0] * 4
+            for i, k in enumerate(side):
+                members[k] |= 1 << i
+            definite = members[0] | members[1] | members[2]
+            for i, k in enumerate(side):
+                if k != 3:
+                    apart[i] |= definite ^ members[k]
+        return apart
 
 
 @dataclass
@@ -159,15 +226,6 @@ def colored_faces(datum: SphericalDatum, cc: ColoredCone) -> list[ColoredCone]:
     return list(_cone_record(datum, cc)[2])
 
 
-def _facet_separates(a: Cone, b: Cone) -> bool:
-    """Some facet h of a has h.g <= 0 on every generator g of b.
-
-    Every facet is positive on relint(a), so relint(a) then misses b.
-    """
-    return any(all(dot(h, g) <= 0 for g in b.generators)
-               for h in a.inequalities)
-
-
 def validate_colored_fan(datum: SphericalDatum, fan: ColoredFan,
                          require_strict: bool = False) -> ValidationReport:
     """Face closure, relint disjointness inside V, and optional strictness."""
@@ -205,16 +263,17 @@ def _validate_fan(datum: SphericalDatum, fan: ColoredFan,
                     f"{fraction_rows(face.cone.rays)} "
                     f"with colors {sorted(face.colors)}")
 
+    apart = _SignTable([cc.cone for cc in fan.cones]).apart()
     for i, a in enumerate(fan.cones):
-        for b in fan.cones[i + 1:]:
+        for j, b in enumerate(fan.cones[i + 1:], i + 1):
+            # a pair that a row of the sign table separates needs no sweep,
+            # and is no duplicate: equal cones have equal signs on every row
+            if apart[i] >> j & 1:
+                continue
             if a.cone == b.cone:
                 failures.append("interior-overlap: duplicate cone with "
                                 + ("the same" if a.colors == b.colors
                                    else "different") + " colors")
-                continue
-            # a facet of one cone that separates the pair needs no sweep
-            if (_facet_separates(a.cone, b.cone)
-                    or _facet_separates(b.cone, a.cone)):
                 continue
             meet = a.cone.intersect(b.cone).intersect(datum.valuation_cone)
             y = meet.relint_point()

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,6 +75,29 @@ def test_trop_modes_and_compare(corpus, capsys, tmp_path):
     rc, _ = run(capsys, "compare", str(corpus / "table2.A4.trop.json"),
                 str(gr))
     assert rc == 1
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_compare_prints_the_same_report_under_any_hash_seed(corpus):
+    """Stratum keys hold color names, whose hashes change with
+    PYTHONHASHSEED; the two seeds below listed the mismatches of these
+    files in different orders before the report sorted its keys."""
+    outs = []
+    for seed in ("1", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from sphtrop.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "compare", "table2.P4.trop.json", "table2.Gl2.trop.json"],
+            cwd=corpus, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert len(json.loads(outs[0])["mismatches"]) > 1
 
 
 def test_poly_commands(capsys):

@@ -8,7 +8,6 @@ from sphtrop.linalg import (IntVector, dot, eliminate, embed_from_chart,
                             is_zero_vec, primitive, project_to_chart, rref,
                             vec, vneg)
 from sphtrop.polyhedra import Cone, _dd, affine_feasible, quotient_chart
-from sphtrop.spherical import _facet_separates
 from test_linalg import project_off, vadd
 
 
@@ -377,6 +376,15 @@ def test_property_intersect_agrees_with_joined_system(pair):
                                     a.ambient_dim, a.equations + b.equations)
     assert a.intersect(b) == joined
     assert b.intersect(a) == joined
+
+
+def _facet_separates(a: Cone, b: Cone) -> bool:
+    """Some facet h of a has h.g <= 0 on every generator g of b.
+
+    Every facet is positive on relint(a), so relint(a) then misses b.
+    """
+    return any(all(dot(h, g) <= 0 for g in b.generators)
+               for h in a.inequalities)
 
 
 def dd_relints_overlap(a, b, v):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,13 +15,13 @@ from sphtrop.spherical import (
     ColoredFan,
     SphericalDatum,
     ValidationReport,
-    _facet_separates,
     colored_faces,
     relint_meets_valuation_cone,
     validate_colored_cone,
     validate_colored_fan,
 )
-from test_polyhedra import rows
+from test_polyhedra import (_facet_separates, dd_relints_overlap,
+                            mixed_cones, rows)
 
 
 def test_builtin_corpus_is_valid_and_strict():
@@ -470,3 +472,93 @@ def test_each_cone_memo_is_bounded_and_rebuilds_what_it_evicted(call, oracle):
     assert info().misses == misses + 1
     assert again == first == oracle(datum, cones[0])
     assert unmemoised_validate_colored_cone(datum, cones[0]).ok
+
+
+# -- the sign table: sound, the former verdicts, and complete on arrangements -
+
+
+def certified_pairs(cones) -> set[tuple[int, int]]:
+    """The index pairs i < j that the fan's sign table separates."""
+    apart = spherical._SignTable(cones).apart()
+    return {(i, j) for i, j in itertools.combinations(range(len(cones)), 2)
+            if apart[i] >> j & 1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.lists(mixed_cones(d), min_size=2, max_size=5),
+    st.one_of(st.just(Cone.full_space(d)), mixed_cones(d)))))
+def test_property_certified_pairs_never_overlap(case):
+    """Sound, symmetric, and certain of every pair a facet of either
+    member separates."""
+    cones, v = case
+    apart = spherical._SignTable(cones).apart()
+    for (i, a), (j, b) in itertools.product(enumerate(cones), repeat=2):
+        if apart[i] >> j & 1:
+            assert apart[j] >> i & 1
+            assert a != b
+            assert not dd_relints_overlap(a, b, v)
+        else:
+            assert not _facet_separates(a, b)
+
+
+@st.composite
+def arrangement_fans(draw, spoilt=None):
+    """The complete fan cut out by 0-3 nonzero hyperplanes in rank 1-4, in
+    general position or not, with an empty palette and V the full space.
+    When spoilt, V may be a random cone and the fan is spoilt on purpose:
+    a member repeated ("duplicate"), a member grown by one vector added
+    ("overlap"), or a member that is not full-dimensional dropped
+    ("missing")."""
+    rank = draw(st.integers(1, 4))
+    normals = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rank).filter(any),
+                            max_size=3 if rank > 1 else 2))
+    cones = {}
+    for signs in itertools.product((-1, 0, 1), repeat=len(normals)):
+        ineqs = []
+        for s, h in zip(signs, normals):
+            ineqs += ([h, tuple(-x for x in h)] if s == 0
+                      else [tuple(s * x for x in h)])
+        cone = Cone.from_inequalities(ineqs, rank)
+        cones.setdefault(cone, ColoredCone(cone))
+    members = draw(st.permutations(list(cones.values())))
+    valuation_cone = Cone.full_space(rank)
+    if spoilt and draw(st.booleans()):
+        valuation_cone = Cone.from_generators(draw(rows(rank, 4)), rank)
+    if spoilt == "duplicate":
+        members.insert(draw(st.integers(0, len(members))),
+                       draw(st.sampled_from(members)))
+    elif spoilt == "overlap":
+        a = draw(st.sampled_from(members)).cone
+        w = draw(st.tuples(*[st.integers(-2, 2)] * rank))
+        members.append(ColoredCone(Cone.from_generators(
+            a.generators + (w,), rank)))
+    elif spoilt == "missing":
+        faces = [cc for cc in members if cc.cone.dim() < rank]
+        if faces:
+            members.remove(draw(st.sampled_from(faces)))
+    return SphericalDatum(rank, valuation_cone, ()), ColoredFan(tuple(members))
+
+
+@pytest.mark.parametrize("spoilt", [None, "duplicate", "overlap", "missing"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), require_strict=st.booleans())
+def test_property_fan_verdict_is_the_former_pairwise_pass(spoilt, data,
+                                                          require_strict):
+    datum, fan = data.draw(arrangement_fans(spoilt))
+    spherical._validate_fan.cache_clear()
+    report = validate_colored_fan(datum, fan, require_strict)
+    assert report == unmemoised_validate_colored_fan(datum, fan,
+                                                     require_strict)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrangement_fans())
+def test_property_arrangement_fans_certify_every_pair(case):
+    datum, fan = case
+    assert validate_colored_fan(datum, fan).ok
+    n = len(fan.cones)
+    assert certified_pairs([cc.cone for cc in fan.cones]) == set(
+        itertools.combinations(range(n), 2))
+    assert list(map(id, fan.maximal_cones())) == list(
+        map(id, former_maximal_cones(fan)))
