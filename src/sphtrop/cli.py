@@ -114,11 +114,6 @@ def cmd_trop(args) -> int:
     return rc
 
 
-def cmd_grtrop(args) -> int:
-    args.mode = "grobner"
-    return cmd_trop(args)
-
-
 def cmd_compare(args) -> int:
     try:
         a = jsonio.trop_from_json(_load_json(args.left))
@@ -267,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("grtrop", help="Groebner-side tropicalization")
     add_pair(sp)
-    sp.set_defaults(func=cmd_grtrop)
+    sp.set_defaults(func=cmd_trop, mode="grobner")
 
     sp = sub.add_parser("compare", help="diff two tropicalization files")
     sp.add_argument("left")

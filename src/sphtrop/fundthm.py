@@ -81,7 +81,7 @@ class TropicalComplex:
         return any(cell._contains_scaled(W, den) for cell in self.cells)
 
     def is_empty_set(self) -> bool:
-        return not self.cells
+        return all(cell.is_empty() for cell in self.cells)
 
 
 def trop_hypersurface(f: ValuedPolynomial) -> TropicalComplex:

@@ -221,15 +221,19 @@ def complex_to_json(cx: TropicalComplex) -> dict:
 
 
 def complex_from_json(data) -> TropicalComplex:
-    def constraint(c):
-        return canonical_constraint(vector_from_json(c["coeffs"]),
-                                    rational_from_input(c["rhs"]))
     dim = dim_from_json(data["ambient_dim"])
+
+    def constraint(c, i):
+        coeffs = vector_from_json(c["coeffs"])
+        if len(coeffs) != dim:
+            raise InputError(f"cell {i} has a row of length {len(coeffs)}, "
+                             f"expected {dim}")
+        return canonical_constraint(coeffs, rational_from_input(c["rhs"]))
     cells = tuple(
         Cell(dim,
-             tuple(constraint(c) for c in cell["equalities"]),
-             tuple(constraint(c) for c in cell["inequalities"]))
-        for cell in data["cells"])
+             tuple(constraint(c, i) for c in cell["equalities"]),
+             tuple(constraint(c, i) for c in cell["inequalities"]))
+        for i, cell in enumerate(data["cells"]))
     return TropicalComplex(dim, cells)
 
 

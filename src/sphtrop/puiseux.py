@@ -89,11 +89,8 @@ class PuiseuxScalar:
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple] ) -> "PuiseuxScalar":
-        acc: dict[Fraction, Fraction] = {}
-        for e, c in terms:
-            e, c = Fraction(e), Fraction(c)
-            acc[e] = acc.get(e, Fraction(0)) + c
-        return cls(tuple(sorted((e, c) for e, c in acc.items() if c != 0)))
+        return cls(tuple(sorted(_collect(
+            (Fraction(e), Fraction(c)) for e, c in terms).items())))
 
     @classmethod
     def zero(cls) -> "PuiseuxScalar":

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .linalg import IntVector, embed_from_chart, is_zero_vec, primitive
+from .linalg import IntVector, embed_from_chart, primitive
 from .polyhedra import Cone
 from .troposphere import ExtendedTrop, Stratum
 
@@ -44,8 +44,6 @@ def _anchor(s: Stratum) -> tuple[IntVector, int]:
     if not gens:
         return (0, 0), 1
     total = tuple(map(sum, zip(*gens)))
-    if is_zero_vec(total):
-        total = gens[0]
     return _pad2([BOX * x for x in total]), max(map(abs, total))
 
 
@@ -174,7 +172,7 @@ def render_ascii(t: ExtendedTrop) -> str:
     grid = [[" "] * n for _ in range(n)]
     pieces = _embedded_pieces(t)
     for dim, anchor, dirs, labels in pieces:
-        if dim != 2 or not dirs:
+        if dim != 2:
             continue
         # In rank <= 2 a two-dimensional piece is full-dimensional, apex 0.
         facets = Cone.from_generators(dirs, 2).inequalities

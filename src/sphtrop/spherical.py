@@ -13,15 +13,12 @@ built once per entry of one LRU memo, ``_cone_record``, of at most
 and ``validate_colored_cone`` and ``colored_faces`` copy them to a fresh
 report or list.  A cone of the wrong rank raises before the memo.
 
-The fan's overlap pass and ``ColoredFan.maximal_cones`` read one sign table
-(``_SignTable``), built from the members alone: a mask per member over one
-index of the distinct generators, and per distinct facet or equation row
-the masks of the generators where it is positive and negative.  A pair
-that some row separates (>= 0 on one member, <= 0 on the other, nonzero on
-a generator of either) has disjoint relative interiors and skips the
-sweep; every other pair runs the intersect and relative-interior-point
-test.  A member lies in another when its mask lies in the other's
-``inside`` mask (not negative on its facets, zero on its equations).
+The fan's overlap pass reads the signs of every member's facet and
+equation rows on one index of the distinct generators of all members
+(``_separated``).  A pair that some row separates (>= 0 on one member,
+<= 0 on the other, nonzero on a generator of either) has disjoint relative
+interiors and skips the sweep; every other pair runs the intersect and
+relative-interior-point test.
 """
 
 from __future__ import annotations
@@ -83,74 +80,50 @@ class ColoredFan:
         object.__setattr__(self, "cones", tuple(self.cones))
 
     def maximal_cones(self) -> list[ColoredCone]:
-        # a strict container may share the dimension (half-plane, quadrant);
-        # equal generator masks are equal cones
-        table = _SignTable([cc.cone for cc in self.cones])
-        inside = [table.inside(cc.cone) for cc in self.cones]
-        return [cc for cc, g in zip(self.cones, table.gens)
-                if not any(g & ~s == 0 and g != h
-                           for s, h in zip(inside, table.gens))]
+        # a strict container may share the dimension (half-plane, quadrant)
+        return [cc for cc in self.cones
+                if not any(o.cone != cc.cone and o.cone.contains_cone(cc.cone)
+                           for o in self.cones)]
 
 
-class _SignTable:
-    """The signs of a fan's facet and equation rows on its generators.
+def _separated(cones: list[Cone]) -> list[int]:
+    """Bit j of entry i is set when some facet or equation row h of a member
+    separates members i and j.
 
-    ``gens[i]`` masks the generators of member i (rays, lineality vectors
-    and their negatives) in one index of the distinct generators of all
-    members; ``signs[h]`` is ``(pos, neg)``, the masks of the generators on
-    which a facet or equation row h of some member is > 0 and < 0.
+    Each member is a mask over one index of the distinct generators of all
+    members (rays, lineality vectors and their negatives).  Per row, a
+    member is in class 0, 1 or 2 when h is zero on all its generators,
+    >= 0 and not all zero, or <= 0 and not all zero, and in class 3 (mixed)
+    otherwise.  Two members of different classes, neither mixed, are
+    separated: h > 0 or h < 0 on the relative interior of one and the
+    opposite weak sign on the other.
     """
-
-    def __init__(self, cones: list[Cone]):
-        index: dict[tuple, int] = {}
-        self.gens = []
-        for cone in cones:
-            mask = 0
-            for g in cone.generators:
-                mask |= 1 << index.setdefault(g, len(index))
-            self.gens.append(mask)
-        self.signs: dict[tuple, tuple[int, int]] = {}
-        for h in dict.fromkeys(r for cone in cones
-                               for r in cone.inequalities + cone.equations):
-            pos = neg = 0
-            for bit, g in enumerate(index):
-                s = dot(h, g)
-                if s > 0:
-                    pos |= 1 << bit
-                elif s < 0:
-                    neg |= 1 << bit
-            self.signs[h] = pos, neg
-
-    def inside(self, cone: Cone) -> int:
-        """The generators in a member: not negative on its facets, zero on
-        its equations."""
-        mask = -1
-        for h in cone.inequalities:
-            mask &= ~self.signs[h][1]
-        for e in cone.equations:
-            mask &= ~(self.signs[e][0] | self.signs[e][1])
-        return mask
-
-    def apart(self) -> list[int]:
-        """Bit j of entry i is set when some row h separates members i and j.
-
-        Per row, a member is in class 0, 1 or 2 when h is zero on all its
-        generators, >= 0 and not all zero, or <= 0 and not all zero, and in
-        class 3 (mixed) otherwise.  Two members of different classes, neither
-        mixed, are separated: h > 0 or h < 0 on the relative interior of one
-        and the opposite weak sign on the other.
-        """
-        apart = [0] * len(self.gens)
-        for pos, neg in self.signs.values():
-            side = [bool(g & pos) | bool(g & neg) << 1 for g in self.gens]
-            members = [0] * 4
-            for i, k in enumerate(side):
-                members[k] |= 1 << i
-            definite = members[0] | members[1] | members[2]
-            for i, k in enumerate(side):
-                if k != 3:
-                    apart[i] |= definite ^ members[k]
-        return apart
+    index: dict[tuple, int] = {}
+    gens = []
+    for cone in cones:
+        mask = 0
+        for g in cone.generators:
+            mask |= 1 << index.setdefault(g, len(index))
+        gens.append(mask)
+    apart = [0] * len(cones)
+    for h in dict.fromkeys(r for cone in cones
+                           for r in cone.inequalities + cone.equations):
+        pos = neg = 0
+        for bit, g in enumerate(index):
+            s = dot(h, g)
+            if s > 0:
+                pos |= 1 << bit
+            elif s < 0:
+                neg |= 1 << bit
+        side = [bool(g & pos) | bool(g & neg) << 1 for g in gens]
+        members = [0] * 4
+        for i, k in enumerate(side):
+            members[k] |= 1 << i
+        definite = members[0] | members[1] | members[2]
+        for i, k in enumerate(side):
+            if k != 3:
+                apart[i] |= definite ^ members[k]
+    return apart
 
 
 @dataclass
@@ -263,11 +236,11 @@ def _validate_fan(datum: SphericalDatum, fan: ColoredFan,
                     f"{fraction_rows(face.cone.rays)} "
                     f"with colors {sorted(face.colors)}")
 
-    apart = _SignTable([cc.cone for cc in fan.cones]).apart()
+    apart = _separated([cc.cone for cc in fan.cones])
     for i, a in enumerate(fan.cones):
         for j, b in enumerate(fan.cones[i + 1:], i + 1):
-            # a pair that a row of the sign table separates needs no sweep,
-            # and is no duplicate: equal cones have equal signs on every row
+            # a pair that some member's row separates needs no sweep, and is
+            # no duplicate: equal cones have equal signs on every row
             if apart[i] >> j & 1:
                 continue
             if a.cone == b.cone:

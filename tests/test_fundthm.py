@@ -46,6 +46,14 @@ def test_single_term_is_empty():
     assert cx.is_empty_set()
 
 
+def test_a_complex_of_empty_cells_is_empty():
+    # w >= 1 and w <= 0: the complex has a cell, and the cell is empty
+    empty = Cell(1, (), (((1,), 1), ((-1,), 0)))
+    assert empty.is_empty()
+    assert TropicalComplex(1, (empty,)).is_empty_set()
+    assert not TropicalComplex(1, (empty, Cell(1, (), ()))).is_empty_set()
+
+
 def test_zero_polynomial_rejected():
     # on every call: the memo behind trop_hypersurface caches no exception
     for _ in range(3):

@@ -1,9 +1,12 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from sphtrop import jsonio
 from sphtrop.examples import all_fans, blowup_a4, e3_polynomial
 from sphtrop.fundthm import trop_hypersurface
+from sphtrop.linalg import InputError
 from sphtrop.polyhedra import Cone
 from sphtrop.puiseux import INF, ValuedPolynomial
 from sphtrop.render import render_ascii, render_svg
@@ -73,6 +76,19 @@ def test_complex_round_trip():
                                                   laurent=False))
     cx2 = roundtrip(cx, jsonio.complex_to_json, jsonio.complex_from_json)
     assert cx2 == cx
+
+
+@pytest.mark.parametrize("cells", [
+    [{"equalities": [{"coeffs": ["1"], "rhs": "0"}], "inequalities": []}],
+    [{"equalities": [], "inequalities": []},
+     {"equalities": [], "inequalities": [{"coeffs": ["1", "0", "2"],
+                                          "rhs": "1"}]}],
+], ids=["short-equality", "long-inequality"])
+def test_complex_row_of_the_wrong_length_is_an_input_error(cells):
+    i = len(cells) - 1
+    with pytest.raises(InputError,
+                       match=rf"^cell {i} has a row of length \d, expected 2$"):
+        jsonio.complex_from_json({"ambient_dim": 2, "cells": cells})
 
 
 def test_render_outputs_deterministic():

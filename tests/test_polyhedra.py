@@ -317,6 +317,17 @@ def mixed_cones(draw, dim=None):
                                   draw(rows(dim, 2)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(mixed_cones())
+def test_property_rays_and_lineality_rows_have_a_nonzero_sum(c):
+    """``render`` anchors a stratum at this sum: the lineality rows are
+    independent, and the rays are orthogonal to them and extreme in a
+    pointed cone, so no cone with a generator sums them to zero."""
+    gens = c.rays + c.lineality
+    if gens:
+        assert not is_zero_vec(tuple(map(sum, zip(*gens))))
+
+
 @st.composite
 def related_pairs(draw):
     """Two cones of one dimension: faces of one cone, a cone and one of its

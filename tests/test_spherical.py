@@ -253,18 +253,16 @@ def unmemoised_validate_colored_fan(datum: SphericalDatum, fan: ColoredFan,
                             strictly_convex=strict)
 
 
-def former_maximal_cones(fan: ColoredFan) -> list[ColoredCone]:
-    """``ColoredFan.maximal_cones`` before its dimension pre-filter."""
-    out = []
-    for cc in fan.cones:
-        strictly_below = any(
-            other is not cc
-            and other.cone.contains_cone(cc.cone)
-            and other.cone != cc.cone
-            for other in fan.cones)
-        if not strictly_below:
-            out.append(cc)
-    return out
+def swept_maximal_cones(fan: ColoredFan) -> list[ColoredCone]:
+    """The members that no member strictly contains, with tau inside sigma
+    decided by one sweep of the joined systems: the meet is tau."""
+    def strictly_inside(tau: Cone, sigma: Cone) -> bool:
+        meet = Cone.from_inequalities(
+            sigma.inequalities + tau.inequalities, tau.ambient_dim,
+            sigma.equations + tau.equations)
+        return meet == tau and meet != sigma
+    return [cc for cc in fan.cones
+            if not any(strictly_inside(cc.cone, o.cone) for o in fan.cones)]
 
 
 @st.composite
@@ -342,7 +340,7 @@ def test_property_memo_gives_the_unmemoised_report(case, require_strict):
 def test_property_maximal_cones_are_the_former_loop(case):
     _, fan = case
     assert list(map(id, fan.maximal_cones())) == list(
-        map(id, former_maximal_cones(fan)))
+        map(id, swept_maximal_cones(fan)))
 
 
 def test_maximal_cones_keep_a_same_dimension_container():
@@ -474,12 +472,12 @@ def test_each_cone_memo_is_bounded_and_rebuilds_what_it_evicted(call, oracle):
     assert unmemoised_validate_colored_cone(datum, cones[0]).ok
 
 
-# -- the sign table: sound, the former verdicts, and complete on arrangements -
+# -- separated pairs: sound, the former verdicts, and complete on arrangements
 
 
 def certified_pairs(cones) -> set[tuple[int, int]]:
-    """The index pairs i < j that the fan's sign table separates."""
-    apart = spherical._SignTable(cones).apart()
+    """The index pairs i < j that a row of some member separates."""
+    apart = spherical._separated(cones)
     return {(i, j) for i, j in itertools.combinations(range(len(cones)), 2)
             if apart[i] >> j & 1}
 
@@ -492,7 +490,7 @@ def test_property_certified_pairs_never_overlap(case):
     """Sound, symmetric, and certain of every pair a facet of either
     member separates."""
     cones, v = case
-    apart = spherical._SignTable(cones).apart()
+    apart = spherical._separated(cones)
     for (i, a), (j, b) in itertools.product(enumerate(cones), repeat=2):
         if apart[i] >> j & 1:
             assert apart[j] >> i & 1
@@ -561,4 +559,4 @@ def test_property_arrangement_fans_certify_every_pair(case):
     assert certified_pairs([cc.cone for cc in fan.cones]) == set(
         itertools.combinations(range(n), 2))
     assert list(map(id, fan.maximal_cones())) == list(
-        map(id, former_maximal_cones(fan)))
+        map(id, swept_maximal_cones(fan)))

@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sphtrop import troposphere
-from sphtrop.examples import all_fans, blowup_a4, table2_datum
+from sphtrop.examples import (all_fans, blowup_a4, table1_datum, table1_fans,
+                              table2_datum)
 from sphtrop.fundthm import (Cell, TropicalComplex, canonical_constraint,
                              extended_trop_sets)
 from sphtrop.polyhedra import (CONE_CACHE_SIZE, Cone, affine_feasible,
@@ -164,6 +165,14 @@ def test_assemble_subvariety_trop():
     # the sigma = {0,1} piece (constant restriction) is empty
     corner = t.stratum_of_face(quadrant).key
     assert subset.sets[corner].is_empty_set()
+
+
+def test_a_set_of_empty_cells_tags_an_empty_subset():
+    fan, _ = table1_fans()["A2"]
+    t = tropicalize_embedding(table1_datum(), fan)
+    open_stratum = t.stratum_of_face(Cone.zero(1)).key
+    empty = TropicalComplex(1, (Cell(1, (), (((1,), 1), ((-1,), 0))),))
+    assert assemble_subvariety_trop(t, {open_stratum: empty}).is_empty()
 
 
 def test_assemble_rejects_escaping_sets():
