@@ -29,6 +29,8 @@ def vector_to_json(v: Sequence[Fraction]) -> list[str]:
 
 
 def vector_from_json(data) -> Vector:
+    if type(data) is not list:
+        raise InputError(f"expected a vector (a JSON list), got {data!r}")
     return tuple(map(rational_from_input, data))
 
 

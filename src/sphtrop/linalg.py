@@ -88,18 +88,18 @@ def primitive(u: Sequence, fix_sign: bool = False) -> IntVector:
     Entries may be ``int`` or ``Fraction``.  The scaling factor is positive,
     so ray directions are preserved; with ``fix_sign`` the first nonzero
     entry is additionally made positive.  The zero vector stays zero.
-    An all-``int`` row, the common case, skips the denominator scaling.
+    The gcd is taken first: only a ``Fraction`` entry makes it raise
+    ``TypeError``, and only then are the denominators cleared.  A row
+    already primitive (gcd 1, or 0) with no sign to flip is returned as is.
     """
-    if all(type(a) is int for a in u):
-        ints = u
-    else:
+    try:
+        g, ints = gcd(*u), u
+    except TypeError:
         ints, _ = clear_denominators(u)
-    g = gcd(*ints)
-    if g == 0:
-        return tuple(ints)
-    if fix_sign and next(n for n in ints if n) < 0:
+        g = gcd(*ints)
+    if fix_sign and g and next(n for n in ints if n) < 0:
         g = -g
-    return tuple(n // g for n in ints)
+    return tuple(ints) if g == 0 or g == 1 else tuple(n // g for n in ints)
 
 
 def fraction_rows(rows: Iterable[Sequence]) -> tuple[Vector, ...]:

@@ -6,9 +6,11 @@ double description sweep with the combinatorial adjacency test, entirely
 in exact arithmetic, so equality of cones is decidable and deterministic.
 
 The sweep (``_dd``) is fraction-free: it scales every row to a primitive
-integer row, updates rays and lineality vectors with ``linalg.eliminate``
-(cross-multiplication followed by division by the gcd), and returns
-primitive ``int`` vectors, each ray with its tight set as an ``int`` mask.
+integer row (``linalg.primitive``, gcd first), checks the row's length once
+and takes its products inline, updates rays and lineality vectors with
+``linalg.eliminate`` (cross-multiplication followed by division by the
+gcd), and returns primitive ``int`` vectors, each ray with its tight set
+as an ``int`` mask.
 It is the one place that decides zero patterns.  ``linalg.rref`` reduces
 with the same step.  Every ``Cone`` is built by ``Cone.from_generators``
 from one V -> H sweep, in canonical form: facets primitive modulo the
@@ -30,6 +32,7 @@ exact dot products, without a sweep.
 
 ``affine_feasible`` decides an affine system of equations, weak and strict
 inequalities from the same sweep's masks, so ``_dd`` is the one algorithm.
+It sweeps the row s >= 0 first, so no ray with s < 0 is carried along.
 
 ``quotient_chart`` fixes the canonical basis of the orthogonal complement of
 a span.  Coordinates in such a chart come from one routine,
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+from operator import mul
 from typing import Iterable, Sequence
 
 from .linalg import (
@@ -63,41 +67,43 @@ def _dd(equations: Sequence[Sequence], inequalities: Sequence[Sequence],
 
     Returns (lineality basis, [(ray, mask), ...]); rays are extreme modulo
     the lineality space, and bit i of a ray's ``int`` mask is set when
-    inequality i is zero on it.  The sweep is fraction-free: every row is
-    scaled to a primitive integer row, and every new vector comes from
-    ``linalg.eliminate`` (cross-multiplication, then division by the gcd),
-    so every result is a primitive ``int`` vector.
+    inequality i is zero on it.  Fraction-free: every row is scaled to a
+    primitive integer row and every new vector comes from ``eliminate``, so
+    every result is a primitive ``int`` vector.  ``cut`` checks each row's
+    length once; the products are then taken inline, not by ``dot``.
     """
-    lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    lin = [(0,) * i + (1,) + (0,) * (dim - 1 - i) for i in range(dim)]
     rays: list[tuple[IntVector, int]] = []
 
-    def cut(vals: list[int], j: int) -> list[tuple[int, ...]]:
-        """The lineality basis with lin[j] traded for the row's kernel."""
-        l0, v0 = lin[j], vals[j]
-        return [eliminate(l, v, l0, v0)
-                for i, (l, v) in enumerate(zip(lin, vals)) if i != j]
+    def cut(a: IntVector) -> tuple[IntVector, int] | None:
+        """Trade the first basis vector l0 with a.l0 = v0 != 0 for the row's
+        kernel in the basis and return (l0, v0); None if there is none."""
+        nonlocal lin
+        if len(a) != dim:
+            raise ValueError("dimension mismatch")
+        vals = [sum(map(mul, a, l)) for l in lin]
+        for j, (l0, v0) in enumerate(zip(lin, vals)):
+            if v0:
+                lin = lin[:j] + [eliminate(l, v, l0, v0)
+                                 for l, v in zip(lin[j + 1:], vals[j + 1:])]
+                return l0, v0
+        return None
 
     for e in map(primitive, equations):
-        vals = [dot(e, l) for l in lin]
-        j = next((i for i, v in enumerate(vals) if v), None)
-        if j is not None:
-            lin = cut(vals, j)
+        cut(e)
     base = len(lin)
 
     for idx, a in enumerate(map(primitive, inequalities)):
-        vals = [dot(a, l) for l in lin]
-        j = next((i for i, v in enumerate(vals) if v), None)
-        if j is not None:
+        if pivot := cut(a):
             # a cuts the lineality space: one lineality generator becomes a ray.
-            l0, v0 = lin[j], vals[j]
-            lin = cut(vals, j)
-            rays = [(eliminate(r, dot(a, r), l0, v0), tight | 1 << idx)
-                    for r, tight in rays]
+            l0, v0 = pivot
+            rays = [(eliminate(r, sum(map(mul, a, r)), l0, v0), t | 1 << idx)
+                    for r, t in rays]
             rays.append((l0 if v0 > 0 else vneg(l0), (1 << idx) - 1))
             continue
         pos, zero, neg = [], [], []
         for k, (r, tight) in enumerate(rays):
-            s = dot(a, r)
+            s = sum(map(mul, a, r))
             if s > 0:
                 pos.append((k, r, tight, s))
             elif s < 0:
@@ -105,20 +111,22 @@ def _dd(equations: Sequence[Sequence], inequalities: Sequence[Sequence],
             else:
                 zero.append((r, tight | 1 << idx))
         kept = [(r, t) for _, r, t, _ in pos] + zero
+        # Adjacent rays share at least base - len(lin) - 2 tight rows
+        # (Fukuda & Prodon 1996), also on a cone that is not
+        # full-dimensional: its implicit equalities are tight on both.
+        bound = base - len(lin) - 2
         for kp, rp, tp, sp in pos:
             for kn, rn, tn, sn in neg:
                 common = tp & tn
-                # Adjacent rays share at least base - len(lin) - 2 tight rows
-                # (Fukuda & Prodon 1996), also on a cone that is not
-                # full-dimensional: its implicit equalities are tight on both.
-                if common.bit_count() < base - len(lin) - 2:
+                if common.bit_count() < bound:
                     continue
-                if any(common & t == common for k, (_, t) in enumerate(rays)
-                       if k != kp and k != kn):
-                    continue  # not adjacent
-                w = eliminate(rn, sn, rp, sp)
-                if any(w):
-                    kept.append((w, common | 1 << idx))
+                for k, (_, t) in enumerate(rays):
+                    if common & t == common and k != kp and k != kn:
+                        break  # not adjacent
+                else:
+                    w = eliminate(rn, sn, rp, sp)
+                    if any(w):
+                        kept.append((w, common | 1 << idx))
         rays = kept
 
     return lin, rays
@@ -324,13 +332,15 @@ def affine_feasible(equalities: Sequence[tuple[Sequence, Fraction]],
     Constraints are (coefficient vector, rhs) pairs.  The system is
     homogenized with one more coordinate s >= 0: a row (c, r) becomes
     c.x - r s = 0 or >= 0.  It is feasible exactly when neither s nor any
-    strict row is zero on every ray (one AND over the masks): all of them
-    are nonnegative on the cone, so the sum of the rays is then a witness.
+    strict row is zero on every ray (the low bits of one AND over the
+    masks): all of them are nonnegative on the cone, so the sum of the rays
+    is then a witness.  s >= 0 and the strict rows are swept first, so no
+    ray with s < 0 is carried through the weak rows.
     """
     def homogenize(rows):
         return [(*c, -r) for c, r in rows]
 
-    positive = homogenize(strict) + [(0,) * dim + (1,)]
-    _, rays = _dd(homogenize(equalities), homogenize(weak) + positive,
-                  dim + 1)
-    return reduce(int.__and__, (t for _, t in rays), -1) >> len(weak) == 0
+    first = [(0,) * dim + (1,)] + homogenize(strict)
+    _, rays = _dd(homogenize(equalities), first + homogenize(weak), dim + 1)
+    low = (1 << len(first)) - 1
+    return reduce(int.__and__, (t for _, t in rays), low) == 0

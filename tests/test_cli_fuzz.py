@@ -152,6 +152,18 @@ def set_palette_name(value):
     return edit
 
 
+def set_vector(kind, value):
+    """Replace the first generator of the fan's first ray, or the first
+    palette color's rho."""
+    def edit(data):
+        if kind == "fan":
+            next(i for i in data["cones"] if i["generators"])[
+                "generators"][0] = value
+        else:
+            data["palette"][0]["rho"] = value
+    return edit
+
+
 @pytest.mark.parametrize("name, edit", [
     ("table2.P4.fan.json", set_colors("fan", "D")),
     ("table2.P4.fan.json", set_colors("fan", "D1")),
@@ -160,11 +172,15 @@ def set_palette_name(value):
     ("table2.P4.trop.json", set_colors("trop", {"D": 1})),
     ("table2.datum.json", set_palette_name(["D"])),
     ("table2.datum.json", set_palette_name(1)),
+    ("table2.P4.fan.json", set_vector("fan", "10")),
+    ("table2.datum.json", set_vector("palette", "10")),
 ], ids=["fan-string", "fan-name-string", "fan-int-list", "trop-string",
-        "trop-dict", "palette-name-list", "palette-name-int"])
+        "trop-dict", "palette-name-list", "palette-name-int",
+        "fan-generator-string", "palette-rho-string"])
 def test_colors_and_names_of_another_type_exit_2(table2, name, edit):
-    """A color list that is not a list of strings, or a palette name that is
-    not a string, is malformed input, not a set of characters or a name."""
+    """A color list that is not a list of strings, a palette name that is
+    not a string, or a vector that is not a list is malformed input, not a
+    set of characters, a name or a vector read digit by digit."""
     data = json.loads((table2 / name).read_text())
     edit(data)
     bad = table2 / f"bad.{name}"
