@@ -55,8 +55,7 @@ class Cell:
                 and all(dot(c, W) >= r * den for c, r in self.inequalities))
 
     def is_empty(self) -> bool:
-        return not affine_feasible(
-            list(self.equalities), list(self.inequalities), [], self.dim)
+        return not affine_feasible(self.equalities, self.inequalities, self.dim)
 
 
 @dataclass(frozen=True)
@@ -65,10 +64,6 @@ class TropicalComplex:
 
     ambient_dim: int
     cells: tuple[Cell, ...]
-
-    @classmethod
-    def empty(cls, dim: int) -> "TropicalComplex":
-        return cls(dim, ())
 
     @classmethod
     def whole_space(cls, dim: int) -> "TropicalComplex":
@@ -152,13 +147,12 @@ def _orbit_complex(f: ValuedPolynomial, sigma: frozenset[int]
 
     The empty sigma is the torus, where f is its own restriction.  A zero
     restriction means the hypersurface contains the whole orbit, so the
-    full stratum is returned; a monomial restriction has empty locus.
+    full stratum is returned; a monomial has no pair of terms, so
+    ``trop_hypersurface`` gives it the complex with no cells.
     """
     g = f.restrict_to_orbit(sigma) if sigma else f
     if g.is_zero():
         return TropicalComplex.whole_space(g.nvars)
-    if len(g.terms) == 1:
-        return TropicalComplex.empty(g.nvars)
     return trop_hypersurface(g)
 
 

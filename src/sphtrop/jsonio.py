@@ -103,7 +103,15 @@ def fan_to_json(f: ColoredFan) -> dict:
                       for cc in f.cones]}
 
 
+# Most cones read in one fan.  Validation compares every pair of members,
+# so a complete rank-2 fan at the bound already takes about 1 s.
+MAX_FAN_CONES = 1024
+
+
 def fan_from_json(data, rank: int) -> ColoredFan:
+    if len(data["cones"]) > MAX_FAN_CONES:
+        raise InputError(f"expected at most {MAX_FAN_CONES} cones in a fan, "
+                         f"got {len(data['cones'])}")
     cones = []
     for item in data["cones"]:
         cone = Cone.from_generators(

@@ -30,9 +30,8 @@ the lineality space and the rays tight on some facets) by bitmask work
 alone, and ``intersect`` returns a cone that lies inside the other, by
 exact dot products, without a sweep.
 
-``affine_feasible`` decides an affine system of equations, weak and strict
+``affine_feasible`` decides an affine system of equations and weak
 inequalities from the same sweep's masks, so ``_dd`` is the one algorithm.
-It sweeps the row s >= 0 first, so no ray with s < 0 is carried along.
 
 ``quotient_chart`` fixes the canonical basis of the orthogonal complement of
 a span.  Coordinates in such a chart come from one routine,
@@ -324,23 +323,18 @@ def quotient_chart(subspace_gens: Sequence[Sequence], ambient_dim: int
 # -- affine feasibility --------------------------------------------------
 
 def affine_feasible(equalities: Sequence[tuple[Sequence, Fraction]],
-                    weak: Sequence[tuple[Sequence, Fraction]],
-                    strict: Sequence[tuple[Sequence, Fraction]],
+                    inequalities: Sequence[tuple[Sequence, Fraction]],
                     dim: int) -> bool:
-    """Exact feasibility of {x : A x = a, B x >= b, C x > c} over the rationals.
+    """Exact feasibility of {x : A x = a, B x >= b} over the rationals.
 
     Constraints are (coefficient vector, rhs) pairs.  The system is
     homogenized with one more coordinate s >= 0: a row (c, r) becomes
-    c.x - r s = 0 or >= 0.  It is feasible exactly when neither s nor any
-    strict row is zero on every ray (the low bits of one AND over the
-    masks): all of them are nonnegative on the cone, so the sum of the rays
-    is then a witness.  s >= 0 and the strict rows are swept first, so no
-    ray with s < 0 is carried through the weak rows.
+    c.x - r s = 0 or >= 0.  It is feasible exactly when s is not zero on
+    every ray (bit 0 of one AND over the masks): s is then positive on the
+    sum of the rays, a witness.  s >= 0 is swept first, so no ray with
+    s < 0 is carried through the other rows.
     """
-    def homogenize(rows):
-        return [(*c, -r) for c, r in rows]
-
-    first = [(0,) * dim + (1,)] + homogenize(strict)
-    _, rays = _dd(homogenize(equalities), first + homogenize(weak), dim + 1)
-    low = (1 << len(first)) - 1
-    return reduce(int.__and__, (t for _, t in rays), low) == 0
+    eqs, ineqs = ([(*c, -r) for c, r in rows]
+                  for rows in (equalities, inequalities))
+    _, rays = _dd(eqs, [(0,) * dim + (1,)] + ineqs, dim + 1)
+    return not reduce(int.__and__, (t for _, t in rays), 1)

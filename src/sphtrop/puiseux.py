@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, total_ordering
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -33,8 +33,10 @@ from .linalg import (
 )
 
 
+@total_ordering
 class _Infinity:
-    """The point at infinity in Q-bar, a comparable singleton."""
+    """The point at infinity in Q-bar, a comparable singleton: nothing is
+    above it, and it equals itself alone."""
 
     _instance = None
 
@@ -45,15 +47,6 @@ class _Infinity:
 
     def __lt__(self, other):
         return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
 
     def __add__(self, other):
         return self
@@ -404,7 +397,19 @@ class ValuedPolynomial:
     @classmethod
     def parse(cls, text: str, nvars: int | None = None,
               laurent: bool = True) -> "ValuedPolynomial":
-        return _parse_polynomial(text, nvars, laurent)
+        tokens = _tokenize(text)
+        if nvars is None:
+            nvars = _max_var_index(tokens)
+        parser = _Parser(tokens, nvars)
+        monomials = parser.parse_expr()
+        if parser.peek() is not None:
+            raise ValueError(f"trailing input at {parser.peek()!r}")
+        coeffs: dict[tuple[int, ...], list] = {}
+        for (u, e), c in monomials.items():
+            coeffs.setdefault(u, []).append((e, c))
+        return cls.from_dict(nvars, {
+            u: PuiseuxScalar.from_terms(ts) for u, ts in coeffs.items()},
+            laurent)
 
 
 # -- parsing --------------------------------------------------------------
@@ -551,22 +556,6 @@ def _max_var_index(tokens: list[str]) -> int:
         raise InputError(f"variable x{best} exceeds the limit of {MAX_DIM} "
                          "variables")
     return best
-
-
-def _parse_polynomial(text: str, nvars: int | None, laurent: bool
-                      ) -> ValuedPolynomial:
-    tokens = _tokenize(text)
-    if nvars is None:
-        nvars = _max_var_index(tokens)
-    parser = _Parser(tokens, nvars)
-    monomials = parser.parse_expr()
-    if parser.peek() is not None:
-        raise ValueError(f"trailing input at {parser.peek()!r}")
-    coeffs: dict[tuple[int, ...], list] = {}
-    for (u, e), c in monomials.items():
-        coeffs.setdefault(u, []).append((e, c))
-    return ValuedPolynomial.from_dict(nvars, {
-        u: PuiseuxScalar.from_terms(ts) for u, ts in coeffs.items()}, laurent)
 
 
 def parse_weight(text: str, nvars: int | None = None) -> ExtendedWeight:

@@ -10,9 +10,10 @@ one ASCII cell is one unit.  Figures are scale-free: anchors are scaled to
 the edge of the box and directions are drawn out to it, so a box of any
 other size would scale the whole figure with it, to the same picture.
 
-Both figures compute in integers.  An anchor is one ``int`` point (A, den),
-the face's generator sum scaled to the box, and a two-dimensional piece is
-shaded from the facet rows (a, b) of its cone: on ASCII grid row y each row
+Both figures draw one model, ``_embedded_pieces``, which refuses rank > 2,
+and compute in integers.  A piece's anchor is one ``int`` point (A, den),
+the face's generator sum scaled to the box, and a two-dimensional piece
+carries the facet rows (a, b) of its cone: on ASCII grid row y each row
 bounds x by one floor or ceiling division of -b y by a, and the SVG polygon
 is box ∩ cone (``_shaded_polygon``).  An ASCII ray walks the int points
 (4 A + k den d) / (4 den).  Cells are rounded by one rule, ``_round``: half
@@ -48,13 +49,19 @@ def _anchor(s: Stratum) -> tuple[IntVector, int]:
 
 
 def _embedded_pieces(t: ExtendedTrop):
-    """Per stratum: (dim, anchor (A, den), int plane directions, labels)."""
+    """Per stratum: (dim, anchor (A, den), rows, labels), the rows the int
+    plane directions, or the facet rows of a two-dimensional piece, which
+    in rank <= 2 is full-dimensional with apex 0."""
+    if t.ambient_rank > 2:
+        raise ValueError("rendering supports rank <= 2 only")
     pieces = []
     for key in sorted(t.strata):
         s = t.strata[key]
         img = s.valuation_cone_image
-        dirs = [_pad2(embed_from_chart(s.chart, g)) for g in img.generators]
-        pieces.append((img.dim(), _anchor(s), dirs, sorted(s.labels)))
+        rows = [_pad2(embed_from_chart(s.chart, g)) for g in img.generators]
+        if img.dim() == 2:
+            rows = Cone.from_generators(rows, 2).inequalities
+        pieces.append((img.dim(), _anchor(s), rows, sorted(s.labels)))
     return pieces
 
 
@@ -109,8 +116,6 @@ def _ray_end(anchor: IntVector, den: int, d: IntVector):
 
 
 def render_svg(t: ExtendedTrop) -> str:
-    if t.ambient_rank > 2:
-        raise ValueError("rendering supports rank <= 2 only")
     size, margin = 360, 20
 
     def px(p: IntVector, den: int) -> tuple[str, str]:
@@ -122,11 +127,9 @@ def render_svg(t: ExtendedTrop) -> str:
              f'width="{size + 2 * margin}" height="{size + 2 * margin}" '
              f'viewBox="0 0 {size + 2 * margin} {size + 2 * margin}">']
     pieces = _embedded_pieces(t)
-    for dim, anchor, dirs, labels in pieces:          # shaded regions first
+    for dim, anchor, facets, labels in pieces:        # shaded regions first
         if dim == 2:
-            # In rank <= 2 a two-dimensional piece is full-dimensional, apex 0.
-            poly, den = _shaded_polygon(
-                Cone.from_generators(dirs, 2).inequalities)
+            poly, den = _shaded_polygon(facets)
             coords = " ".join(",".join(px(p, den)) for p in poly)
             parts.append(f'<polygon points="{coords}" fill="#d9d9d9" '
                          f'stroke="none"/>')
@@ -166,16 +169,12 @@ def _plot(grid, x: int, y: int, den: int, mark: str) -> None:
 
 def render_ascii(t: ExtendedTrop) -> str:
     """Grid point (i, j) is the point (j - BOX, BOX - i) of the frame."""
-    if t.ambient_rank > 2:
-        raise ValueError("rendering supports rank <= 2 only")
+    pieces = _embedded_pieces(t)
     n = 2 * BOX + 1
     grid = [[" "] * n for _ in range(n)]
-    pieces = _embedded_pieces(t)
-    for dim, anchor, dirs, labels in pieces:
+    for dim, anchor, facets, labels in pieces:
         if dim != 2:
             continue
-        # In rank <= 2 a two-dimensional piece is full-dimensional, apex 0.
-        facets = Cone.from_generators(dirs, 2).inequalities
         for i in range(n):
             y, lo, hi = BOX - i, -BOX, BOX
             for a, b in facets:              # a x + b y >= 0

@@ -4,11 +4,12 @@ A SphericalDatum is the combinatorial shadow of a spherical homogeneous
 space: rank, valuation cone, and a palette of named colors with their
 images in N_Q.  Colors are identified by name; several colors may share
 the same image vector.  A fan's validity depends on nothing but the datum
-and the fan, so ``validate_colored_fan`` copies it from ``_validate_fan``, an
-LRU memo of at most ``FAN_CACHE_SIZE`` verdicts (errors are not cached), to
-a fresh report on every call.  In the same way a colored cone's verdict and
-its colored faces depend only on the datum and the colored cone: both are
-built once per entry of one LRU memo, ``_cone_record``, of at most
+and the fan, the key of ``_validate_fan``, an LRU memo of at most
+``FAN_CACHE_SIZE`` verdicts (errors are not cached); ``validate_colored_fan``
+copies its verdict to a fresh report on every call and applies
+``require_strict`` there.  In the same way a colored cone's verdict and its
+colored faces depend only on the datum and the colored cone: both are built
+once per entry of one LRU memo, ``_cone_record``, of at most
 ``polyhedra.CONE_CACHE_SIZE`` entries (every key holds a cone of that memo),
 and ``validate_colored_cone`` and ``colored_faces`` copy them to a fresh
 report or list.  A cone of the wrong rank raises before the memo.
@@ -202,18 +203,20 @@ def colored_faces(datum: SphericalDatum, cc: ColoredCone) -> list[ColoredCone]:
 def validate_colored_fan(datum: SphericalDatum, fan: ColoredFan,
                          require_strict: bool = False) -> ValidationReport:
     """Face closure, relint disjointness inside V, and optional strictness."""
-    ok, failures, strict = _validate_fan(datum, fan, require_strict)
-    return ValidationReport(ok, list(failures), strict)
+    failures, strict = _validate_fan(datum, fan)
+    if require_strict and not strict:
+        failures += ("strict-convexity",)
+    return ValidationReport(not failures, list(failures), strict)
 
 
-# Bound on the distinct (datum, fan, require_strict) verdicts kept.
+# Bound on the distinct (datum, fan) verdicts kept.
 FAN_CACHE_SIZE = 32
 
 
 @lru_cache(maxsize=FAN_CACHE_SIZE)
-def _validate_fan(datum: SphericalDatum, fan: ColoredFan,
-                  require_strict: bool) -> tuple[bool, tuple[str, ...], bool]:
-    """The verdict ``(ok, failures, strictly_convex)`` on a fan."""
+def _validate_fan(datum: SphericalDatum, fan: ColoredFan
+                  ) -> tuple[tuple[str, ...], bool]:
+    """The verdict ``(failures, strictly_convex)``, strictness not required."""
     failures: list[str] = []
     strict = True
     for i, cc in enumerate(fan.cones):
@@ -225,12 +228,11 @@ def _validate_fan(datum: SphericalDatum, fan: ColoredFan,
 
     # fan members, then each missing face once it has been reported; an
     # invalid member has no colored faces
-    seen = {(cc.cone.canonical_key(), cc.colors) for cc in fan.cones}
+    seen = set(fan.cones)
     for cc in fan.cones:
         for face in _cone_record(datum, cc)[2]:
-            key = (face.cone.canonical_key(), face.colors)
-            if key not in seen:
-                seen.add(key)
+            if face not in seen:
+                seen.add(face)
                 failures.append(
                     "face-closure: missing face "
                     f"{fraction_rows(face.cone.rays)} "
@@ -256,6 +258,4 @@ def _validate_fan(datum: SphericalDatum, fan: ColoredFan,
                     f"and {fraction_rows(b.cone.rays)} share "
                     "relative-interior points inside V")
 
-    if require_strict and not strict:
-        failures.append("strict-convexity")
-    return not failures, tuple(failures), strict
+    return tuple(failures), strict

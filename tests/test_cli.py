@@ -170,7 +170,8 @@ def test_render_is_the_same_at_every_extent(corpus, capsys):
             assert len(outs) == 1 and outs.pop()[0] == 0, (path.name, fmt)
 
 
-def test_render_rank3_refused(tmp_path, capsys):
+@pytest.mark.parametrize("fmt", ["svg", "ascii"])
+def test_render_rank3_refused(tmp_path, capsys, fmt):
     import sphtrop.jsonio as jsonio
     from sphtrop.polyhedra import Cone
     from sphtrop.spherical import ColoredCone, ColoredFan, SphericalDatum
@@ -181,7 +182,7 @@ def test_render_rank3_refused(tmp_path, capsys):
         datum, ColoredFan((ColoredCone(Cone.zero(3)),)))
     path = tmp_path / "t3.json"
     path.write_text(jsonio.dumps(jsonio.trop_to_json(t)))
-    rc, _ = run(capsys, "render", "--trop", str(path))
+    rc, _ = run(capsys, "render", "--trop", str(path), "--format", fmt)
     assert rc == 1
 
 

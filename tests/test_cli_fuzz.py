@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphtrop.cli import main
+from sphtrop.jsonio import MAX_FAN_CONES
 
 DATUM, FAN = "blowup-a4.datum.json", "blowup-a4.fan.json"
 TROP, POLY = "blowup-a4.trop.json", "e3.poly.json"
@@ -164,6 +165,14 @@ def set_vector(kind, value):
     return edit
 
 
+def repeat_cones(count):
+    """Repeat the fan's members, in order, until there are `count`."""
+    def edit(data):
+        cones = data["cones"]
+        data["cones"] = [cones[i % len(cones)] for i in range(count)]
+    return edit
+
+
 @pytest.mark.parametrize("name, edit", [
     ("table2.P4.fan.json", set_colors("fan", "D")),
     ("table2.P4.fan.json", set_colors("fan", "D1")),
@@ -174,13 +183,15 @@ def set_vector(kind, value):
     ("table2.datum.json", set_palette_name(1)),
     ("table2.P4.fan.json", set_vector("fan", "10")),
     ("table2.datum.json", set_vector("palette", "10")),
+    ("table2.P4.fan.json", repeat_cones(MAX_FAN_CONES + 1)),
 ], ids=["fan-string", "fan-name-string", "fan-int-list", "trop-string",
         "trop-dict", "palette-name-list", "palette-name-int",
-        "fan-generator-string", "palette-rho-string"])
+        "fan-generator-string", "palette-rho-string", "fan-over-cone-bound"])
 def test_colors_and_names_of_another_type_exit_2(table2, name, edit):
     """A color list that is not a list of strings, a palette name that is
     not a string, or a vector that is not a list is malformed input, not a
-    set of characters, a name or a vector read digit by digit."""
+    set of characters, a name or a vector read digit by digit; so is a fan
+    of more than ``MAX_FAN_CONES`` cones, refused before any is built."""
     data = json.loads((table2 / name).read_text())
     edit(data)
     bad = table2 / f"bad.{name}"

@@ -370,10 +370,9 @@ def test_shaded_polygon_is_box_and_cone_on_every_grid_point(t):
     it holds exactly the integer points of the box on which every facet
     row is nonnegative."""
     B = render.BOX
-    for dim, _, dirs, _ in render._embedded_pieces(t):
+    for dim, _, facets, _ in render._embedded_pieces(t):
         if dim != 2:
             continue
-        facets = Cone.from_generators(dirs, 2).inequalities
         poly, den = render._shaded_polygon(facets)
         exact = [(Fraction(x, den), Fraction(y, den)) for x, y in poly]
         assert is_strictly_convex_ccw(exact)

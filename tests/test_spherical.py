@@ -384,6 +384,18 @@ def test_memo_is_bounded_and_rebuilds_what_it_evicted():
     assert info().misses == misses + 1
     assert again == first == unmemoised_validate_colored_fan(datum, fans[0])
     assert again.ok
+    # require_strict is applied per call: asked both ways, a fan whose line
+    # is not strictly convex is one miss and then one hit
+    line = ColoredFan((ColoredCone(Cone.from_generators([(1, 0), (-1, 0)],
+                                                        2)),))
+    before = info()
+    for require_strict in (True, False):
+        assert (validate_colored_fan(datum, line, require_strict)
+                == unmemoised_validate_colored_fan(datum, line,
+                                                   require_strict))
+    assert (info().misses, info().hits) == (before.misses + 1, before.hits + 1)
+    assert validate_colored_fan(datum, line, True).failures == [
+        "strict-convexity"]
 
 
 def test_a_cone_of_the_wrong_dimension_raises_on_every_call():

@@ -10,8 +10,7 @@ from sphtrop.examples import (all_fans, blowup_a4, table1_datum, table1_fans,
                               table2_datum)
 from sphtrop.fundthm import (Cell, TropicalComplex, canonical_constraint,
                              extended_trop_sets)
-from sphtrop.polyhedra import (CONE_CACHE_SIZE, Cone, affine_feasible,
-                               quotient_chart)
+from sphtrop.polyhedra import CONE_CACHE_SIZE, Cone, quotient_chart
 from sphtrop.puiseux import INF, ValuedPolynomial
 from sphtrop.spherical import (Color, ColoredCone, ColoredFan, SphericalDatum,
                                colored_faces, validate_colored_fan)
@@ -31,7 +30,7 @@ from sphtrop.troposphere import (
 from test_acceptance import arrangement_fan, random_valid_fan
 from test_fundthm import valued_polynomials
 from test_linalg import gram_project_to_chart, vadd, vscale
-from test_polyhedra import rows
+from test_polyhedra import fm_feasible, rows
 
 
 def bl0a4_trop():
@@ -380,8 +379,8 @@ def test_member_faces_give_the_maximal_cone_trop_on_the_corpus():
 
 def per_halfspace_assemble(trop, per_stratum_sets):
     """``assemble_subvariety_trop`` before it swept each cell once, kept
-    verbatim as an oracle: one ``affine_feasible`` sweep per pair of a cell
-    and a halfspace of the stratum cone."""
+    as an oracle: one feasibility test per pair of a cell and a halfspace
+    of the stratum cone, decided by the Fourier-Motzkin ``fm_feasible``."""
     tagged = {}
     for key, cx in per_stratum_sets.items():
         if key not in trop.strata:
@@ -395,7 +394,7 @@ def per_halfspace_assemble(trop, per_stratum_sets):
                       + [(tuple(-x for x in e), 0) for e in cone.equations])
         for cell in cx.cells:
             for coeffs, rhs in halfspaces:
-                escapes = affine_feasible(
+                escapes = fm_feasible(
                     list(cell.equalities), list(cell.inequalities),
                     [(tuple(-c for c in coeffs), -rhs)], cx.ambient_dim)
                 if escapes:
