@@ -2,7 +2,9 @@
 
 Subcommands: validate, trop, grtrop, compare, poly, ftt, examples, render.
 Exit codes: 0 success, 1 domain failure (invalid fan, mismatch, nonmember),
-2 input error (unreadable file, malformed JSON or polynomial text).
+2 input error (unreadable file, malformed JSON or polynomial text).  ``main``
+maps errors to them in one place: a ``DomainError`` exits 1, any other
+``ValueError`` (``InputError`` among them) exits 2, each with one line.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ def _read(path: str) -> str:
     try:
         with open(path) as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeError) as e:
         raise InputError(f"cannot read {path}: {e}")
 
 
@@ -48,31 +50,36 @@ def _write(path: str, text: str):
         raise InputError(f"cannot write {path}: {e}")
 
 
-def _load_json(path: str) -> dict:
-    text = _read(path)
+def _decoded(what: str, build, *args, **kwargs):
+    """build(*args), an error in it reported under `what`; the arguments,
+    files already read and decoded, keep their own errors."""
     try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise InputError(f"malformed JSON in {path}: {e}")
+        return build(*args, **kwargs)
+    except (KeyError, ValueError, TypeError, RecursionError) as e:
+        raise InputError(f"{what}: {e}")
+
+
+def _load_json(path: str) -> dict:
+    return _decoded(f"malformed JSON in {path}", json.loads, _read(path))
 
 
 def _load_pair(args):
-    try:
-        return jsonio.pair_from_json(_load_json(args.datum),
-                                     _load_json(args.fan))
-    except (KeyError, ValueError, TypeError) as e:
-        raise InputError(f"bad datum/fan structure: {e}")
+    return _decoded("bad datum/fan structure", jsonio.pair_from_json,
+                    _load_json(args.datum), _load_json(args.fan))
 
 
 def _load_poly(source: str, laurent: bool) -> ValuedPolynomial:
-    try:
-        if os.path.exists(source):
-            if source.endswith(".json"):
-                return jsonio.polynomial_from_json(_load_json(source))
-            return ValuedPolynomial.parse(_read(source), laurent=laurent)
-        return ValuedPolynomial.parse(source, laurent=laurent)
-    except (KeyError, ValueError, TypeError) as e:
-        raise InputError(f"cannot parse polynomial: {e}")
+    if os.path.exists(source) and source.endswith(".json"):
+        return _decoded("cannot parse polynomial",
+                        jsonio.polynomial_from_json, _load_json(source))
+    text = _read(source) if os.path.exists(source) else source
+    return _decoded("cannot parse polynomial", ValuedPolynomial.parse, text,
+                    laurent=laurent)
+
+
+def _load_trop(path: str):
+    return _decoded("bad tropicalization file", jsonio.trop_from_json,
+                    _load_json(path))
 
 
 def _emit(text: str, out: str | None):
@@ -115,61 +122,46 @@ def cmd_trop(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    try:
-        a = jsonio.trop_from_json(_load_json(args.left))
-        b = jsonio.trop_from_json(_load_json(args.right))
-        report = compare_tropicalizations(a, b)
-    except (KeyError, ValueError, TypeError) as e:
-        raise InputError(f"bad tropicalization file: {e}")
+    report = _decoded("bad tropicalization file", compare_tropicalizations,
+                      _load_trop(args.left), _load_trop(args.right))
     _emit(jsonio.dumps(report.to_json()), args.out)
     return 0 if report.equal else 1
 
 
 def cmd_poly(args) -> int:
     f = _load_poly(args.poly, laurent=not args.ordinary)
-    try:
-        if args.action == "hypersurface":
-            cx = trop_hypersurface(f)
-            _emit(jsonio.dumps(jsonio.complex_to_json(cx)), args.out)
-            return 0
-        if args.weight is None:
-            raise InputError("--weight is required for this action")
-        w = parse_weight(args.weight, f.nvars)
-        if args.action == "trop":
-            value = f.trop_eval(w)
-            text = "inf" if value is INF else jsonio.frac_to_json(value)
-            _emit(text + "\n", args.out)
-        else:
-            _emit(str(f.initial_form(w)) + "\n", args.out)
+    if args.action == "hypersurface":
+        cx = trop_hypersurface(f)
+        _emit(jsonio.dumps(jsonio.complex_to_json(cx)), args.out)
         return 0
-    except InputError:
-        raise
-    except ValueError as e:
-        raise InputError(str(e))
+    if args.weight is None:
+        raise InputError("--weight is required for this action")
+    w = parse_weight(args.weight, f.nvars)
+    if args.action == "trop":
+        value = f.trop_eval(w)
+        text = "inf" if value is INF else jsonio.frac_to_json(value)
+        _emit(text + "\n", args.out)
+    else:
+        _emit(str(f.initial_form(w)) + "\n", args.out)
+    return 0
 
 
 def cmd_ftt(args) -> int:
     f = _load_poly(args.poly, laurent=not args.ordinary)
-    try:
-        samples = [parse_weight(w, f.nvars) for w in args.weight or []]
-        witnesses = [
-            WitnessPoint(tuple(_parse_scalar(c) for c in wtext.split(";")))
-            for wtext in args.witness or []]
-        report = check_equivalence(f, samples, witnesses)
-    except ValueError as e:
-        raise InputError(str(e))
+    samples = [parse_weight(w, f.nvars) for w in args.weight or []]
+    witnesses = [
+        WitnessPoint(tuple(_parse_scalar(c) for c in wtext.split(";")))
+        for wtext in args.witness or []]
+    report = check_equivalence(f, samples, witnesses)
     _emit(jsonio.dumps(report.to_json()), args.out)
     return 0 if report.ok else 1
 
 
 def _parse_scalar(text: str) -> PuiseuxScalar:
-    f = ValuedPolynomial.parse(text, nvars=1, laurent=True)
-    for u, c in f.terms:
-        if u != (0,):
-            raise ValueError(f"witness coordinate is not a scalar: {text}")
-    if not f.terms:
-        return PuiseuxScalar.zero()
-    return f.terms[0][1]
+    terms = dict(ValuedPolynomial.parse(text, nvars=1, laurent=True).terms)
+    if terms.keys() - {(0,)}:
+        raise ValueError(f"witness coordinate is not a scalar: {text}")
+    return terms.get((0,), PuiseuxScalar.zero())
 
 
 def _embedding_files(name: str, datum, fans: dict):
@@ -223,10 +215,7 @@ def cmd_render(args) -> int:
     if extent is None or extent <= 0:
         raise InputError(f"--extent must be a positive rational, "
                          f"got {args.extent!r}")
-    try:
-        trop = jsonio.trop_from_json(_load_json(args.trop))
-    except (KeyError, ValueError, TypeError) as e:
-        raise InputError(f"bad tropicalization file: {e}")
+    trop = _load_trop(args.trop)
     try:
         figure = render_svg(trop) if args.format == "svg" else render_ascii(trop)
     except ValueError as e:
@@ -310,12 +299,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -122,10 +122,9 @@ def _complex_of(m: int, pairs: tuple[tuple[IntVector, int], ...]
             ineqs = tuple(sorted(
                 row[i][k] for k in range(n) if k not in (i, j)))
             cell = Cell(m, (eq,), ineqs)
-            key = (cell.equalities, cell.inequalities)
-            if key in seen:
+            if cell in seen:
                 continue
-            seen.add(key)
+            seen.add(cell)
             if not cell.is_empty():
                 cells.append(cell)
     return TropicalComplex(m, tuple(cells))

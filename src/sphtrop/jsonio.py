@@ -20,7 +20,6 @@ from .troposphere import ExtendedTrop, Stratum
 
 
 def frac_to_json(q: Fraction) -> str:
-    q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 

@@ -337,8 +337,6 @@ class ValuedPolynomial:
         if any(x is INF for x in w):
             raise ValueError("substitution form requires a finite weight")
         best = self.trop_eval(w)
-        if best is INF:
-            return ResiduePolynomial.zero(self.nvars)
         coeffs = {}
         for u, c in self.terms:
             shifted = c.shift(sum(ui * wi for ui, wi in zip(u, w)) - best)

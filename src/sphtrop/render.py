@@ -42,10 +42,8 @@ def _anchor(s: Stratum) -> tuple[IntVector, int]:
     """(A, den): the face's generator sum, scaled to the edge of the box,
     is the point A / den."""
     gens = s.face.cone.rays + s.face.cone.lineality   # primitive already
-    if not gens:
-        return (0, 0), 1
     total = tuple(map(sum, zip(*gens)))
-    return _pad2([BOX * x for x in total]), max(map(abs, total))
+    return _pad2([BOX * x for x in total]), max(map(abs, total), default=1)
 
 
 def _embedded_pieces(t: ExtendedTrop):

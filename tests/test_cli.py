@@ -1,14 +1,17 @@
 import hashlib
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from sphtrop.cli import build_parser, main
+from sphtrop.polyhedra import MAX_SWEEP_RAYS
 from sphtrop.puiseux import MAX_COEFF_BITS, MAX_NESTING, MAX_TERM_PAIRS
 
 
@@ -47,11 +50,19 @@ def test_validate_ok_and_invalid(corpus, capsys, tmp_path):
     assert any("face-closure" in f for f in json.loads(out)["failures"])
 
 
+# The prefixes a loader puts before a structure error in a file it has
+# read and decoded; an unreadable file or malformed JSON has none of them.
+STRUCTURE_PREFIXES = ("bad datum/fan structure", "bad tropicalization file",
+                      "cannot parse polynomial")
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
-    rc, _ = run(capsys, "validate", "--datum", str(bad), "--fan", str(bad))
-    assert rc == 2
+    rc = main(["validate", "--datum", str(bad), "--fan", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith(f"error: malformed JSON in {bad}: ")
+    assert not any(p in err for p in STRUCTURE_PREFIXES)
 
 
 def test_trop_modes_and_compare(corpus, capsys, tmp_path):
@@ -75,6 +86,23 @@ def test_trop_modes_and_compare(corpus, capsys, tmp_path):
     rc, _ = run(capsys, "compare", str(corpus / "table2.A4.trop.json"),
                 str(gr))
     assert rc == 1
+
+
+def test_compare_reports_a_differing_adjacency(corpus, capsys, tmp_path):
+    """Two files that differ only in one stratum's adjacent list compare
+    unequal, with that one mismatch."""
+    trop = json.loads((corpus / "blowup-a4.trop.json").read_text())
+    line = trop["strata"][1]
+    assert line["adjacent"] == [0, 1]
+    line["adjacent"] = [1]
+    edited = tmp_path / "edited.trop.json"
+    edited.write_text(json.dumps(trop))
+    rc, out = run(capsys, "compare", str(corpus / "blowup-a4.trop.json"),
+                  str(edited))
+    report = json.loads(out)
+    assert rc == 1 and not report["equal"]
+    assert len(report["mismatches"]) == 1
+    assert report["mismatches"][0].startswith("adjacency differs at ")
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -390,6 +418,28 @@ def test_text_polynomial_variable_count_is_capped(capsys):
     assert rc == 0 and json.loads(out)["ambient_dim"] == 64
 
 
+def test_polynomial_past_the_sweep_bound_exits_2(capsys):
+    """80 random terms of degree at most 2 in 10 variables (3657 bytes):
+    a cell's feasibility sweep passes ``MAX_SWEEP_RAYS`` rays, so the
+    command exits 2 with one line instead of running for minutes."""
+    rng = random.Random(5)
+    monomials = set()
+    while len(monomials) < 80:
+        monomials.add(tuple(rng.randint(0, 2) for _ in range(10)))
+    terms = []
+    for u in sorted(monomials):
+        coeff = rng.choice((-3, -2, -1, 1, 2, 3))
+        exponent = Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
+        terms.append(f"{coeff}*t^({exponent})" + "".join(
+            f"*x{i + 1}^{a}" for i, a in enumerate(u) if a))
+    poly = " + ".join(terms)
+    assert len(poly) == 3657
+    rc = main(["poly", "hypersurface", "--ordinary", "--poly", poly])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1
+    assert f"expected at most {MAX_SWEEP_RAYS} rays" in err
+
+
 @pytest.mark.parametrize("poly", ["1/0*t + x1", "t^(1/0) + x1",
                                   "t^-1/0 + x1"])
 def test_zero_denominator_in_text_polynomial_exits_2(capsys, poly):
@@ -487,6 +537,7 @@ def test_long_unary_minus_chain_parses(capsys):
     ["compare", "DEEP", "DEEP"],
     ["validate", "--datum", "DEEP", "--fan", "DEEP"],
     ["poly", "hypersurface", "--poly", "DEEP"],
+    ["render", "--trop", "DEEP"],
 ])
 def test_deeply_nested_json_exits_2(tmp_path, capsys, argv):
     deep = tmp_path / "deep.json"
@@ -494,19 +545,45 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, argv):
     rc = main([str(deep) if a == "DEEP" else a for a in argv])
     err = capsys.readouterr().err
     assert rc == 2 and err.count("\n") == 1
-    assert err.startswith("error: ") and "malformed JSON in" in err
+    assert err.startswith(f"error: malformed JSON in {deep}: ")
+    assert not any(p in err for p in STRUCTURE_PREFIXES)
 
 
 def file_error(capsys, verb):
-    """One stderr line saying the file could not be read or written."""
+    """One stderr line saying the file could not be read or written, with
+    no structure prefix before it."""
     err = capsys.readouterr().err
-    return (err.startswith("error: ") and err.count("\n") == 1
-            and f"cannot {verb} " in err and "Traceback" not in err)
+    return (err.startswith(f"error: cannot {verb} ") and err.count("\n") == 1
+            and "Traceback" not in err)
 
 
 def test_poly_file_that_is_a_directory_exits_2(tmp_path, capsys):
     rc = main(["poly", "trop", "--poly", str(tmp_path), "--weight", "1"])
     assert rc == 2 and file_error(capsys, "read")
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--datum", "MISSING", "--fan", "MISSING"],
+    ["trop", "--datum", "MISSING", "--fan", "MISSING"],
+    ["compare", "MISSING", "MISSING"],
+    ["render", "--trop", "MISSING"],
+    ["poly", "hypersurface", "--poly", "DIR.json"],
+    ["ftt", "--poly", "DIR.json"],
+    ["validate", "--datum", "BINARY", "--fan", "BINARY"],
+    ["poly", "trop", "--poly", "BINARY", "--weight", "1"],
+], ids=["validate", "trop", "compare", "render", "poly", "ftt",
+        "validate-not-utf8", "poly-not-utf8"])
+def test_unreadable_input_file_is_reported_as_a_file_error(tmp_path, capsys,
+                                                          argv):
+    """A file that cannot be read, or is not UTF-8 text, is reported as
+    such, not as a file of bad structure."""
+    (tmp_path / "dir.json").mkdir()
+    (tmp_path / "binary").write_bytes(b"\xff\xfe\x00")
+    paths = {"MISSING": str(tmp_path / "missing.json"),
+             "DIR.json": str(tmp_path / "dir.json"),
+             "BINARY": str(tmp_path / "binary")}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    assert file_error(capsys, "read")
 
 
 @pytest.mark.parametrize("argv", [

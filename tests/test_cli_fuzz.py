@@ -165,6 +165,16 @@ def set_vector(kind, value):
     return edit
 
 
+def moment_cone_valuation_cone(npoints):
+    """Make the datum rank 10, its valuation cone spanned by the points
+    (1, t, ..., t^9) of the moment curve for t = 1..npoints."""
+    def edit(data):
+        data["rank"] = 10
+        data["valuation_cone"] = {"generators": [
+            [str(t ** i) for i in range(10)] for t in range(1, npoints + 1)]}
+    return edit
+
+
 def repeat_cones(count):
     """Repeat the fan's members, in order, until there are `count`."""
     def edit(data):
@@ -184,14 +194,18 @@ def repeat_cones(count):
     ("table2.P4.fan.json", set_vector("fan", "10")),
     ("table2.datum.json", set_vector("palette", "10")),
     ("table2.P4.fan.json", repeat_cones(MAX_FAN_CONES + 1)),
+    ("table2.datum.json", moment_cone_valuation_cone(30)),
 ], ids=["fan-string", "fan-name-string", "fan-int-list", "trop-string",
         "trop-dict", "palette-name-list", "palette-name-int",
-        "fan-generator-string", "palette-rho-string", "fan-over-cone-bound"])
+        "fan-generator-string", "palette-rho-string", "fan-over-cone-bound",
+        "moment-cone-over-sweep-bound"])
 def test_colors_and_names_of_another_type_exit_2(table2, name, edit):
     """A color list that is not a list of strings, a palette name that is
     not a string, or a vector that is not a list is malformed input, not a
     set of characters, a name or a vector read digit by digit; so is a fan
-    of more than ``MAX_FAN_CONES`` cones, refused before any is built."""
+    of more than ``MAX_FAN_CONES`` cones, refused before any is built, and
+    a cone whose sweep would keep more than ``MAX_SWEEP_RAYS`` rays (the
+    cone over 30 moment-curve points in rank 10 has 25300 facets)."""
     data = json.loads((table2 / name).read_text())
     edit(data)
     bad = table2 / f"bad.{name}"

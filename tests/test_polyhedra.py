@@ -181,29 +181,35 @@ def fm_feasible(equalities, weak, strict, dim):
         eqs = [substitute(c, r) for c, r in eqs]
         rows = [(*substitute(c, r), st) for c, r, st in rows]
 
-    # Each row is scaled to largest coefficient 1 and kept once, and the
-    # variable with the fewest new rows goes first: that keeps the blowup
-    # in check on small systems.
+    # Each row is scaled to largest coefficient 1 and carries the mask of
+    # the original rows it combines; equal (row, mask) pairs are kept once,
+    # and the variable with the fewest new rows goes first.  After k
+    # eliminations a row built from more than k + 1 original rows is
+    # dropped (Chernikov's rule): the nonnegative multipliers that cancel k
+    # columns form a cone whose extreme rays use at most k + 1 rows, so
+    # such a row is a sum of rows that are kept.  That bounds the blowup.
     def scaled(coeffs, rhs, st):
         k = max(map(abs, coeffs)) or 1
         return tuple(a / k for a in coeffs), rhs / k, st
 
-    rows = set(scaled(*r) for r in rows)
+    rows = {(*scaled(*r), 1 << i) for i, r in enumerate(rows)}
     free = set(range(dim))
     while free:
-        var = min(free, key=lambda v: sum(c[v] > 0 for c, _, _ in rows)
-                  * sum(c[v] < 0 for c, _, _ in rows))
+        var = min(free, key=lambda v: sum(c[v] > 0 for c, *_ in rows)
+                  * sum(c[v] < 0 for c, *_ in rows))
         free.remove(var)
+        most = dim - len(free) + 1
         new = {r for r in rows if r[0][var] == 0}
-        for cp, bp, sp in rows:
-            for cn, bn, sn in rows:
-                if cp[var] > 0 > cn[var]:
+        for cp, bp, sp, op in rows:
+            for cn, bn, sn, on in rows:
+                if cp[var] > 0 > cn[var] and (op | on).bit_count() <= most:
                     lam, mu = -cn[var], cp[var]
-                    new.add(scaled([lam * a + mu * b for a, b in zip(cp, cn)],
-                                   lam * bp + mu * bn, sp or sn))
+                    new.add((*scaled([lam * a + mu * b
+                                      for a, b in zip(cp, cn)],
+                                     lam * bp + mu * bn, sp or sn), op | on))
         rows = new
 
-    return all(0 > rhs if st else 0 >= rhs for _, rhs, st in rows)
+    return all(0 > rhs if st else 0 >= rhs for _, rhs, st, _ in rows)
 
 
 def in_conic_hull(x, gens):

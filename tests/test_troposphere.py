@@ -76,6 +76,20 @@ def test_evaluate_point():
     assert evaluate_point(open_p, (1, 0)) == 3
 
 
+def test_evaluate_point_on_a_face_with_lineality():
+    """The face {0} x R of the half-plane x >= 0 is all lineality: a
+    functional zero on it evaluates, and one that is not is refused."""
+    half = Cone.from_inequalities([(1, 0)], 2)
+    line = Cone.from_generators([(0, 1), (0, -1)], 2)
+    t = tropicalize_embedding(
+        SphericalDatum(2, Cone.full_space(2), ()),
+        ColoredFan((ColoredCone(half), ColoredCone(line))))
+    p = limit_point(t, (3, 1), line)
+    assert evaluate_point(p, (2, 0)) == 6
+    with pytest.raises(ValueError, match="nonzero on the face lineality"):
+        evaluate_point(p, (1, 1))
+
+
 def test_contains_point():
     _, t = bl0a4_trop()
     open_s = t.stratum_of_face(Cone.zero(2))
