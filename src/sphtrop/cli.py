@@ -69,7 +69,7 @@ def _load_pair(args):
 
 
 def _load_poly(source: str, laurent: bool) -> ValuedPolynomial:
-    if os.path.exists(source) and source.endswith(".json"):
+    if source.endswith(".json"):
         return _decoded("cannot parse polynomial",
                         jsonio.polynomial_from_json, _load_json(source))
     text = _read(source) if os.path.exists(source) else source

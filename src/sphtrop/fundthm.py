@@ -6,10 +6,10 @@ complex), the initial-form criterion, and coordinatewise valuations of
 user-supplied witness points.  Only principal ideals are handled; for
 those the initial ideal is generated by the initial form of f.
 
-Both sides run on integers.  A weight is scaled once by the lcm of its
-denominators, so every cell test compares ``int`` dot products of the
-primitive cell rows, which are read off the polynomial's one integer form,
-``ValuedPolynomial.weight_forms``; this module scales no valuation.
+Both sides run on integers.  A cell row is one primitive ``int`` tuple
+(c, r) read off ``ValuedPolynomial.weight_forms``; this module scales no
+valuation.  A weight w is lifted once to x = (den w, -den), so a row h
+holds at w when the ``int`` h . x is 0 (an equation) or >= 0.
 
 A complex depends only on the number of variables and the tropical
 polynomial, the ``int`` pairs (dv u, dv v(a)) of the terms: residues do
@@ -29,30 +29,24 @@ from .linalg import IntVector, Vector, clear_denominators, dot, primitive, vec
 from .polyhedra import affine_feasible
 from .puiseux import INF, ExtendedRational, PuiseuxScalar, ValuedPolynomial
 
-Constraint = tuple[IntVector, int]  # coeffs . w  (rel)  rhs
-
-
-def canonical_constraint(coeffs: Sequence, rhs) -> Constraint:
-    """The constraint scaled by a positive rational to primitive integers."""
-    row = primitive((*coeffs, rhs))
-    return row[:-1], row[-1]
-
 
 @dataclass(frozen=True)
 class Cell:
-    """An affine polyhedron {w : Aw = a, Bw >= b} in weight space."""
+    """An affine polyhedron {w : Aw = a, Bw >= b} in weight space, each
+    row one primitive ``int`` tuple (c_1, ..., c_m, r): c.w = r or >= r."""
 
     dim: int
-    equalities: tuple[Constraint, ...]
-    inequalities: tuple[Constraint, ...]
+    equalities: tuple[IntVector, ...]
+    inequalities: tuple[IntVector, ...]
 
     def contains(self, w: Sequence[Fraction]) -> bool:
-        return self._contains_scaled(*clear_denominators(w))
+        W, den = clear_denominators(w)
+        return self._holds_at((*W, -den))
 
-    def _contains_scaled(self, W: IntVector, den: int) -> bool:
-        """Whether ``W / den`` lies in the cell, for ``W`` and ``den > 0`` ints."""
-        return (all(dot(c, W) == r * den for c, r in self.equalities)
-                and all(dot(c, W) >= r * den for c, r in self.inequalities))
+    def _holds_at(self, x: IntVector) -> bool:
+        """Whether w lies in the cell, for x = (den w, -den) and den > 0."""
+        return (all(dot(h, x) == 0 for h in self.equalities)
+                and all(dot(h, x) >= 0 for h in self.inequalities))
 
     def is_empty(self) -> bool:
         return not affine_feasible(self.equalities, self.inequalities, self.dim)
@@ -73,7 +67,8 @@ class TropicalComplex:
         W, den = clear_denominators(vec(w))
         if len(W) != self.ambient_dim:
             raise ValueError("dimension mismatch")
-        return any(cell._contains_scaled(W, den) for cell in self.cells)
+        x = (*W, -den)
+        return any(cell._holds_at(x) for cell in self.cells)
 
     def is_empty_set(self) -> bool:
         return all(cell.is_empty() for cell in self.cells)
@@ -111,7 +106,7 @@ def _complex_of(m: int, pairs: tuple[tuple[IntVector, int], ...]
     # row[i][k]: term k weighs at least term i.  For i < j the first nonzero
     # entry of U_i - U_j is positive, so row[j][i] is pair (i, j)'s equation
     # with its sign fixed.  Each row is built once and shared by its cells.
-    row = [[canonical_constraint([a - b for a, b in zip(uk, ui)], ci - ck)
+    row = [[primitive((*[a - b for a, b in zip(uk, ui)], ci - ck))
             if k != i else None for k, (uk, ck) in enumerate(pairs)]
            for i, (ui, ci) in enumerate(pairs)]
     cells: list[Cell] = []

@@ -19,7 +19,6 @@ from .puiseux import (
     ExtendedWeight,
     ResiduePolynomial,
     ValuedPolynomial,
-    is_finite,
 )
 from .spherical import ColoredFan, SphericalDatum, validate_colored_fan
 from .troposphere import ExtendedTrop, Stratum, StratumKey, stratum_key
@@ -37,7 +36,7 @@ class GradedInitialForm:
 
     def is_unit_class(self) -> bool:
         """Whether the class generates its graded piece, i.e. is a monomial."""
-        return is_finite(self.grade) and self.residue.is_monomial()
+        return self.grade is not INF and self.residue.is_monomial()
 
 
 def graded_initial_form(f: ValuedPolynomial, v: Sequence[ExtendedRational]

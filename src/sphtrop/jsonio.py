@@ -11,8 +11,8 @@ import json
 from fractions import Fraction
 from typing import Sequence
 
-from .fundthm import Cell, TropicalComplex, canonical_constraint
-from .linalg import MAX_DIM, InputError, Vector, rational_from_input
+from .fundthm import Cell, TropicalComplex
+from .linalg import MAX_DIM, InputError, Vector, primitive, rational_from_input
 from .polyhedra import Cone, quotient_chart
 from .puiseux import INF, ExtendedRational, PuiseuxScalar, ValuedPolynomial
 from .spherical import Color, ColoredCone, ColoredFan, SphericalDatum
@@ -219,8 +219,8 @@ def polynomial_from_json(data) -> ValuedPolynomial:
 
 
 def complex_to_json(cx: TropicalComplex) -> dict:
-    def constraint(c):
-        return {"coeffs": vector_to_json(c[0]), "rhs": frac_to_json(c[1])}
+    def constraint(h):
+        return {"coeffs": vector_to_json(h[:-1]), "rhs": frac_to_json(h[-1])}
     return {
         "ambient_dim": cx.ambient_dim,
         "cells": [{"equalities": [constraint(c) for c in cell.equalities],
@@ -237,7 +237,7 @@ def complex_from_json(data) -> TropicalComplex:
         if len(coeffs) != dim:
             raise InputError(f"cell {i} has a row of length {len(coeffs)}, "
                              f"expected {dim}")
-        return canonical_constraint(coeffs, rational_from_input(c["rhs"]))
+        return primitive((*coeffs, rational_from_input(c["rhs"])))
     cells = tuple(
         Cell(dim,
              tuple(constraint(c, i) for c in cell["equalities"]),

@@ -67,10 +67,6 @@ def vneg(u: Sequence[Fraction]) -> Vector:
     return tuple(-a for a in u)
 
 
-def is_zero_vec(u: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in u)
-
-
 def clear_denominators(u: Sequence) -> tuple[IntVector, int]:
     """``(den * u, den)`` with ``den`` the lcm of the entries' denominators.
 

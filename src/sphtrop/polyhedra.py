@@ -31,7 +31,8 @@ alone, and ``intersect`` returns a cone that lies inside the other, by
 exact dot products, without a sweep.
 
 ``affine_feasible`` decides an affine system of equations and weak
-inequalities from the same sweep's masks, so ``_dd`` is the one algorithm.
+inequalities from the same sweep's masks, so ``_dd`` is the one algorithm;
+it sweeps each row (c, r) as it is, as c.x + r t with t <= 0.
 
 ``quotient_chart`` fixes the canonical basis of the orthogonal complement of
 a span.  Coordinates in such a chart come from one routine,
@@ -42,7 +43,6 @@ generators through ``troposphere.Stratum.of``, one point through
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
 from typing import Iterable, Sequence
@@ -52,7 +52,6 @@ from .linalg import (
     IntVector,
     dot,
     eliminate,
-    is_zero_vec,
     kernel_basis,
     orthogonal_parts,
     primitive,
@@ -76,7 +75,9 @@ def _dd(equations: Sequence[Sequence], inequalities: Sequence[Sequence],
     primitive integer row and every new vector comes from ``eliminate``, so
     every result is a primitive ``int`` vector.  ``cut`` checks each row's
     length once; the products are then taken inline, not by ``dot``.  A
-    step that leaves more than ``MAX_SWEEP_RAYS`` rays raises ``InputError``.
+    step raises ``InputError`` as it keeps ray ``MAX_SWEEP_RAYS + 1`` from an
+    adjacent pair; a cut of the lineality space adds one ray, at most
+    ``dim`` times, so a sweep never holds more than ``MAX_SWEEP_RAYS + dim``.
     """
     lin = [(0,) * i + (1,) + (0,) * (dim - 1 - i) for i in range(dim)]
     rays: list[tuple[IntVector, int]] = []
@@ -130,13 +131,14 @@ def _dd(equations: Sequence[Sequence], inequalities: Sequence[Sequence],
                         if common & t == common and k != kp and k != kn:
                             break  # not adjacent
                     else:
-                        w = eliminate(rn, sn, rp, sp)
-                        if any(w):
+                        if any(w := eliminate(rn, sn, rp, sp)):
                             kept.append((w, common | 1 << idx))
+                            if len(kept) > MAX_SWEEP_RAYS:
+                                raise InputError(
+                                    f"expected at most {MAX_SWEEP_RAYS} rays "
+                                    f"in a double-description sweep, got "
+                                    f"{len(kept)}")
             rays = kept
-        if len(rays) > MAX_SWEEP_RAYS:
-            raise InputError(f"expected at most {MAX_SWEEP_RAYS} rays in a "
-                             f"double-description sweep, got {len(rays)}")
 
     return lin, rays
 
@@ -166,7 +168,7 @@ class Cone:
         if any(len(g) != ambient_dim for g in gens):
             raise ValueError("generator dimension mismatch")
         return _cone_from_generators(
-            ambient_dim, frozenset(g for g in gens if not is_zero_vec(g)))
+            ambient_dim, frozenset(g for g in gens if any(g)))
 
     @classmethod
     def from_inequalities(cls, inequalities: Iterable[Sequence],
@@ -328,19 +330,16 @@ def quotient_chart(subspace_gens: Sequence[Sequence], ambient_dim: int
 
 # -- affine feasibility --------------------------------------------------
 
-def affine_feasible(equalities: Sequence[tuple[Sequence, Fraction]],
-                    inequalities: Sequence[tuple[Sequence, Fraction]],
-                    dim: int) -> bool:
+def affine_feasible(equalities: Sequence[Sequence],
+                    inequalities: Sequence[Sequence], dim: int) -> bool:
     """Exact feasibility of {x : A x = a, B x >= b} over the rationals.
 
-    Constraints are (coefficient vector, rhs) pairs.  The system is
-    homogenized with one more coordinate s >= 0: a row (c, r) becomes
-    c.x - r s = 0 or >= 0.  It is feasible exactly when s is not zero on
-    every ray (bit 0 of one AND over the masks): s is then positive on the
-    sum of the rays, a witness.  s >= 0 is swept first, so no ray with
-    s < 0 is carried through the other rows.
+    A row (c_1, ..., c_dim, r), for c.x = r or c.x >= r, is swept as it is,
+    as the homogenization c.x + r t with one more coordinate t <= 0: x / -t
+    is a point of the system wherever t < 0.  It is feasible exactly when t
+    is not zero on every ray (bit 0 of one AND over the masks); the sum of
+    the rays is then a witness.  t <= 0 is swept first, so no ray with
+    t > 0 is carried through the other rows.
     """
-    eqs, ineqs = ([(*c, -r) for c, r in rows]
-                  for rows in (equalities, inequalities))
-    _, rays = _dd(eqs, [(0,) * dim + (1,)] + ineqs, dim + 1)
+    _, rays = _dd(equalities, [(0,) * dim + (-1,), *inequalities], dim + 1)
     return not reduce(int.__and__, (t for _, t in rays), 1)

@@ -66,10 +66,6 @@ ExtendedRational = Fraction | _Infinity
 ExtendedWeight = tuple[ExtendedRational, ...]
 
 
-def is_finite(x) -> bool:
-    return x is not INF
-
-
 @dataclass(frozen=True)
 class PuiseuxScalar:
     """A finite sum of rational powers of t with rational coefficients.

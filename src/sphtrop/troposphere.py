@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .linalg import (IntVector, Vector, chart_coordinates, dot,
-                     embed_from_chart, kernel_basis, project_to_chart, vec)
+from .linalg import (IntVector, Vector, chart_coordinates, dot, kernel_basis,
+                     project_to_chart, vec)
 from .polyhedra import CONE_CACHE_SIZE, Cone, quotient_chart
 from .puiseux import INF, ExtendedRational
 from .spherical import (
@@ -115,10 +115,6 @@ class ExtendedPoint:
         if len(self.value) != self.stratum.quotient_dim:
             raise ValueError("point dimension does not match the stratum chart")
 
-    @property
-    def stratum_key(self) -> StratumKey:
-        return self.stratum.key
-
 
 class ExtendedTrop:
     """Glued strata of an embedding, keyed by colored face."""
@@ -174,8 +170,8 @@ def tropicalize_embedding(datum: SphericalDatum, fan: ColoredFan
 def evaluate_point(p: ExtendedPoint, u: Sequence) -> ExtendedRational:
     """The extended homomorphism at a character u in the dual of the cone.
 
-    Returns infinity off tau-perp, otherwise the pairing of u with any
-    representative of the chart value.
+    Returns infinity off tau-perp, otherwise the pairing of u with the
+    representative sum_k value[k] chart[k] of the chart value.
     """
     u = vec(u)
     tau = p.stratum.face.cone
@@ -187,8 +183,7 @@ def evaluate_point(p: ExtendedPoint, u: Sequence) -> ExtendedRational:
             raise ValueError("functional is nonzero on the face lineality")
     if any(dot(u, r) != 0 for r in tau.rays):
         return INF
-    rep = embed_from_chart(p.stratum.chart, p.value)
-    return dot(u, rep)
+    return sum(x * dot(u, c) for x, c in zip(p.value, p.stratum.chart))
 
 
 def limit_point(trop: ExtendedTrop, w: Sequence, tau: Cone) -> ExtendedPoint:
@@ -198,9 +193,9 @@ def limit_point(trop: ExtendedTrop, w: Sequence, tau: Cone) -> ExtendedPoint:
 
 
 def contains_point(trop: ExtendedTrop, p: ExtendedPoint) -> bool:
-    if p.stratum_key not in trop.strata:
+    if p.stratum.key not in trop.strata:
         raise KeyError("unknown stratum")
-    s = trop.strata[p.stratum_key]
+    s = trop.strata[p.stratum.key]
     return s.valuation_cone_image.contains(p.value)
 
 
@@ -220,9 +215,10 @@ def assemble_subvariety_trop(trop: ExtendedTrop,
                              ) -> TropSubset:
     """Tag user- or fundthm-supplied polyhedral sets onto the strata.
 
-    Each set must live inside the stratum's valuation cone.  A cell with
-    homogenization h (rows (c, -r) and s >= 0) is empty when s = 0 on h,
-    and else lies in the cone exactly when the w-parts of h's generators do.
+    Each set must live inside the stratum's valuation cone.  A cell's rows
+    (c, r) are swept as they are, with t <= 0 (``affine_feasible``): the
+    cell is empty when t = 0 on that homogenization h, and else lies in the
+    cone exactly when the w-parts of h's generators do.
     """
     tagged = {}
     for key, cx in per_stratum_sets.items():
@@ -234,8 +230,7 @@ def assemble_subvariety_trop(trop: ExtendedTrop,
         n = cx.ambient_dim
         for cell in cx.cells:
             h = Cone.from_inequalities(
-                [(*c, -r) for c, r in cell.inequalities] + [(0,) * n + (1,)],
-                n + 1, [(*c, -r) for c, r in cell.equalities])
+                (*cell.inequalities, (0,) * n + (-1,)), n + 1, cell.equalities)
             if any(r[-1] for r in h.rays) and not all(
                     s.valuation_cone_image.contains(g[:n])
                     for g in h.generators):

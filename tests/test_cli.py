@@ -86,23 +86,53 @@ def test_trop_modes_and_compare(corpus, capsys, tmp_path):
     rc, _ = run(capsys, "compare", str(corpus / "table2.A4.trop.json"),
                 str(gr))
     assert rc == 1
+    # no --mode: the face-wise strata alone, with no comparison
+    rc, out = run(capsys, "trop", "--datum", datum, "--fan", fan)
+    payload = json.loads(out)
+    assert rc == 0 and len(payload["strata"]) == 4
+    assert "comparison" not in payload
+
+
+def compare_with_edited(corpus, capsys, tmp_path, edit):
+    """compare blowup-a4.trop.json with a copy edited by edit(strata)."""
+    trop = json.loads((corpus / "blowup-a4.trop.json").read_text())
+    edit(trop["strata"])
+    edited = tmp_path / "edited.trop.json"
+    edited.write_text(json.dumps(trop))
+    return run(capsys, "compare", str(corpus / "blowup-a4.trop.json"),
+               str(edited))
 
 
 def test_compare_reports_a_differing_adjacency(corpus, capsys, tmp_path):
     """Two files that differ only in one stratum's adjacent list compare
     unequal, with that one mismatch."""
-    trop = json.loads((corpus / "blowup-a4.trop.json").read_text())
-    line = trop["strata"][1]
-    assert line["adjacent"] == [0, 1]
-    line["adjacent"] = [1]
-    edited = tmp_path / "edited.trop.json"
-    edited.write_text(json.dumps(trop))
-    rc, out = run(capsys, "compare", str(corpus / "blowup-a4.trop.json"),
-                  str(edited))
+    def edit(strata):
+        assert strata[1]["adjacent"] == [0, 1]
+        strata[1]["adjacent"] = [1]
+    rc, out = compare_with_edited(corpus, capsys, tmp_path, edit)
     report = json.loads(out)
     assert rc == 1 and not report["equal"]
     assert len(report["mismatches"]) == 1
     assert report["mismatches"][0].startswith("adjacency differs at ")
+
+
+def test_compare_reports_a_differing_valuation_cone_image(corpus, capsys,
+                                                          tmp_path):
+    """Two files that differ only in one stratum's image of the valuation
+    cone compare unequal, with that one mismatch: the line stratum of the
+    ray (1, 0) is given the half-line image of the ray (1, 1)."""
+    def edit(strata):
+        line, half = strata[1], strata[3]
+        assert line["face_generators"] == [["1", "0"]]
+        assert half["face_generators"] == [["1", "1"]]
+        assert line["valuation_cone_image"] != half["valuation_cone_image"]
+        line["valuation_cone_image"] = half["valuation_cone_image"]
+    rc, out = compare_with_edited(corpus, capsys, tmp_path, edit)
+    report = json.loads(out)
+    assert rc == 1 and not report["equal"]
+    assert len(report["mismatches"]) == 1
+    assert report["mismatches"][0].startswith(
+        "valuation-cone images differ at ")
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -277,6 +307,41 @@ def test_fan_color_missing_from_palette_exits_2(corpus, capsys, tmp_path):
         assert rc == 2 and one_line_error(capsys)
 
 
+def color_on_the_ray(fan):
+    fan["cones"][1]["colors"] = ["D1"]
+
+
+def rho_of_length_3(datum):
+    datum["palette"][0]["rho"] = ["-1", "1", "0"]
+
+
+@pytest.mark.parametrize("argv, name, edit, rc, err", [
+    (["trop", "--datum", "CORPUS/p1xp1.datum.json", "--fan", "EDITED"],
+     "p1xp1.fan.json", color_on_the_ray, 1,
+     "error: invalid colored fan: "
+     "['member-invalid[1]: rho-containment,generation']\n"),
+    (["validate", "--datum", "EDITED", "--fan", "CORPUS/table2.P4.fan.json"],
+     "table2.datum.json", rho_of_length_3, 2,
+     "error: bad datum/fan structure: color D has wrong dimension\n"),
+    (["ftt", "--poly", "x1 + 1", "--witness", "x1"], None, None, 2,
+     "error: witness coordinate is not a scalar: x1\n"),
+], ids=["trop-invalid-fan", "datum-color-wrong-length",
+        "ftt-witness-not-scalar"])
+def test_failure_exits_with_its_code_and_one_line(corpus, capsys, tmp_path,
+                                                  argv, name, edit, rc, err):
+    """An invalid fan is a domain failure (exit 1); a palette color of the
+    wrong length and a witness coordinate with a variable are bad input
+    (exit 2).  Each prints its one line and nothing on stdout."""
+    if name:
+        data = json.loads((corpus / name).read_text())
+        edit(data)
+        (tmp_path / "edited.json").write_text(json.dumps(data))
+    argv = [a.replace("CORPUS", str(corpus)).replace(
+        "EDITED", str(tmp_path / "edited.json")) for a in argv]
+    assert main(argv) == rc
+    assert capsys.readouterr() == ("", err)
+
+
 @pytest.mark.parametrize("generator", ['[1e5000, 0]', '["1e5000", "0"]',
                                        '[0.5, 0]', '["1/0", "0"]'])
 def test_inexact_fan_number_exits_2(corpus, capsys, tmp_path, generator):
@@ -375,6 +440,34 @@ def test_cli_outputs_match_recorded_digests(tmp_path, monkeypatch, capsys):
         assert sha256(out.encode()) == recorded["stdout"][label], label
     written = {p.name: sha256(p.read_bytes()) for p in tmp_path.iterdir()}
     assert written == recorded["files"]
+
+
+# The complex of 1 + x1 + t^2 x1^2 + x2, each cell as (equalities,
+# inequalities) of rows (c_1, c_2, r); the second cell has two rows with
+# one coefficient vector, -w1 >= 1 and -w1 >= 2, listed in this order.
+TIE_CELLS = [
+    ([(1, 0, -2)], [(-2, 1, 2), (-1, 0, 1)]),
+    ([(2, -1, -2)], [(-1, 0, 1), (-1, 0, 2)]),
+    ([(1, -1, 0)], [(-1, 0, 0), (1, 0, -2)]),
+    ([(1, 0, 0)], [(-1, 1, 0), (1, 0, -2)]),
+    ([(0, 1, 0)], [(1, -1, 0), (2, -1, -2)]),
+]
+TIE_SHA256 = "fca7b5224e238b2d3e70c3a1c3792fa6b3ac0293d4f727be26d0bf2a277d2aca"
+
+
+def test_cell_rows_that_share_coefficients_keep_their_order(capsys):
+    """Rows are sorted by coefficients, then right-hand side, and the
+    printed complex is byte for byte the one recorded in TIE_SHA256."""
+    rc, out = run(capsys, "poly", "hypersurface", "--poly",
+                  "1 + x1 + t^2*x1^2 + x2", "--ordinary")
+
+    def rows(items):
+        return [tuple(int(x) for x in (*h["coeffs"], h["rhs"]))
+                for h in items]
+    assert rc == 0
+    assert [(rows(c["equalities"]), rows(c["inequalities"]))
+            for c in json.loads(out)["cells"]] == TIE_CELLS
+    assert sha256(out.encode()) == TIE_SHA256
 
 
 @pytest.mark.parametrize("exponent", ["0.5", "true", "1e5000"])
@@ -571,12 +664,16 @@ def test_poly_file_that_is_a_directory_exits_2(tmp_path, capsys):
     ["ftt", "--poly", "DIR.json"],
     ["validate", "--datum", "BINARY", "--fan", "BINARY"],
     ["poly", "trop", "--poly", "BINARY", "--weight", "1"],
+    ["poly", "hypersurface", "--poly", "MISSING"],
+    ["ftt", "--poly", "MISSING"],
 ], ids=["validate", "trop", "compare", "render", "poly", "ftt",
-        "validate-not-utf8", "poly-not-utf8"])
+        "validate-not-utf8", "poly-not-utf8", "poly-missing-json",
+        "ftt-missing-json"])
 def test_unreadable_input_file_is_reported_as_a_file_error(tmp_path, capsys,
                                                           argv):
     """A file that cannot be read, or is not UTF-8 text, is reported as
-    such, not as a file of bad structure."""
+    such, not as a file of bad structure; a ``--poly`` ending in ``.json``
+    names a file even when there is none, not polynomial text."""
     (tmp_path / "dir.json").mkdir()
     (tmp_path / "binary").write_bytes(b"\xff\xfe\x00")
     paths = {"MISSING": str(tmp_path / "missing.json"),

@@ -10,7 +10,6 @@ from sphtrop.fundthm import (
     Cell,
     TropicalComplex,
     WitnessPoint,
-    canonical_constraint,
     check_equivalence,
     extended_trop_sets,
     membership_set1,
@@ -37,8 +36,9 @@ def test_tropical_line_has_three_rays():
 def test_cell_constraints_are_primitive_int_rows():
     for f in (LINE, E3):
         for cell in trop_hypersurface(f).cells:
-            for coeffs, rhs in cell.equalities + cell.inequalities:
-                assert all(type(x) is int for x in (*coeffs, rhs))
+            for row in cell.equalities + cell.inequalities:
+                assert all(type(x) is int for x in row)
+                assert primitive(row) == row
 
 
 def test_single_term_is_empty():
@@ -48,7 +48,7 @@ def test_single_term_is_empty():
 
 def test_a_complex_of_empty_cells_is_empty():
     # w >= 1 and w <= 0: the complex has a cell, and the cell is empty
-    empty = Cell(1, (), (((1,), 1), ((-1,), 0)))
+    empty = Cell(1, (), ((1, 1), (-1, 0)))
     assert empty.is_empty()
     assert TropicalComplex(1, (empty,)).is_empty_set()
     assert not TropicalComplex(1, (empty, Cell(1, (), ()))).is_empty_set()
@@ -115,8 +115,8 @@ def test_report_json():
 
 
 def fraction_cell_contains(cell, w):
-    return (all(dot(c, w) == r for c, r in cell.equalities)
-            and all(dot(c, w) >= r for c, r in cell.inequalities))
+    return (all(dot(h[:-1], w) == h[-1] for h in cell.equalities)
+            and all(dot(h[:-1], w) >= h[-1] for h in cell.inequalities))
 
 
 def fraction_trop_hypersurface(f):
@@ -130,11 +130,10 @@ def fraction_trop_hypersurface(f):
         ui, ci = terms[i]
         for j in range(i + 1, len(terms)):
             uj, cj = terms[j]
-            row = primitive(
+            eq = primitive(
                 (*[a - b for a, b in zip(ui, uj)], cj - ci), fix_sign=True)
-            eq = row[:-1], row[-1]
             ineqs = tuple(sorted(
-                canonical_constraint([a - b for a, b in zip(uk, ui)], ci - ck)
+                primitive((*[a - b for a, b in zip(uk, ui)], ci - ck))
                 for k, (uk, ck) in enumerate(terms) if k not in (i, j)))
             cell = Cell(m, (eq,), ineqs)
             key = (cell.equalities, cell.inequalities)
@@ -163,9 +162,9 @@ def valued_polynomials(draw):
     return ValuedPolynomial.from_dict(m, coeffs, laurent=False)
 
 
-def on_hyperplane(w, constraint):
-    """w moved along one coordinate onto {x : c.x = r}."""
-    c, r = constraint
+def on_hyperplane(w, row):
+    """w moved along one coordinate onto {x : c.x = r}, for row (c, r)."""
+    *c, r = row
     k = next(i for i, a in enumerate(c) if a)
     w = list(w)
     w[k] = F(r - sum(a * x for i, (a, x) in enumerate(zip(c, w)) if i != k),

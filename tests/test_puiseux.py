@@ -14,7 +14,6 @@ from sphtrop.puiseux import (
     ValuedPolynomial,
     _max_var_index,
     _tokenize,
-    is_finite,
     parse_weight,
 )
 
@@ -135,7 +134,7 @@ class TestParsing:
     def test_parse_weight(self):
         assert parse_weight("(-2,0)") == (F(-2), F(0))
         assert parse_weight("1/2, inf") == (F(1, 2), INF)
-        assert not is_finite(parse_weight("inf")[0])
+        assert parse_weight("inf")[0] is INF
         with pytest.raises(ValueError):
             parse_weight("1,2", nvars=3)
 

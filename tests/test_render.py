@@ -19,8 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphtrop import render
-from sphtrop.linalg import (Vector, dot, embed_from_chart, is_zero_vec,
-                            primitive, vec)
+from sphtrop.linalg import Vector, dot, embed_from_chart, primitive, vec
 from sphtrop.polyhedra import Cone
 from sphtrop.spherical import Color, ColoredCone, ColoredFan, SphericalDatum
 from sphtrop.troposphere import ExtendedTrop, Stratum, tropicalize_embedding
@@ -42,7 +41,7 @@ def _anchor(s: Stratum, extent: Fraction) -> Vector:
     if not gens:
         return (Fraction(0),) * s.face.cone.ambient_dim
     total = tuple(map(sum, zip(*gens)))
-    if is_zero_vec(total):
+    if not any(total):
         total = gens[0]
     return _scale_to_box(total, extent)
 

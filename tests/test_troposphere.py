@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from sphtrop import troposphere
 from sphtrop.examples import (all_fans, blowup_a4, table1_datum, table1_fans,
                               table2_datum)
-from sphtrop.fundthm import (Cell, TropicalComplex, canonical_constraint,
-                             extended_trop_sets)
+from sphtrop.fundthm import Cell, TropicalComplex, extended_trop_sets
+from sphtrop.linalg import primitive
 from sphtrop.polyhedra import CONE_CACHE_SIZE, Cone, quotient_chart
 from sphtrop.puiseux import INF, ValuedPolynomial
 from sphtrop.spherical import (Color, ColoredCone, ColoredFan, SphericalDatum,
@@ -88,6 +88,16 @@ def test_evaluate_point_on_a_face_with_lineality():
     assert evaluate_point(p, (2, 0)) == 6
     with pytest.raises(ValueError, match="nonzero on the face lineality"):
         evaluate_point(p, (1, 1))
+
+
+def test_evaluate_point_at_zero_on_a_full_dimensional_face():
+    """The stratum of a full-dimensional face is a point with an empty
+    chart; u = 0 is the one functional finite there, and it evaluates to 0."""
+    _, t = bl0a4_trop()
+    p = limit_point(t, (3, 1), Cone.from_generators([(1, 0), (1, 1)], 2))
+    assert p.stratum.chart == () and p.value == ()
+    assert evaluate_point(p, (0, 0)) == 0
+    assert evaluate_point(p, (1, 0)) is INF
 
 
 def test_contains_point():
@@ -184,7 +194,7 @@ def test_a_set_of_empty_cells_tags_an_empty_subset():
     fan, _ = table1_fans()["A2"]
     t = tropicalize_embedding(table1_datum(), fan)
     open_stratum = t.stratum_of_face(Cone.zero(1)).key
-    empty = TropicalComplex(1, (Cell(1, (), (((1,), 1), ((-1,), 0))),))
+    empty = TropicalComplex(1, (Cell(1, (), ((1, 1), (-1, 0))),))
     assert assemble_subvariety_trop(t, {open_stratum: empty}).is_empty()
 
 
@@ -409,7 +419,8 @@ def per_halfspace_assemble(trop, per_stratum_sets):
         for cell in cx.cells:
             for coeffs, rhs in halfspaces:
                 escapes = fm_feasible(
-                    list(cell.equalities), list(cell.inequalities),
+                    [(h[:-1], h[-1]) for h in cell.equalities],
+                    [(h[:-1], h[-1]) for h in cell.inequalities],
                     [(tuple(-c for c in coeffs), -rhs)], cx.ambient_dim)
                 if escapes:
                     raise ValueError(
@@ -435,8 +446,8 @@ def cells(draw, stratum):
     elif kind == "contradictory":
         c, r = draw(row)
         ineqs += [(c, r), (tuple(-x for x in c), 1 - r)]
-    return Cell(n, tuple(canonical_constraint(c, r) for c, r in eqs),
-                tuple(canonical_constraint(c, r) for c, r in ineqs))
+    return Cell(n, tuple(primitive((*c, r)) for c, r in eqs),
+                tuple(primitive((*c, r)) for c, r in ineqs))
 
 
 @st.composite
