@@ -24,7 +24,7 @@ from .fundthm import (
 )
 from .grobtrop import compare_tropicalizations, grobner_tropicalize_embedding
 from .linalg import InputError, rational_from_input
-from .puiseux import INF, PuiseuxScalar, ValuedPolynomial, parse_weight
+from .puiseux import PuiseuxScalar, ValuedPolynomial, parse_weight
 from .render import render_ascii, render_svg
 from .spherical import validate_colored_fan
 from .troposphere import tropicalize_embedding
@@ -137,12 +137,8 @@ def cmd_poly(args) -> int:
     if args.weight is None:
         raise InputError("--weight is required for this action")
     w = parse_weight(args.weight, f.nvars)
-    if args.action == "trop":
-        value = f.trop_eval(w)
-        text = "inf" if value is INF else jsonio.frac_to_json(value)
-        _emit(text + "\n", args.out)
-    else:
-        _emit(str(f.initial_form(w)) + "\n", args.out)
+    value = f.trop_eval(w) if args.action == "trop" else f.initial_form(w)
+    _emit(f"{value}\n", args.out)
     return 0
 
 

@@ -8,8 +8,9 @@ those the initial ideal is generated by the initial form of f.
 
 Both sides run on integers.  A cell row is one primitive ``int`` tuple
 (c, r) read off ``ValuedPolynomial.weight_forms``; this module scales no
-valuation.  A weight w is lifted once to x = (den w, -den), so a row h
-holds at w when the ``int`` h . x is 0 (an equation) or >= 0.
+valuation.  ``TropicalComplex.contains``, for a cell too, lifts a weight
+w once to x = (den w, -den), so a row h holds at w when the ``int`` h . x
+is 0 (an equation) or >= 0.  Reports print each value as its ``str``.
 
 A complex depends only on the number of variables and the tropical
 polynomial, the ``int`` pairs (dv u, dv v(a)) of the terms: residues do
@@ -40,8 +41,7 @@ class Cell:
     inequalities: tuple[IntVector, ...]
 
     def contains(self, w: Sequence[Fraction]) -> bool:
-        W, den = clear_denominators(w)
-        return self._holds_at((*W, -den))
+        return TropicalComplex(self.dim, (self,)).contains(w)
 
     def _holds_at(self, x: IntVector) -> bool:
         """Whether w lies in the cell, for x = (den w, -den) and den > 0."""
@@ -101,7 +101,8 @@ COMPLEX_CACHE_SIZE = 32
 def _complex_of(m: int, pairs: tuple[tuple[IntVector, int], ...]
                 ) -> TropicalComplex:
     """The complex of a nonzero tropical polynomial in m variables, read off
-    the ``int`` pairs (U, V) of its terms, in decreasing order of U."""
+    the ``int`` pairs (U, V) of its terms, in decreasing order of U; each
+    distinct cell is tested for emptiness once, in first-seen order."""
     n = len(pairs)
     # row[i][k]: term k weighs at least term i.  For i < j the first nonzero
     # entry of U_i - U_j is positive, so row[j][i] is pair (i, j)'s equation
@@ -109,20 +110,11 @@ def _complex_of(m: int, pairs: tuple[tuple[IntVector, int], ...]
     row = [[primitive((*[a - b for a, b in zip(uk, ui)], ci - ck))
             if k != i else None for k, (uk, ck) in enumerate(pairs)]
            for i, (ui, ci) in enumerate(pairs)]
-    cells: list[Cell] = []
-    seen = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            eq = row[j][i]
-            ineqs = tuple(sorted(
-                row[i][k] for k in range(n) if k not in (i, j)))
-            cell = Cell(m, (eq,), ineqs)
-            if cell in seen:
-                continue
-            seen.add(cell)
-            if not cell.is_empty():
-                cells.append(cell)
-    return TropicalComplex(m, tuple(cells))
+    cells = dict.fromkeys(
+        Cell(m, (row[j][i],), tuple(sorted(
+            row[i][k] for k in range(n) if k not in (i, j))))
+        for i in range(n) for j in range(i + 1, n))
+    return TropicalComplex(m, tuple(c for c in cells if not c.is_empty()))
 
 
 def membership_set2(f: ValuedPolynomial, w: Sequence[ExtendedRational]) -> bool:
@@ -220,15 +212,14 @@ class EquivalenceReport:
                 and all(w.consistent for w in self.witnesses))
 
     def to_json(self) -> dict:
-        from .jsonio import weight_to_json
         return {
             "samples": [
-                {"weight": weight_to_json(s.weight),
+                {"weight": list(map(str, s.weight)),
                  "set1": s.in_complex, "set2": s.in_initial_set,
                  "consistent": s.consistent}
                 for s in self.samples],
             "witnesses": [
-                {"valuations": weight_to_json(w.valuations),
+                {"valuations": list(map(str, w.valuations)),
                  "residual_zero": w.residual_zero,
                  "in_complex": w.in_complex}
                 for w in self.witnesses],

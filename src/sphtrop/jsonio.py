@@ -1,30 +1,25 @@
 """JSON (de)serialization for all package objects.
 
-Rationals are serialized as strings "p/q" (or "p" when integral) so files
-stay exact; infinite values are the string "inf".  All emitters sort keys
-deterministically so identical inputs produce byte-identical output.
+An exact value is written as its ``str``: "p/q" (or "p" when integral) for
+a rational, so files stay exact, and "inf" for infinity.  All emitters sort
+keys deterministically so identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Sequence
 
 from .fundthm import Cell, TropicalComplex
 from .linalg import MAX_DIM, InputError, Vector, primitive, rational_from_input
 from .polyhedra import Cone, quotient_chart
-from .puiseux import INF, ExtendedRational, PuiseuxScalar, ValuedPolynomial
+from .puiseux import ExtendedRational, PuiseuxScalar, ValuedPolynomial
 from .spherical import Color, ColoredCone, ColoredFan, SphericalDatum
 from .troposphere import ExtendedTrop, Stratum
 
 
-def frac_to_json(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def vector_to_json(v: Sequence[Fraction]) -> list[str]:
-    return [frac_to_json(x) for x in v]
+def vector_to_json(v: Sequence[ExtendedRational]) -> list[str]:
+    return list(map(str, v))
 
 
 def vector_from_json(data) -> Vector:
@@ -49,10 +44,6 @@ def colors_from_json(data) -> frozenset[str]:
     if type(data) is not list:
         raise InputError(f"expected a list of color names, got {data!r}")
     return frozenset(map(name_from_json, data))
-
-
-def weight_to_json(w: Sequence[ExtendedRational]) -> list[str]:
-    return ["inf" if x is INF else frac_to_json(x) for x in w]
 
 
 # -- cones, data, fans ---------------------------------------------------
@@ -184,7 +175,7 @@ def trop_from_json(data) -> ExtendedTrop:
 # -- polynomials and complexes -------------------------------------------
 
 def scalar_to_json(s: PuiseuxScalar) -> list[dict]:
-    return [{"exponent": frac_to_json(e), "coeff": frac_to_json(c)}
+    return [{"exponent": str(e), "coeff": str(c)}
             for e, c in s.terms]
 
 
@@ -220,7 +211,7 @@ def polynomial_from_json(data) -> ValuedPolynomial:
 
 def complex_to_json(cx: TropicalComplex) -> dict:
     def constraint(h):
-        return {"coeffs": vector_to_json(h[:-1]), "rhs": frac_to_json(h[-1])}
+        return {"coeffs": vector_to_json(h[:-1]), "rhs": str(h[-1])}
     return {
         "ambient_dim": cx.ambient_dim,
         "cells": [{"equalities": [constraint(c) for c in cell.equalities],

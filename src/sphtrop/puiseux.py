@@ -36,7 +36,8 @@ from .linalg import (
 @total_ordering
 class _Infinity:
     """The point at infinity in Q-bar, a comparable singleton: nothing is
-    above it, and it equals itself alone."""
+    above it, it equals itself alone, and its repr is the ``inf`` that JSON
+    and the CLI print."""
 
     _instance = None
 

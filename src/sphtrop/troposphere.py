@@ -175,13 +175,13 @@ def evaluate_point(p: ExtendedPoint, u: Sequence) -> ExtendedRational:
     """
     u = vec(u)
     tau = p.stratum.face.cone
-    for r in tau.rays:
-        if dot(u, r) < 0:
-            raise ValueError("functional is negative on the face")
+    pairings = [dot(u, r) for r in tau.rays]
+    if any(x < 0 for x in pairings):
+        raise ValueError("functional is negative on the face")
     for l in tau.lineality:
         if dot(u, l) != 0:
             raise ValueError("functional is nonzero on the face lineality")
-    if any(dot(u, r) != 0 for r in tau.rays):
+    if any(pairings):
         return INF
     return sum(x * dot(u, c) for x, c in zip(p.value, p.stratum.chart))
 

@@ -325,13 +325,16 @@ def rho_of_length_3(datum):
      "error: bad datum/fan structure: color D has wrong dimension\n"),
     (["ftt", "--poly", "x1 + 1", "--witness", "x1"], None, None, 2,
      "error: witness coordinate is not a scalar: x1\n"),
+    (["poly", "trop", "--poly", "x1^(1/2)", "--weight", "1"], None, None, 2,
+     "error: cannot parse polynomial: variable exponents must be integers\n"),
 ], ids=["trop-invalid-fan", "datum-color-wrong-length",
-        "ftt-witness-not-scalar"])
+        "ftt-witness-not-scalar", "poly-fractional-variable-exponent"])
 def test_failure_exits_with_its_code_and_one_line(corpus, capsys, tmp_path,
                                                   argv, name, edit, rc, err):
     """An invalid fan is a domain failure (exit 1); a palette color of the
-    wrong length and a witness coordinate with a variable are bad input
-    (exit 2).  Each prints its one line and nothing on stdout."""
+    wrong length, a witness coordinate with a variable and a fractional
+    variable exponent are bad input (exit 2).  Each prints its one line and
+    nothing on stdout."""
     if name:
         data = json.loads((corpus / name).read_text())
         edit(data)

@@ -295,3 +295,25 @@ def test_property_set1_is_the_extended_set_of_the_weights_orbit(case):
             extended = tuple(INF if x is INF else next(rest) for x in w)
             assert membership_set1(f, extended) == cx.contains(point)
 
+
+@pytest.mark.parametrize("cell", [
+    Cell(2, (), ()),
+    Cell(2, ((1, -1, 0),), ((1, 0, 0),)),
+], ids=["rowless", "with-rows"])
+@pytest.mark.parametrize("w", [(F(1),), (F(1), F(2), F(3))],
+                         ids=["short", "long"])
+def test_cell_contains_refuses_a_weight_of_the_wrong_length(cell, w):
+    """A cell tests a weight as the complex of that one cell does."""
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        cell.contains(w)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TropicalComplex.whole_space(2).contains((F(0),)),
+     "dimension mismatch"),
+    (lambda: extended_trop_sets(ValuedPolynomial.parse("x1 + 1")),
+     "extended sets require ordinary mode"),
+], ids=["complex-contains-weight-length", "extended-sets-laurent"])
+def test_a_refused_input_raises_its_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

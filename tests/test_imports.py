@@ -1,7 +1,7 @@
 """Every name a module under ``src/sphtrop`` imports is read somewhere in it,
-every private function, class or method there is read somewhere in
-``src/sphtrop``, and so is every public one, except a short list of public
-names kept on purpose."""
+and no import there is made inside a function; every private function, class
+or method there is read somewhere in ``src/sphtrop``, and so is every public
+one, except a short list of public names kept on purpose."""
 
 import ast
 from pathlib import Path
@@ -70,6 +70,45 @@ def test_scan_finds_an_unused_name_and_counts_annotations():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imports_in_functions(source: str) -> list[str]:
+    """Imports made inside a function or method.
+
+    Every module imports at the top, so its dependencies are all seen
+    there, and an import cycle fails on import instead of hiding behind a
+    call that makes it lazily.
+    """
+    found = {}
+    # ast.walk goes breadth first, so an inner function names its imports
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.update((sub.lineno, node.name) for sub in ast.walk(node)
+                         if isinstance(sub, (ast.Import, ast.ImportFrom)))
+    return [f"{name} (line {line})" for line, name in sorted(found.items())]
+
+
+def test_scan_finds_each_import_inside_a_function():
+    source = ("import json\n"
+              "from .a import b\n"
+              "def f():\n"
+              "    from .jsonio import dumps\n"
+              "    return dumps\n"
+              "class C:\n"
+              "    import os\n"
+              "    def m(self):\n"
+              "        import math\n"
+              "        def inner():\n"
+              "            import re\n"
+              "async def g():\n"
+              "    import sys\n")
+    assert imports_in_functions(source) == [
+        "f (line 4)", "m (line 9)", "inner (line 11)", "g (line 13)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    assert imports_in_functions(path.read_text()) == []
 
 
 def is_private(name: str) -> bool:

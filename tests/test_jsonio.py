@@ -18,9 +18,8 @@ def roundtrip(obj, to_json, from_json):
 
 
 def test_fraction_strings():
-    assert jsonio.frac_to_json(F(3, 2)) == "3/2"
-    assert jsonio.frac_to_json(F(-4)) == "-4"
-    assert jsonio.weight_to_json((F(1), INF)) == ["1", "inf"]
+    assert jsonio.vector_to_json((F(3, 2), F(-4), 5, F(1), INF)) == [
+        "3/2", "-4", "5", "1", "inf"]
 
 
 def test_cone_round_trip():

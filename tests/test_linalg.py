@@ -312,3 +312,11 @@ def test_embed_from_chart_rejects_a_length_mismatch():
         embed_from_chart([(1, 0), (0, 1)], [1])
     with pytest.raises(ValueError):
         embed_from_chart([], [F(1, 2)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: dot((1, 2), (1,)),
+], ids=["dot"])
+def test_a_vector_of_the_wrong_length_raises(call):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        call()

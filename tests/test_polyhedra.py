@@ -611,3 +611,14 @@ def test_property_dd_pretest_changes_no_output(case):
     dim, equations, inequalities = case
     assert _dd(equations, inequalities, dim) == \
         dd_without_pretest(equations, inequalities, dim)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Cone.full_space(3).contains((1, 0)),
+    lambda: Cone.full_space(3).relint_contains((1, 0, 0, 0)),
+    lambda: quotient_chart([(1, 0)], 3),
+], ids=["contains", "relint-contains", "quotient-chart"])
+def test_a_vector_of_the_wrong_length_raises(call):
+    """The full space has no rows, so no ``dot`` sees the vector's length."""
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        call()

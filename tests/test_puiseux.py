@@ -126,6 +126,11 @@ class TestParsing:
     def test_round_trip_via_str(self):
         f = ValuedPolynomial.parse(E3)
         assert ValuedPolynomial.parse(str(f)) == f
+        # trailing whitespace is skipped; the zero polynomial prints as "0"
+        for text, printed in (("x1 + 1 ", "x1 + 1"), ("x1 - x1", "0")):
+            f = ValuedPolynomial.parse(text)
+            assert str(f) == printed
+            assert ValuedPolynomial.parse(str(f), nvars=f.nvars) == f
 
     def test_ordinary_rejects_negative_exponent(self):
         with pytest.raises(ValueError):
@@ -503,3 +508,24 @@ def test_property_parser_agrees_with_the_old_parser(case):
     text, nvars, laurent = case
     assert (_outcome(ValuedPolynomial.parse, text, nvars, laurent)
             == _outcome(old_parse_polynomial, text, nvars, laurent))
+
+
+LINE = ValuedPolynomial.parse("x1 + x2 + 1", laurent=False)
+ONE = PuiseuxScalar.rational(1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ValuedPolynomial.from_dict(2, {(1,): ONE}),
+     "exponent vector length mismatch"),
+    (lambda: LINE.initial_form_substitution((INF, F(0))),
+     "substitution form requires a finite weight"),
+    (lambda: LINE.restrict_to_orbit({2}), "orbit index out of range"),
+    (lambda: LINE.evaluate((ONE,)), "point length mismatch"),
+    (lambda: LINE.evaluate((ONE, PuiseuxScalar.zero())),
+     "torus point must have nonzero coordinates"),
+], ids=["from-dict-exponent-length", "substitution-infinite-weight",
+        "orbit-index-out-of-range", "evaluate-point-length",
+        "evaluate-zero-coordinate"])
+def test_a_refused_input_raises_its_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

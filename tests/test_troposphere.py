@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sphtrop import troposphere
 from sphtrop.examples import (all_fans, blowup_a4, table1_datum, table1_fans,
-                              table2_datum)
+                              table2_datum, table2_fans)
 from sphtrop.fundthm import Cell, TropicalComplex, extended_trop_sets
 from sphtrop.linalg import primitive
 from sphtrop.polyhedra import CONE_CACHE_SIZE, Cone, quotient_chart
@@ -484,3 +484,36 @@ def test_property_one_sweep_per_cell_is_the_per_halfspace_loop(case):
     for part in [sets] + [{k: cx} for k, cx in sets.items()]:
         assert (outcome(assemble_subvariety_trop, trop, part)
                 == outcome(per_halfspace_assemble, trop, part))
+
+
+def open_stratum(t):
+    return t.stratum_of_face(Cone.zero(2))
+
+
+def stranger(t):
+    """The stratum of the ray through (-1, -1), which P4 has and Bl0A4 not."""
+    p4 = tropicalize_embedding(table2_datum(), table2_fans()["P4"][0])
+    s = p4.stratum_of_face(Cone.from_generators([(-1, -1)], 2))
+    assert s.key not in t.strata
+    return s
+
+
+@pytest.mark.parametrize("error, message, call", [
+    (ValueError, "point dimension does not match the stratum chart",
+     lambda t: open_stratum(t).point((1,))),
+    (KeyError, "no stratum with the given face",
+     lambda t: t.stratum_of_face(Cone.from_generators([(1, -1)], 2))),
+    (KeyError, "unknown stratum",
+     lambda t: contains_point(t, stranger(t).point((0,)))),
+    (KeyError, "unknown stratum key",
+     lambda t: assemble_subvariety_trop(
+         t, {stranger(t).key: TropicalComplex.whole_space(1)})),
+    (ValueError, "set dimension does not match the stratum",
+     lambda t: assemble_subvariety_trop(
+         t, {open_stratum(t).key: TropicalComplex.whole_space(1)})),
+], ids=["point-length", "no-such-face", "contains-unknown-stratum",
+        "assemble-unknown-key", "assemble-set-dimension"])
+def test_a_refused_input_raises_its_message(error, message, call):
+    _, t = bl0a4_trop()
+    with pytest.raises(error, match=message):
+        call(t)
