@@ -17,6 +17,8 @@ polynomial, the ``int`` pairs (dv u, dv v(a)) of the terms: residues do
 not enter it.  Each is built once and kept in an LRU cache of at most
 ``COMPLEX_CACHE_SIZE`` complexes, shared by a polynomial's orbits, samples
 and witnesses; a ``TropicalComplex`` is frozen, so sharing one is safe.
+A polynomial of more than ``MAX_COMPLEX_TERMS`` terms raises ``InputError``
+before the memo: its candidate cells take time and memory cubic in them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .linalg import IntVector, Vector, clear_denominators, dot, primitive, vec
+from .linalg import (InputError, IntVector, Vector, clear_denominators, dot,
+                     primitive, vec)
 from .polyhedra import affine_feasible
 from .puiseux import INF, ExtendedRational, PuiseuxScalar, ValuedPolynomial
 
@@ -89,12 +92,18 @@ def trop_hypersurface(f: ValuedPolynomial) -> TropicalComplex:
     """
     if f.is_zero():
         raise ValueError("tropical hypersurface of the zero polynomial")
+    if len(f.terms) > MAX_COMPLEX_TERMS:
+        raise InputError(f"expected at most {MAX_COMPLEX_TERMS} terms in a "
+                         f"tropical hypersurface, got {len(f.terms)}")
     return _complex_of(f.nvars, f.weight_forms[0])
 
 
 # Bound on the distinct tropical polynomials whose complexes are kept; it
 # covers the 2^m orbits of one polynomial up to m = 5.
 COMPLEX_CACHE_SIZE = 32
+# Most terms of a polynomial whose complex is built: its n(n-1)/2 candidate
+# cells hold n - 2 rows each, so time and memory grow as n^3.
+MAX_COMPLEX_TERMS = 96
 
 
 @lru_cache(maxsize=COMPLEX_CACHE_SIZE)

@@ -86,7 +86,7 @@ def grobner_tropicalize_embedding(datum: SphericalDatum, fan: ColoredFan
     if not report.ok:
         raise ValueError(f"invalid colored fan: {report.failures}")
 
-    strata = [Stratum.of(datum, cc) for cc in fan.cones]
+    strata = {stratum_key(cc): Stratum.of(datum, cc) for cc in fan.cones}
 
     # Adjacency from the pairwise polyhedral face relation plus the color
     # inheritance rule, independent of the recursive face enumeration.

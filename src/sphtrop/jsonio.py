@@ -169,7 +169,7 @@ def trop_from_json(data) -> ExtendedTrop:
                 raise InputError(f"adjacent entry {i!r} is not a stratum "
                                  f"index in 0..{len(strata) - 1}")
         adjacency[s.key] = frozenset(strata[i].key for i in item["adjacent"])
-    return ExtendedTrop(rank, strata, adjacency)
+    return ExtendedTrop(rank, {s.key: s for s in strata}, adjacency)
 
 
 # -- polynomials and complexes -------------------------------------------

@@ -15,9 +15,10 @@ It is the one place that decides zero patterns.  ``linalg.rref`` reduces
 with the same step.  Every ``Cone`` is built by ``Cone.from_generators``
 from one V -> H sweep, in canonical form: facets primitive modulo the
 span, rays modulo the lineality space (``linalg.orthogonal_parts``),
-lineality and equations the primitive reduced rows of ``rref``.  That
-key decides ``==`` and ``hash``.  All four are ``int`` tuples; input rows
-may hold ``Fraction`` entries.  The cone keeps the incidence (bit i of
+lineality and equations the primitive reduced rows of ``rref``.  All
+four are ``int`` tuples; input rows may hold ``Fraction`` entries.  The
+dataclass compares and hashes only ``canonical_key()``, that is (dim,
+rays, lineality).  The cone keeps the incidence (bit i of
 ``incidence[k]`` is set when facet k is zero on ray i), read off the
 sweep's masks.  Construction is memoised on the ambient dimension and the
 set of nonzero input generators in an LRU cache of at most
@@ -43,6 +44,7 @@ generators through ``troposphere.Stratum.of``, one point through
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from operator import mul
 from typing import Iterable, Sequence
@@ -143,21 +145,16 @@ def _dd(equations: Sequence[Sequence], inequalities: Sequence[Sequence],
     return lin, rays
 
 
+@dataclass(frozen=True, slots=True)
 class Cone:
-    """A rational convex polyhedral cone, immutable after construction."""
+    """A rational convex polyhedral cone, equal on ``canonical_key()``."""
 
-    __slots__ = ("ambient_dim", "rays", "lineality", "inequalities",
-                 "equations", "incidence", "_key")
-
-    def __init__(self, ambient_dim: int, rays, lineality, inequalities,
-                 equations, incidence):
-        self.ambient_dim = ambient_dim
-        self.rays: tuple[IntVector, ...] = rays
-        self.lineality: tuple[IntVector, ...] = lineality
-        self.inequalities: tuple[IntVector, ...] = inequalities
-        self.equations: tuple[IntVector, ...] = equations
-        self.incidence: tuple[int, ...] = incidence
-        self._key = (ambient_dim, self.rays, self.lineality)
+    ambient_dim: int
+    rays: tuple[IntVector, ...]
+    lineality: tuple[IntVector, ...]
+    inequalities: tuple[IntVector, ...] = field(compare=False)
+    equations: tuple[IntVector, ...] = field(compare=False)
+    incidence: tuple[int, ...] = field(compare=False)
 
     # -- construction -------------------------------------------------
 
@@ -267,19 +264,7 @@ class Cone:
         return all(self.contains(g) for g in other.generators)
 
     def canonical_key(self):
-        return self._key
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Cone):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __repr__(self):
-        return (f"Cone(dim={self.ambient_dim}, rays={list(self.rays)}, "
-                f"lineality={list(self.lineality)})")
+        return (self.ambient_dim, self.rays, self.lineality)
 
 
 # Bound on the distinct generator sets whose cones are kept for reuse.

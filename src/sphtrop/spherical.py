@@ -25,7 +25,7 @@ relative-interior-point test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .linalg import Vector, dot, fraction_rows, vec
 from .polyhedra import CONE_CACHE_SIZE, Cone
@@ -50,18 +50,21 @@ class SphericalDatum:
         object.__setattr__(self, "palette", tuple(self.palette))
         if self.valuation_cone.ambient_dim != self.rank:
             raise ValueError("valuation cone ambient dimension must equal the rank")
-        names = [c.name for c in self.palette]
-        if len(set(names)) != len(names):
+        if len(self._by_name) != len(self.palette):
             raise ValueError("color names must be unique")
         for c in self.palette:
             if len(c.rho) != self.rank:
                 raise ValueError(f"color {c.name} has wrong dimension")
 
+    @cached_property
+    def _by_name(self) -> dict[str, Color]:
+        """The palette indexed by name; no part of ``==`` or ``hash``."""
+        return {c.name: c for c in self.palette}
+
     def color(self, name: str) -> Color:
-        for c in self.palette:
-            if c.name == name:
-                return c
-        raise KeyError(f"unknown color {name!r}")
+        if name not in self._by_name:
+            raise KeyError(f"unknown color {name!r}")
+        return self._by_name[name]
 
 
 @dataclass(frozen=True)

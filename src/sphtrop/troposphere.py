@@ -116,32 +116,19 @@ class ExtendedPoint:
             raise ValueError("point dimension does not match the stratum chart")
 
 
+@dataclass
 class ExtendedTrop:
-    """Glued strata of an embedding, keyed by colored face."""
+    """Glued strata keyed by colored face; ``==`` compares all three fields."""
 
-    def __init__(self, ambient_rank: int, strata: Sequence[Stratum],
-                 adjacency: Mapping[StratumKey, frozenset[StratumKey]]):
-        self.ambient_rank = ambient_rank
-        self.strata: dict[StratumKey, Stratum] = {s.key: s for s in strata}
-        self.adjacency = {k: frozenset(v) for k, v in adjacency.items()}
+    ambient_rank: int
+    strata: dict[StratumKey, Stratum]
+    adjacency: Mapping[StratumKey, frozenset[StratumKey]]
 
     def stratum_of_face(self, tau: Cone) -> Stratum:
         for s in self.strata.values():
             if s.face.cone == tau:
                 return s
         raise KeyError("no stratum with the given face")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExtendedTrop):
-            return NotImplemented
-        return (self.ambient_rank == other.ambient_rank
-                and self.strata == other.strata
-                and self.adjacency == other.adjacency)
-
-    def __repr__(self):
-        dims = sorted((s.quotient_dim for s in self.strata.values()),
-                      reverse=True)
-        return f"ExtendedTrop(rank={self.ambient_rank}, stratum_dims={dims})"
 
 
 def tropicalize_embedding(datum: SphericalDatum, fan: ColoredFan
@@ -164,7 +151,7 @@ def tropicalize_embedding(datum: SphericalDatum, fan: ColoredFan
             if key not in strata:
                 strata[key] = Stratum.of(datum, f)
         face_of[stratum_key(cc)] = frozenset(map(stratum_key, faces))
-    return ExtendedTrop(datum.rank, list(strata.values()), face_of)
+    return ExtendedTrop(datum.rank, strata, face_of)
 
 
 def evaluate_point(p: ExtendedPoint, u: Sequence) -> ExtendedRational:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from sphtrop.cli import build_parser, main
+from sphtrop.fundthm import MAX_COMPLEX_TERMS
 from sphtrop.polyhedra import MAX_SWEEP_RAYS
 from sphtrop.puiseux import MAX_COEFF_BITS, MAX_NESTING, MAX_TERM_PAIRS
 
@@ -156,6 +157,21 @@ def test_compare_prints_the_same_report_under_any_hash_seed(corpus):
         outs.append(done.stdout)
     assert outs[0] == outs[1]
     assert len(json.loads(outs[0])["mismatches"]) > 1
+
+
+@pytest.mark.parametrize("argv, rc, out, err", [
+    (["poly", "trop", "--poly", "x1 + 1", "--weight", "1"], 0, "0\n", ""),
+    (["poly", "trop", "--poly", "x1 ? 3", "--weight", "1"], 2, "",
+     "error: cannot parse polynomial: cannot tokenize ' ? 3'\n"),
+], ids=["success", "bad-input"])
+def test_the_module_runs_as_a_program(argv, rc, out, err):
+    """``python -m sphtrop.cli`` exits with the code that ``main`` returns."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "sphtrop.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (rc, out, err)
 
 
 def test_poly_commands(capsys):
@@ -315,6 +331,14 @@ def rho_of_length_3(datum):
     datum["palette"][0]["rho"] = ["-1", "1", "0"]
 
 
+# x1 + x1^2 + ... with one term more than a complex may have: it is refused
+# before its candidate cells, cubic in the terms, are built.
+PAST_THE_TERM_BOUND = " + ".join(
+    f"x1^{k}" for k in range(1, MAX_COMPLEX_TERMS + 2))
+TERM_BOUND_ERROR = (f"error: expected at most {MAX_COMPLEX_TERMS} terms in a "
+                    f"tropical hypersurface, got {MAX_COMPLEX_TERMS + 1}\n")
+
+
 @pytest.mark.parametrize("argv, name, edit, rc, err", [
     (["trop", "--datum", "CORPUS/p1xp1.datum.json", "--fan", "EDITED"],
      "p1xp1.fan.json", color_on_the_ray, 1,
@@ -327,14 +351,23 @@ def rho_of_length_3(datum):
      "error: witness coordinate is not a scalar: x1\n"),
     (["poly", "trop", "--poly", "x1^(1/2)", "--weight", "1"], None, None, 2,
      "error: cannot parse polynomial: variable exponents must be integers\n"),
+    (["poly", "trop", "--poly", "x1 ? 3", "--weight", "1"], None, None, 2,
+     "error: cannot parse polynomial: cannot tokenize ' ? 3'\n"),
+    (["poly", "hypersurface", "--ordinary", "--poly", PAST_THE_TERM_BOUND],
+     None, None, 2, TERM_BOUND_ERROR),
+    (["ftt", "--ordinary", "--poly", PAST_THE_TERM_BOUND, "--weight", "0"],
+     None, None, 2, TERM_BOUND_ERROR),
 ], ids=["trop-invalid-fan", "datum-color-wrong-length",
-        "ftt-witness-not-scalar", "poly-fractional-variable-exponent"])
+        "ftt-witness-not-scalar", "poly-fractional-variable-exponent",
+        "poly-cannot-tokenize", "poly-hypersurface-past-the-term-bound",
+        "ftt-past-the-term-bound"])
 def test_failure_exits_with_its_code_and_one_line(corpus, capsys, tmp_path,
                                                   argv, name, edit, rc, err):
     """An invalid fan is a domain failure (exit 1); a palette color of the
-    wrong length, a witness coordinate with a variable and a fractional
-    variable exponent are bad input (exit 2).  Each prints its one line and
-    nothing on stdout."""
+    wrong length, a witness coordinate with a variable, a fractional
+    variable exponent, a character outside the grammar and a polynomial
+    past ``MAX_COMPLEX_TERMS`` are bad input (exit 2).  Each prints its one
+    line and nothing on stdout."""
     if name:
         data = json.loads((corpus / name).read_text())
         edit(data)

@@ -119,7 +119,7 @@ class TestComparison:
     def test_deleted_stratum_reported(self):
         a = self.make()
         keep = [s for k, s in a.strata.items() if s.quotient_dim > 0]
-        b = ExtendedTrop(a.ambient_rank, keep,
+        b = ExtendedTrop(a.ambient_rank, {s.key: s for s in keep},
                          {s.key: a.adjacency[s.key] for s in keep})
         report = compare_tropicalizations(a, b)
         assert not report.equal

@@ -26,6 +26,14 @@ def test_halfplane_has_lineality():
     assert h.contains((5, -7)) and not h.contains((0, 1))
 
 
+def test_a_cone_is_unequal_to_its_key():
+    """``==`` compares cones only: a tuple that holds the canonical key is
+    another value."""
+    zero = Cone.zero(1)
+    assert zero.canonical_key() == (1, (), ())
+    assert zero != (1, (), ()) and (1, (), ()) != zero
+
+
 def test_dual_of_dual():
     for gens in [[(1, 0), (1, 1)], [(1, 1), (-1, -1)], [(1, 0)], []]:
         c = Cone.from_generators(gens, 2)

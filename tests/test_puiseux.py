@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphtrop.linalg import rational_from_input
+from sphtrop.linalg import MAX_DIM, InputError, rational_from_input
 from sphtrop.puiseux import (
     INF,
     PuiseuxScalar,
     ResiduePolynomial,
     ValuedPolynomial,
-    _max_var_index,
-    _tokenize,
     parse_weight,
 )
 
@@ -298,7 +296,36 @@ def test_property_text_round_trips(case):
 # It built a polynomial for every factor, product and partial sum, with the
 # arithmetic below, which the library no longer has.  The methods and the
 # parser are verbatim, with the class renamed OldPolynomial, the parser
-# OldParser and _parse_polynomial old_parse_polynomial.
+# OldParser and _parse_polynomial old_parse_polynomial.  The tokenizer and
+# the variable count are verbatim copies too, so that a fault in the
+# library's own _tokenize or _max_var_index makes the two parsers differ.
+
+_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z]\w*|\^|\*|\+|-|\(|\))")
+
+
+def _tokenize(text: str) -> list[str]:
+    out, pos = [], 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            if text[pos:].strip():
+                raise ValueError(f"cannot tokenize {text[pos:]!r}")
+            break
+        out.append(m.group(1))
+        pos = m.end()
+    return out
+
+
+def _max_var_index(tokens: list[str]) -> int:
+    best = 0
+    for tok in tokens:
+        m = re.fullmatch(r"x(\d+)", tok)
+        if m:
+            best = max(best, int(m.group(1)))
+    if best > MAX_DIM:
+        raise InputError(f"variable x{best} exceeds the limit of {MAX_DIM} "
+                         "variables")
+    return best
 
 
 class OldPolynomial(ValuedPolynomial):

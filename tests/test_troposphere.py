@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -150,6 +151,15 @@ def test_adjacency_reflects_face_order():
     assert t.adjacency[sigma_key] == frozenset(t.strata)
     zero_key = t.stratum_of_face(Cone.zero(2)).key
     assert t.adjacency[zero_key] == frozenset({zero_key})
+
+
+def test_an_extended_trop_is_unequal_to_a_namespace_of_its_fields():
+    """``==`` holds between tropicalizations with equal fields only."""
+    _, t = bl0a4_trop()
+    fields = dict(ambient_rank=t.ambient_rank, strata=t.strata,
+                  adjacency=t.adjacency)
+    assert t == ExtendedTrop(**fields)
+    assert t != SimpleNamespace(**fields) and SimpleNamespace(**fields) != t
 
 
 def test_rank_zero_datum_is_a_point():
@@ -382,7 +392,7 @@ def former_tropicalize_embedding(datum, fan):
             sub = frozenset(stratum_key(g) for g in faces
                             if set(g.cone.rays) <= set(f.cone.rays))
             face_of[key] = face_of.get(key, frozenset()) | sub
-    return ExtendedTrop(datum.rank, list(strata.values()), face_of)
+    return ExtendedTrop(datum.rank, strata, face_of)
 
 
 @settings(max_examples=150, deadline=None)
