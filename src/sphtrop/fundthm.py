@@ -17,15 +17,18 @@ polynomial, the ``int`` pairs (dv u, dv v(a)) of the terms: residues do
 not enter it.  Each is built once and kept in an LRU cache of at most
 ``COMPLEX_CACHE_SIZE`` complexes, shared by a polynomial's orbits, samples
 and witnesses; a ``TropicalComplex`` is frozen, so sharing one is safe.
-A polynomial of more than ``MAX_COMPLEX_TERMS`` terms raises ``InputError``
-before the memo: its candidate cells take time and memory cubic in them.
+A complex takes one feasibility sweep per term: cell (i, j) is the face of
+the region where term i is minimal on which term j ties with it (dual to
+the regular subdivision of the Newton polytope), so one sweep's tight sets
+decide every cell of term i.  A polynomial of more than
+``MAX_COMPLEX_TERMS`` terms raises ``InputError`` before the memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 from .linalg import (InputError, IntVector, Vector, clear_denominators, dot,
@@ -81,7 +84,7 @@ def trop_hypersurface(f: ValuedPolynomial) -> TropicalComplex:
     """The locus where the minimum of v(a_u) + u.w is attained at least twice.
 
     One cell per pair of terms achieving a common minimum; empty cells are
-    pruned by exact feasibility on the double-description sweep.
+    pruned by exact feasibility, one double-description sweep per term.
 
     Memoised on ``f.nvars`` and the pairs (dv u, dv v(a)) of
     ``f.weight_forms``, all that the complex depends on: dv is left out,
@@ -101,8 +104,8 @@ def trop_hypersurface(f: ValuedPolynomial) -> TropicalComplex:
 # Bound on the distinct tropical polynomials whose complexes are kept; it
 # covers the 2^m orbits of one polynomial up to m = 5.
 COMPLEX_CACHE_SIZE = 32
-# Most terms of a polynomial whose complex is built: its n(n-1)/2 candidate
-# cells hold n - 2 rows each, so time and memory grow as n^3.
+# Most terms of a polynomial whose complex is built: n - 1 sweeps of n - 1
+# rows each, in m + 1 coordinates, with up to n(n-1)/2 cells of n - 2 rows.
 MAX_COMPLEX_TERMS = 96
 
 
@@ -111,7 +114,8 @@ def _complex_of(m: int, pairs: tuple[tuple[IntVector, int], ...]
                 ) -> TropicalComplex:
     """The complex of a nonzero tropical polynomial in m variables, read off
     the ``int`` pairs (U, V) of its terms, in decreasing order of U; each
-    distinct cell is tested for emptiness once, in first-seen order."""
+    distinct cell (i, j) is kept, in first-seen order, when row[i][j] is
+    tight in some mask of term i's region's ``affine_feasible`` sweep."""
     n = len(pairs)
     # row[i][k]: term k weighs at least term i.  For i < j the first nonzero
     # entry of U_i - U_j is positive, so row[j][i] is pair (i, j)'s equation
@@ -119,11 +123,15 @@ def _complex_of(m: int, pairs: tuple[tuple[IntVector, int], ...]
     row = [[primitive((*[a - b for a, b in zip(uk, ui)], ci - ck))
             if k != i else None for k, (uk, ck) in enumerate(pairs)]
            for i, (ui, ci) in enumerate(pairs)]
+    # Bit k - 1 of tight[i] is row[i][k] for k > i.
+    tight = [reduce(int.__or__, affine_feasible(
+                 (), row[i][:i] + row[i][i + 1:], m), 0)
+             for i in range(n - 1)]
     cells = dict.fromkeys(
         Cell(m, (row[j][i],), tuple(sorted(
             row[i][k] for k in range(n) if k not in (i, j))))
-        for i in range(n) for j in range(i + 1, n))
-    return TropicalComplex(m, tuple(c for c in cells if not c.is_empty()))
+        for i in range(n) for j in range(i + 1, n) if tight[i] >> j - 1 & 1)
+    return TropicalComplex(m, tuple(cells))
 
 
 def membership_set2(f: ValuedPolynomial, w: Sequence[ExtendedRational]) -> bool:

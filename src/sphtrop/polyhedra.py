@@ -33,7 +33,9 @@ exact dot products, without a sweep.
 
 ``affine_feasible`` decides an affine system of equations and weak
 inequalities from the same sweep's masks, so ``_dd`` is the one algorithm;
-it sweeps each row (c, r) as it is, as c.x + r t with t <= 0.
+it sweeps each row (c, r) as it is, as c.x + r t with t <= 0, and returns
+the tight sets of the rays with t < 0, which also tell which rows can hold
+with equality (``fundthm._complex_of`` reads its cells off them).
 
 ``quotient_chart`` fixes the canonical basis of the orthogonal complement of
 a span.  Coordinates in such a chart come from one routine,
@@ -316,15 +318,16 @@ def quotient_chart(subspace_gens: Sequence[Sequence], ambient_dim: int
 # -- affine feasibility --------------------------------------------------
 
 def affine_feasible(equalities: Sequence[Sequence],
-                    inequalities: Sequence[Sequence], dim: int) -> bool:
+                    inequalities: Sequence[Sequence], dim: int) -> list[int]:
     """Exact feasibility of {x : A x = a, B x >= b} over the rationals.
 
     A row (c_1, ..., c_dim, r), for c.x = r or c.x >= r, is swept as it is,
     as the homogenization c.x + r t with one more coordinate t <= 0: x / -t
-    is a point of the system wherever t < 0.  It is feasible exactly when t
-    is not zero on every ray (bit 0 of one AND over the masks); the sum of
-    the rays is then a witness.  t <= 0 is swept first, so no ray with
-    t > 0 is carried through the other rows.
+    is a point of the system wherever t < 0.  Returns the tight sets of the
+    rays with t < 0 (bit i for inequality i), empty exactly when the system
+    is infeasible.  The lineality space lies in t = 0, so inequalities can
+    hold with equality together exactly when one mask holds them all.  t <= 0
+    is swept first, so no ray with t > 0 is carried through the other rows.
     """
     _, rays = _dd(equalities, [(0,) * dim + (-1,), *inequalities], dim + 1)
-    return not reduce(int.__and__, (t for _, t in rays), 1)
+    return [t >> 1 for _, t in rays if not t & 1]

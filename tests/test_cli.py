@@ -549,7 +549,7 @@ def test_text_polynomial_variable_count_is_capped(capsys):
 
 def test_polynomial_past_the_sweep_bound_exits_2(capsys):
     """80 random terms of degree at most 2 in 10 variables (3657 bytes):
-    a cell's feasibility sweep passes ``MAX_SWEEP_RAYS`` rays, so the
+    a term's feasibility sweep passes ``MAX_SWEEP_RAYS`` rays, so the
     command exits 2 with one line instead of running for minutes."""
     rng = random.Random(5)
     monomials = set()

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sphtrop import fundthm
@@ -18,6 +18,7 @@ from sphtrop.fundthm import (
 )
 from sphtrop.linalg import dot, primitive
 from sphtrop.puiseux import INF, PuiseuxScalar, ValuedPolynomial
+from test_polyhedra import fm_feasible
 
 LINE = ValuedPolynomial.parse("x1 + x2 + 1", laurent=False)
 E3 = ValuedPolynomial.parse(
@@ -202,6 +203,64 @@ def test_property_cell_tests_agree_with_fraction_dots(case):
 @given(valued_polynomials())
 def test_property_integer_rows_give_the_fraction_cells(f):
     assert trop_hypersurface(f).cells == fraction_trop_hypersurface(f).cells
+
+
+# -- the per-pair route: one emptiness test per candidate cell --------------
+
+
+def fm_empty(cell):
+    """Emptiness of a cell by Fourier-Motzkin elimination, not by a sweep."""
+    return not fm_feasible([(h[:-1], h[-1]) for h in cell.equalities],
+                           [(h[:-1], h[-1]) for h in cell.inequalities], [],
+                           cell.dim)
+
+
+def per_pair_complex_of(m, pairs):
+    """The former ``fundthm._complex_of``: every candidate pair cell is
+    tested for emptiness on its own, here by ``fm_empty``."""
+    n = len(pairs)
+    # row[i][k]: term k weighs at least term i.  For i < j the first nonzero
+    # entry of U_i - U_j is positive, so row[j][i] is pair (i, j)'s equation
+    # with its sign fixed.  Each row is built once and shared by its cells.
+    row = [[primitive((*[a - b for a, b in zip(uk, ui)], ci - ck))
+            if k != i else None for k, (uk, ck) in enumerate(pairs)]
+           for i, (ui, ci) in enumerate(pairs)]
+    cells = dict.fromkeys(
+        Cell(m, (row[j][i],), tuple(sorted(
+            row[i][k] for k in range(n) if k not in (i, j))))
+        for i in range(n) for j in range(i + 1, n))
+    return TropicalComplex(m, tuple(c for c in cells if not fm_empty(c)))
+
+
+@st.composite
+def tied_polynomials(draw):
+    """Ordinary polynomials in 1-3 variables with 2-8 terms of degree at
+    most 2 and valuations 0 or 1, so that many cells meet in ties."""
+    m = draw(st.integers(1, 3))
+    exponents = draw(st.lists(st.tuples(*[st.integers(0, 2)] * m),
+                              min_size=2, max_size=8, unique=True))
+    coeffs = {u: PuiseuxScalar.from_terms([(draw(st.integers(0, 1)), 1)])
+              for u in exponents}
+    return ValuedPolynomial.from_dict(m, coeffs, laurent=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(valued_polynomials(), tied_polynomials()))
+# Collinear exponents: two rows of a cell of the first share the coefficients
+# (-1, 0).  The Newton polytopes of the other two are not full-dimensional,
+# so the region where one term is minimal has lineality.
+@example(ValuedPolynomial.parse("1 + x1 + t^2*x1^2 + x2", laurent=False))
+@example(ValuedPolynomial.parse("x1*x2 + t*x1^2*x2^2 + 1", laurent=False))
+@example(ValuedPolynomial.parse("1 + x1*x2*x3 + t^3*x1^2*x2^2*x3^2 + t*x2",
+                                laurent=False))
+def test_property_per_term_sweeps_give_the_per_pair_cells(f):
+    """On every orbit restriction, the complex read off one sweep per term
+    holds the cells of one test per pair, in the same order."""
+    for sigma, cx in extended_trop_sets(f).items():
+        g = f.restrict_to_orbit(sigma) if sigma else f
+        if not g.is_zero():
+            assert cx.cells == per_pair_complex_of(
+                g.nvars, g.weight_forms[0]).cells
 
 
 # -- the memo behind trop_hypersurface ---------------------------------------

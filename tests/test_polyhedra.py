@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings
@@ -298,9 +299,30 @@ def affine_systems(draw):
 @given(affine_systems())
 def test_property_affine_feasible_agrees_with_fourier_motzkin(system):
     equalities, inequalities, dim = system
-    assert (affine_feasible([(*c, r) for c, r in equalities],
-                            [(*c, r) for c, r in inequalities], dim)
+    assert (bool(affine_feasible([(*c, r) for c, r in equalities],
+                                 [(*c, r) for c, r in inequalities], dim))
             == fm_feasible(equalities, inequalities, [], dim))
+
+
+@settings(max_examples=150, deadline=None)
+@given(affine_systems())
+def test_property_affine_feasible_masks_are_tight_sets(system):
+    """Each returned mask names weak rows that can all hold with equality,
+    and a row can hold with equality exactly when some mask holds its bit:
+    the faces that ``fundthm._complex_of`` reads off one sweep."""
+    equalities, inequalities, dim = system
+    masks = affine_feasible([(*c, r) for c, r in equalities],
+                            [(*c, r) for c, r in inequalities], dim)
+
+    def feasible_with_tight(mask):
+        tight = [a for i, a in enumerate(inequalities) if mask >> i & 1]
+        rest = [a for i, a in enumerate(inequalities) if not mask >> i & 1]
+        return fm_feasible(equalities + tight, rest, [], dim)
+
+    assert all(feasible_with_tight(mask) for mask in masks)
+    union = reduce(int.__or__, masks, 0)
+    for i in range(len(inequalities)):
+        assert bool(union >> i & 1) == feasible_with_tight(1 << i)
 
 
 # -- the face lattice against one sweep per face -----------------------------

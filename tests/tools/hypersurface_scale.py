@@ -1,0 +1,99 @@
+"""Time ``fundthm.trop_hypersurface`` on random polynomials at scale.
+
+Usage, from the repository root::
+
+    python tests/tools/hypersurface_scale.py [--src DIR]
+    python tests/tools/hypersurface_scale.py --print M N
+
+The first form times every size in ``SIZES``, each in a fresh Python
+process, so every complex is built with a cold memo; ``--src`` times the
+``sphtrop`` package under another source directory (default: this
+checkout's ``src``).  Each line gives the variables, terms, exponent bound,
+cells, seconds and the process's peak resident memory.  The second form
+prints the polynomial of M variables and N terms, for example to pass it
+to ``sphtrop poly hypersurface --ordinary --poly``.
+
+The polynomials are the first of ``random.Random(3)`` from the generator
+of the benchmark's ``hypersurface`` workload, with the least exponent bound
+d >= 2 that leaves at least 2N monomials, (d + 1)^M >= 2N.  Needs nothing
+beyond the standard library.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import random
+import resource
+import subprocess
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+
+# (variables, terms): the scale sizes of the hypersurface pass, then the
+# largest polynomials that ``MAX_COMPLEX_TERMS`` admits.
+SIZES = [(4, 24), (5, 32), (6, 30), (6, 40), (3, 96), (4, 96), (5, 96)]
+
+
+def degree(m: int, n: int) -> int:
+    d = 2
+    while (d + 1) ** m < 2 * n:
+        d += 1
+    return d
+
+
+def polynomial_text(m: int, n: int) -> str:
+    """The benchmark generator's polynomial of m variables and n terms."""
+    rng = random.Random(3)
+    monomials = set()
+    while len(monomials) < n:
+        monomials.add(tuple(rng.randint(0, degree(m, n)) for _ in range(m)))
+    terms = []
+    for u in sorted(monomials):
+        coeff = rng.choice((-3, -2, -1, 1, 2, 3))
+        exponent = Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
+        terms.append(f"{coeff}*t^({exponent})" + "".join(
+            f"*x{i + 1}^{a}" for i, a in enumerate(u) if a))
+    return " + ".join(terms)
+
+
+def time_one(m: int, n: int) -> str:
+    from sphtrop.fundthm import trop_hypersurface
+    from sphtrop.puiseux import ValuedPolynomial
+
+    f = ValuedPolynomial.parse(polynomial_text(m, n), nvars=m, laurent=False)
+    start = time.perf_counter()
+    cx = trop_hypersurface(f)
+    seconds = time.perf_counter() - start
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return (f"m={m} terms={n} degree={degree(m, n)} cells={len(cx.cells)} "
+            f"{seconds:.3f} s {peak_mb:.1f} MB")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="source directory holding the sphtrop package")
+    parser.add_argument("--print", nargs=2, type=int, metavar=("M", "N"),
+                        help="print the polynomial of M variables, N terms")
+    parser.add_argument("--one", nargs=2, type=int, metavar=("M", "N"),
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.print:
+        print(polynomial_text(*args.print))
+        return 0
+    if args.one:
+        print(time_one(*args.one), flush=True)
+        return 0
+    env = dict(os.environ, PYTHONPATH=args.src)
+    for m, n in SIZES:
+        subprocess.run([sys.executable, __file__, "--one", str(m), str(n)],
+                       env=env, check=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
