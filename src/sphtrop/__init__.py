@@ -23,7 +23,6 @@ from .troposphere import (
     ExtendedPoint,
     ExtendedTrop,
     Stratum,
-    assemble_subvariety_trop,
     contains_point,
     evaluate_point,
     limit_point,
@@ -55,9 +54,9 @@ __all__ = [
     "Color", "ColoredCone", "ColoredFan", "SphericalDatum",
     "ValidationReport", "colored_faces", "validate_colored_cone",
     "validate_colored_fan",
-    "ExtendedPoint", "ExtendedTrop", "Stratum", "assemble_subvariety_trop",
-    "contains_point", "evaluate_point", "limit_point",
-    "stratum_valuation_cone", "tropicalize_embedding",
+    "ExtendedPoint", "ExtendedTrop", "Stratum", "contains_point",
+    "evaluate_point", "limit_point", "stratum_valuation_cone",
+    "tropicalize_embedding",
     "TropicalComplex", "WitnessPoint", "check_equivalence",
     "extended_trop_sets", "membership_set1", "membership_set2",
     "trop_hypersurface",

@@ -54,9 +54,6 @@ class Cell:
         return (all(dot(h, x) == 0 for h in self.equalities)
                 and all(dot(h, x) >= 0 for h in self.inequalities))
 
-    def is_empty(self) -> bool:
-        return not affine_feasible(self.equalities, self.inequalities, self.dim)
-
 
 @dataclass(frozen=True)
 class TropicalComplex:
@@ -75,9 +72,6 @@ class TropicalComplex:
             raise ValueError("dimension mismatch")
         x = (*W, -den)
         return any(cell._holds_at(x) for cell in self.cells)
-
-    def is_empty_set(self) -> bool:
-        return all(cell.is_empty() for cell in self.cells)
 
 
 def trop_hypersurface(f: ValuedPolynomial) -> TropicalComplex:

@@ -184,43 +184,3 @@ def contains_point(trop: ExtendedTrop, p: ExtendedPoint) -> bool:
         raise KeyError("unknown stratum")
     s = trop.strata[p.stratum.key]
     return s.valuation_cone_image.contains(p.value)
-
-
-@dataclass(frozen=True)
-class TropSubset:
-    """A per-stratum family of polyhedral sets inside an ExtendedTrop."""
-
-    trop: ExtendedTrop
-    sets: Mapping[StratumKey, object]
-
-    def is_empty(self) -> bool:
-        return all(s.is_empty_set() for s in self.sets.values())
-
-
-def assemble_subvariety_trop(trop: ExtendedTrop,
-                             per_stratum_sets: Mapping[StratumKey, object]
-                             ) -> TropSubset:
-    """Tag user- or fundthm-supplied polyhedral sets onto the strata.
-
-    Each set must live inside the stratum's valuation cone.  A cell's rows
-    (c, r) are swept as they are, with t <= 0 (``affine_feasible``): the
-    cell is empty when t = 0 on that homogenization h, and else lies in the
-    cone exactly when the w-parts of h's generators do.
-    """
-    tagged = {}
-    for key, cx in per_stratum_sets.items():
-        if key not in trop.strata:
-            raise KeyError(f"unknown stratum key {key!r}")
-        s = trop.strata[key]
-        if cx.ambient_dim != s.quotient_dim:
-            raise ValueError("set dimension does not match the stratum")
-        n = cx.ambient_dim
-        for cell in cx.cells:
-            h = Cone.from_inequalities(
-                (*cell.inequalities, (0,) * n + (-1,)), n + 1, cell.equalities)
-            if any(r[-1] for r in h.rays) and not all(
-                    s.valuation_cone_image.contains(g[:n])
-                    for g in h.generators):
-                raise ValueError("set escapes the stratum's valuation cone")
-        tagged[key] = cx
-    return TropSubset(trop, tagged)

@@ -1,12 +1,15 @@
 """Every name a module under ``src/sphtrop`` imports is read somewhere in it,
 and no import there is made inside a function; every private function, class
 or method there is read somewhere in ``src/sphtrop``, and so is every public
-one, except a short list of public names kept on purpose."""
+one, except a short list of public names kept on purpose; ``__all__`` lists
+exactly the names the package imports."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import sphtrop
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sphtrop"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -109,6 +112,17 @@ def test_scan_finds_each_import_inside_a_function():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_import_inside_a_function(path):
     assert imports_in_functions(path.read_text()) == []
+
+
+def test_star_import_gives_exactly_the_names_init_imports():
+    """``__all__`` lists every name ``sphtrop/__init__.py`` imports and
+    nothing else, so a name deleted from a module but left in ``__all__``
+    fails here rather than in a user's ``from sphtrop import *``."""
+    exec("from sphtrop import *", {})
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(sphtrop.__all__) == sorted(imported)
 
 
 def is_private(name: str) -> bool:

@@ -95,12 +95,13 @@ def test_dimension_mismatch_raises():
 
 @pytest.mark.parametrize("call", [
     lambda: affine_feasible([], [(1, 0)], 2),
-    lambda: Cell(2, ((1, 0),), ()).is_empty(),
+    lambda: Cell(2, ((1, 0),), ()).contains((F(0), F(0))),
     lambda: _dd([], [(1, 2, 3)], 2),
-], ids=["affine_feasible", "cell-is-empty", "dd"])
+], ids=["affine_feasible", "cell-contains", "dd"])
 def test_a_row_of_the_wrong_length_raises(call):
-    """The sweep takes its products inline, where ``zip`` would silently
-    stop at the end of the shorter vector, so each row's length is checked."""
+    """The sweep takes its products inline and a cell through ``dot``;
+    ``zip`` would silently stop at the end of the shorter vector, so each
+    row's length is checked."""
     with pytest.raises(ValueError, match="dimension mismatch"):
         call()
 

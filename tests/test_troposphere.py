@@ -7,20 +7,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sphtrop import troposphere
-from sphtrop.examples import (all_fans, blowup_a4, table1_datum, table1_fans,
-                              table2_datum, table2_fans)
-from sphtrop.fundthm import Cell, TropicalComplex, extended_trop_sets
-from sphtrop.linalg import primitive
+from sphtrop.examples import all_fans, blowup_a4, table2_datum, table2_fans
 from sphtrop.polyhedra import CONE_CACHE_SIZE, Cone, quotient_chart
-from sphtrop.puiseux import INF, ValuedPolynomial
-from sphtrop.spherical import (Color, ColoredCone, ColoredFan, SphericalDatum,
+from sphtrop.puiseux import INF
+from sphtrop.spherical import (ColoredCone, ColoredFan, SphericalDatum,
                                colored_faces, validate_colored_fan)
 from sphtrop.troposphere import (
     ExtendedTrop,
     Stratum,
     StratumKey,
-    TropSubset,
-    assemble_subvariety_trop,
     contains_point,
     evaluate_point,
     limit_point,
@@ -29,9 +24,8 @@ from sphtrop.troposphere import (
     tropicalize_embedding,
 )
 from test_acceptance import arrangement_fan, random_valid_fan
-from test_fundthm import valued_polynomials
 from test_linalg import gram_project_to_chart, vadd, vscale
-from test_polyhedra import fm_feasible, rows
+from test_polyhedra import rows
 
 
 def bl0a4_trop():
@@ -175,46 +169,6 @@ def test_invalid_fan_rejected():
     fan = ColoredFan((ColoredCone(Cone.from_generators([(1, 0)], 2)),))
     with pytest.raises(ValueError):
         tropicalize_embedding(datum, fan)
-
-
-def test_assemble_subvariety_trop():
-    # toric plane: empty palette, V everything, fan the closed quadrant
-    datum = SphericalDatum(2, Cone.full_space(2), ())
-    quadrant = Cone.from_generators([(1, 0), (0, 1)], 2)
-    fan = ColoredFan(tuple(ColoredCone(f) for f in quadrant.faces()))
-    t = tropicalize_embedding(datum, fan)
-    f = ValuedPolynomial.parse("x1 + x2 + 1", laurent=False)
-    sets = extended_trop_sets(f)
-    per_stratum = {}
-    face_of_sigma = {frozenset(): Cone.zero(2),
-                     frozenset({0}): Cone.from_generators([(1, 0)], 2),
-                     frozenset({1}): Cone.from_generators([(0, 1)], 2),
-                     frozenset({0, 1}): quadrant}
-    for sigma, cx in sets.items():
-        key = t.stratum_of_face(face_of_sigma[sigma]).key
-        per_stratum[key] = cx
-    subset = assemble_subvariety_trop(t, per_stratum)
-    assert not subset.is_empty()
-    # the sigma = {0,1} piece (constant restriction) is empty
-    corner = t.stratum_of_face(quadrant).key
-    assert subset.sets[corner].is_empty_set()
-
-
-def test_a_set_of_empty_cells_tags_an_empty_subset():
-    fan, _ = table1_fans()["A2"]
-    t = tropicalize_embedding(table1_datum(), fan)
-    open_stratum = t.stratum_of_face(Cone.zero(1)).key
-    empty = TropicalComplex(1, (Cell(1, (), ((1, 1), (-1, 0))),))
-    assert assemble_subvariety_trop(t, {open_stratum: empty}).is_empty()
-
-
-def test_assemble_rejects_escaping_sets():
-    datum, fan = blowup_a4()
-    t = tropicalize_embedding(datum, fan)
-    open_key = t.stratum_of_face(Cone.zero(2)).key
-    whole = TropicalComplex.whole_space(2)
-    with pytest.raises(ValueError):
-        assemble_subvariety_trop(t, {open_key: whole})
 
 
 # -- Stratum.of against the former per-generator Gram solves ----------------
@@ -409,93 +363,6 @@ def test_member_faces_give_the_maximal_cone_trop_on_the_corpus():
                 == former_tropicalize_embedding(datum, fan)), name
 
 
-# -- one sweep per cell against one sweep per cell and halfspace -------------
-
-def per_halfspace_assemble(trop, per_stratum_sets):
-    """``assemble_subvariety_trop`` before it swept each cell once, kept
-    as an oracle: one feasibility test per pair of a cell and a halfspace
-    of the stratum cone, decided by the Fourier-Motzkin ``fm_feasible``."""
-    tagged = {}
-    for key, cx in per_stratum_sets.items():
-        if key not in trop.strata:
-            raise KeyError(f"unknown stratum key {key!r}")
-        s = trop.strata[key]
-        if cx.ambient_dim != s.quotient_dim:
-            raise ValueError("set dimension does not match the stratum")
-        cone = s.valuation_cone_image
-        halfspaces = ([(h, 0) for h in cone.inequalities]
-                      + [(e, 0) for e in cone.equations]
-                      + [(tuple(-x for x in e), 0) for e in cone.equations])
-        for cell in cx.cells:
-            for coeffs, rhs in halfspaces:
-                escapes = fm_feasible(
-                    [(h[:-1], h[-1]) for h in cell.equalities],
-                    [(h[:-1], h[-1]) for h in cell.inequalities],
-                    [(tuple(-c for c in coeffs), -rhs)], cx.ambient_dim)
-                if escapes:
-                    raise ValueError(
-                        "set escapes the stratum's valuation cone")
-        tagged[key] = cx
-    return TropSubset(trop, tagged)
-
-
-@st.composite
-def cells(draw, stratum):
-    """A cell in the stratum's chart: random rows (it mostly escapes V_tau),
-    the rows of V_tau with shifted right-hand sides and extra rows (it lies
-    inside), or a pair of contradictory rows (it is empty)."""
-    n = stratum.quotient_dim
-    row = st.tuples(st.tuples(*[st.integers(-2, 2)] * n), st.integers(-2, 2))
-    eqs, ineqs = draw(st.lists(row, max_size=1)), draw(st.lists(row,
-                                                                max_size=3))
-    kind = draw(st.sampled_from(["random", "inside", "contradictory"]))
-    if kind == "inside":
-        cone = stratum.valuation_cone_image
-        ineqs += [(h, draw(st.integers(0, 2))) for h in cone.inequalities]
-        eqs = [(e, 0) for e in cone.equations] + eqs[:draw(st.integers(0, 1))]
-    elif kind == "contradictory":
-        c, r = draw(row)
-        ineqs += [(c, r), (tuple(-x for x in c), 1 - r)]
-    return Cell(n, tuple(primitive((*c, r)) for c, r in eqs),
-                tuple(primitive((*c, r)) for c, r in ineqs))
-
-
-@st.composite
-def trops_and_sets(draw):
-    """A tropicalization of a valid fan and, on some of its strata, a
-    complex of the stratum's dimension: a per-orbit set of a random
-    polynomial, the whole space, or up to three cells from ``cells``."""
-    trop = tropicalize_embedding(*draw(valid_fans()))
-    pool = extended_trop_sets(draw(valued_polynomials())).values()
-    sets = {}
-    for key in draw(st.lists(st.sampled_from(list(trop.strata)), max_size=3,
-                             unique=True)):
-        s = trop.strata[key]
-        n = s.quotient_dim
-        options = [TropicalComplex.whole_space(n), TropicalComplex(
-            n, tuple(draw(st.lists(cells(s), min_size=1, max_size=3))))]
-        options += [cx for cx in pool if cx.ambient_dim == n]
-        sets[key] = draw(st.sampled_from(options))
-    return trop, sets
-
-
-def outcome(assemble, trop, sets):
-    try:
-        return assemble(trop, sets).sets
-    except ValueError as e:
-        return str(e)
-
-
-@settings(max_examples=200, deadline=None)
-@given(trops_and_sets())
-def test_property_one_sweep_per_cell_is_the_per_halfspace_loop(case):
-    """Both accept or both raise, on the whole family and on each set."""
-    trop, sets = case
-    for part in [sets] + [{k: cx} for k, cx in sets.items()]:
-        assert (outcome(assemble_subvariety_trop, trop, part)
-                == outcome(per_halfspace_assemble, trop, part))
-
-
 def open_stratum(t):
     return t.stratum_of_face(Cone.zero(2))
 
@@ -515,14 +382,7 @@ def stranger(t):
      lambda t: t.stratum_of_face(Cone.from_generators([(1, -1)], 2))),
     (KeyError, "unknown stratum",
      lambda t: contains_point(t, stranger(t).point((0,)))),
-    (KeyError, "unknown stratum key",
-     lambda t: assemble_subvariety_trop(
-         t, {stranger(t).key: TropicalComplex.whole_space(1)})),
-    (ValueError, "set dimension does not match the stratum",
-     lambda t: assemble_subvariety_trop(
-         t, {open_stratum(t).key: TropicalComplex.whole_space(1)})),
-], ids=["point-length", "no-such-face", "contains-unknown-stratum",
-        "assemble-unknown-key", "assemble-set-dimension"])
+], ids=["point-length", "no-such-face", "contains-unknown-stratum"])
 def test_a_refused_input_raises_its_message(error, message, call):
     _, t = bl0a4_trop()
     with pytest.raises(error, match=message):
