@@ -17,10 +17,12 @@ polynomial, the ``int`` pairs (dv u, dv v(a)) of the terms: residues do
 not enter it.  Each is built once and kept in an LRU cache of at most
 ``COMPLEX_CACHE_SIZE`` complexes, shared by a polynomial's orbits, samples
 and witnesses; a ``TropicalComplex`` is frozen, so sharing one is safe.
-A complex takes one feasibility sweep per term: cell (i, j) is the face of
-the region where term i is minimal on which term j ties with it (dual to
-the regular subdivision of the Newton polytope), so one sweep's tight sets
-decide every cell of term i.  A polynomial of more than
+A complex takes one feasibility sweep per polynomial, over the region
+{(w, s) : s <= V_k + U_k.w for all k} under the graph of the tropical
+polynomial: cell (i, j) is nonempty exactly when terms i and j are tight
+together at one of its vertices (minimal faces, when the Newton polytope is
+not full-dimensional), whose tight sets are the maximal cells of the
+regular subdivision of the Newton polytope.  A polynomial of more than
 ``MAX_COMPLEX_TERMS`` terms raises ``InputError`` before the memo.
 """
 
@@ -78,7 +80,7 @@ def trop_hypersurface(f: ValuedPolynomial) -> TropicalComplex:
     """The locus where the minimum of v(a_u) + u.w is attained at least twice.
 
     One cell per pair of terms achieving a common minimum; empty cells are
-    pruned by exact feasibility, one double-description sweep per term.
+    pruned by exact feasibility, one double-description sweep in all.
 
     Memoised on ``f.nvars`` and the pairs (dv u, dv v(a)) of
     ``f.weight_forms``, all that the complex depends on: dv is left out,
@@ -98,8 +100,8 @@ def trop_hypersurface(f: ValuedPolynomial) -> TropicalComplex:
 # Bound on the distinct tropical polynomials whose complexes are kept; it
 # covers the 2^m orbits of one polynomial up to m = 5.
 COMPLEX_CACHE_SIZE = 32
-# Most terms of a polynomial whose complex is built: n - 1 sweeps of n - 1
-# rows each, in m + 1 coordinates, with up to n(n-1)/2 cells of n - 2 rows.
+# Most terms of a polynomial whose complex is built: one sweep of n rows in
+# m + 2 coordinates, with up to n(n-1)/2 cells of n - 2 rows.
 MAX_COMPLEX_TERMS = 96
 
 
@@ -108,8 +110,9 @@ def _complex_of(m: int, pairs: tuple[tuple[IntVector, int], ...]
                 ) -> TropicalComplex:
     """The complex of a nonzero tropical polynomial in m variables, read off
     the ``int`` pairs (U, V) of its terms, in decreasing order of U; each
-    distinct cell (i, j) is kept, in first-seen order, when row[i][j] is
-    tight in some mask of term i's region's ``affine_feasible`` sweep."""
+    distinct cell (i, j) is kept, in first-seen order, when terms i and j
+    are tight together in some mask of one ``affine_feasible`` sweep of the
+    region under the graph, s <= V_k + U_k.w for all k."""
     n = len(pairs)
     # row[i][k]: term k weighs at least term i.  For i < j the first nonzero
     # entry of U_i - U_j is positive, so row[j][i] is pair (i, j)'s equation
@@ -117,14 +120,14 @@ def _complex_of(m: int, pairs: tuple[tuple[IntVector, int], ...]
     row = [[primitive((*[a - b for a, b in zip(uk, ui)], ci - ck))
             if k != i else None for k, (uk, ck) in enumerate(pairs)]
            for i, (ui, ci) in enumerate(pairs)]
-    # Bit k - 1 of tight[i] is row[i][k] for k > i.
-    tight = [reduce(int.__or__, affine_feasible(
-                 (), row[i][:i] + row[i][i + 1:], m), 0)
+    # Bit j of tight[i]: terms i and j are minimal together at some vertex.
+    masks = affine_feasible((), [(*u, -1, -c) for u, c in pairs], m + 1)
+    tight = [reduce(int.__or__, (s for s in masks if s >> i & 1), 0)
              for i in range(n - 1)]
     cells = dict.fromkeys(
         Cell(m, (row[j][i],), tuple(sorted(
             row[i][k] for k in range(n) if k not in (i, j))))
-        for i in range(n) for j in range(i + 1, n) if tight[i] >> j - 1 & 1)
+        for i in range(n) for j in range(i + 1, n) if tight[i] >> j & 1)
     return TropicalComplex(m, tuple(cells))
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -549,7 +550,7 @@ def test_text_polynomial_variable_count_is_capped(capsys):
 
 def test_polynomial_past_the_sweep_bound_exits_2(capsys):
     """80 random terms of degree at most 2 in 10 variables (3657 bytes):
-    a term's feasibility sweep passes ``MAX_SWEEP_RAYS`` rays, so the
+    the complex's feasibility sweep passes ``MAX_SWEEP_RAYS`` rays, so the
     command exits 2 with one line instead of running for minutes."""
     rng = random.Random(5)
     monomials = set()
@@ -563,6 +564,22 @@ def test_polynomial_past_the_sweep_bound_exits_2(capsys):
             f"*x{i + 1}^{a}" for i, a in enumerate(u) if a))
     poly = " + ".join(terms)
     assert len(poly) == 3657
+    rc = main(["poly", "hypersurface", "--ordinary", "--poly", poly])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1
+    assert f"expected at most {MAX_SWEEP_RAYS} rays" in err
+
+
+def test_seven_variable_polynomial_past_the_sweep_bound_exits_2(capsys):
+    """The scale tool's seed-3 polynomial of 40 terms in 7 variables: the one
+    sweep of its complex holds every vertex of the region under the graph at
+    once and passes ``MAX_SWEEP_RAYS``, so it is refused in seconds."""
+    spec = importlib.util.spec_from_file_location(
+        "hypersurface_scale",
+        Path(__file__).parent / "tools" / "hypersurface_scale.py")
+    scale = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scale)
+    poly = scale.polynomial_text(7, 40)
     rc = main(["poly", "hypersurface", "--ordinary", "--poly", poly])
     err = capsys.readouterr().err
     assert rc == 2 and err.count("\n") == 1

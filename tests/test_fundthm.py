@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +19,7 @@ from sphtrop.fundthm import (
     trop_hypersurface,
 )
 from sphtrop.linalg import dot, primitive
+from sphtrop.polyhedra import affine_feasible
 from sphtrop.puiseux import INF, PuiseuxScalar, ValuedPolynomial
 from test_polyhedra import fm_feasible
 
@@ -240,19 +243,48 @@ def tied_polynomials(draw):
 @given(st.one_of(valued_polynomials(), tied_polynomials()))
 # Collinear exponents: two rows of a cell of the first share the coefficients
 # (-1, 0).  The Newton polytopes of the other two are not full-dimensional,
-# so the region where one term is minimal has lineality.
+# so the region under the graph has lineality and no vertex.
 @example(ValuedPolynomial.parse("1 + x1 + t^2*x1^2 + x2", laurent=False))
 @example(ValuedPolynomial.parse("x1*x2 + t*x1^2*x2^2 + 1", laurent=False))
 @example(ValuedPolynomial.parse("1 + x1*x2*x3 + t^3*x1^2*x2^2*x3^2 + t*x2",
                                 laurent=False))
-def test_property_per_term_sweeps_give_the_per_pair_cells(f):
-    """On every orbit restriction, the complex read off one sweep per term
-    holds the cells of one test per pair, in the same order."""
+def test_property_one_sweep_gives_the_per_pair_cells(f):
+    """On every orbit restriction, the complex read off one sweep of the
+    region under the graph of the tropical polynomial holds the cells of one
+    test per pair, in the same order."""
     for sigma, cx in extended_trop_sets(f).items():
         g = f.restrict_to_orbit(sigma) if sigma else f
         if not g.is_zero():
             assert cx.cells == per_pair_complex_of(
                 g.nvars, g.weight_forms[0]).cells
+
+
+def test_each_complex_takes_one_feasibility_sweep(monkeypatch):
+    """Whatever its number of terms, 2 to 8 here, a complex is built from
+    exactly one ``affine_feasible`` call; one sweep per term would make
+    n - 1 of them."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return affine_feasible(*args)
+
+    monkeypatch.setattr(fundthm, "affine_feasible", counting)
+    fundthm._complex_of.cache_clear()
+    rng = random.Random(7)
+    keys = set()
+    for m in (1, 2, 3):
+        monomials = list(itertools.product(range(8 if m == 1 else 3),
+                                           repeat=m))
+        for n in range(2, 9):
+            f = ValuedPolynomial.from_dict(m, {
+                u: PuiseuxScalar.from_terms([(rng.randint(0, 2), 1)])
+                for u in rng.sample(monomials, n)}, laurent=False)
+            assert len(f.terms) == n
+            trop_hypersurface(f)
+            trop_hypersurface(f)
+            keys.add((m, f.weight_forms[0]))
+    assert len(keys) == 21 and len(calls) == len(keys)
 
 
 # -- the memo behind trop_hypersurface ---------------------------------------

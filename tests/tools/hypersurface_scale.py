@@ -9,7 +9,9 @@ The first form times every size in ``SIZES``, each in a fresh Python
 process, so every complex is built with a cold memo; ``--src`` times the
 ``sphtrop`` package under another source directory (default: this
 checkout's ``src``).  Each line gives the variables, terms, exponent bound,
-cells, seconds and the process's peak resident memory.  The second form
+cells, seconds and the process's peak resident memory; a size that the
+library refuses gives its ``InputError`` message and the seconds until the
+refusal instead, and the later sizes still run.  The second form
 prints the polynomial of M variables and N terms, for example to pass it
 to ``sphtrop poly hypersurface --ordinary --poly``.
 
@@ -34,8 +36,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[2]
 
 # (variables, terms): the scale sizes of the hypersurface pass, then the
-# largest polynomials that ``MAX_COMPLEX_TERMS`` admits.
-SIZES = [(4, 24), (5, 32), (6, 30), (6, 40), (3, 96), (4, 96), (5, 96)]
+# largest polynomials that ``MAX_COMPLEX_TERMS`` admits, then the sizes where
+# the sweep bound comes near or refuses.
+SIZES = [(4, 24), (5, 32), (6, 30), (6, 40), (3, 96), (4, 96), (5, 96),
+         (6, 64), (7, 40)]
 
 
 def degree(m: int, n: int) -> int:
@@ -62,15 +66,20 @@ def polynomial_text(m: int, n: int) -> str:
 
 def time_one(m: int, n: int) -> str:
     from sphtrop.fundthm import trop_hypersurface
+    from sphtrop.linalg import InputError
     from sphtrop.puiseux import ValuedPolynomial
 
     f = ValuedPolynomial.parse(polynomial_text(m, n), nvars=m, laurent=False)
+    size = f"m={m} terms={n} degree={degree(m, n)}"
     start = time.perf_counter()
-    cx = trop_hypersurface(f)
+    try:
+        cx = trop_hypersurface(f)
+    except InputError as err:
+        return (f"{size} refused after {time.perf_counter() - start:.3f} s: "
+                f"{err}")
     seconds = time.perf_counter() - start
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return (f"m={m} terms={n} degree={degree(m, n)} cells={len(cx.cells)} "
-            f"{seconds:.3f} s {peak_mb:.1f} MB")
+    return f"{size} cells={len(cx.cells)} {seconds:.3f} s {peak_mb:.1f} MB"
 
 
 def main(argv=None) -> int:
