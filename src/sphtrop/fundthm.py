@@ -9,8 +9,10 @@ those the initial ideal is generated by the initial form of f.
 Both sides run on integers.  A cell row is one primitive ``int`` tuple
 (c, r) read off ``ValuedPolynomial.weight_forms``; this module scales no
 valuation.  ``TropicalComplex.contains``, for a cell too, lifts a weight
-w once to x = (den w, -den), so a row h holds at w when the ``int`` h . x
-is 0 (an equation) or >= 0.  Reports print each value as its ``str``.
+w once to x = (den w, -den) and tests all cells in one loop, each row h by
+``dot``, which checks the length of a hand-built cell's rows: h holds at w
+when the ``int`` h . x is 0 (an equation) or >= 0.  Reports print each
+value as its ``str``.
 
 A complex depends only on the number of variables and the tropical
 polynomial, the ``int`` pairs (dv u, dv v(a)) of the terms: residues do
@@ -51,11 +53,6 @@ class Cell:
     def contains(self, w: Sequence[Fraction]) -> bool:
         return TropicalComplex(self.dim, (self,)).contains(w)
 
-    def _holds_at(self, x: IntVector) -> bool:
-        """Whether w lies in the cell, for x = (den w, -den) and den > 0."""
-        return (all(dot(h, x) == 0 for h in self.equalities)
-                and all(dot(h, x) >= 0 for h in self.inequalities))
-
 
 @dataclass(frozen=True)
 class TropicalComplex:
@@ -73,7 +70,9 @@ class TropicalComplex:
         if len(W) != self.ambient_dim:
             raise ValueError("dimension mismatch")
         x = (*W, -den)
-        return any(cell._holds_at(x) for cell in self.cells)
+        return any(all(dot(h, x) == 0 for h in cell.equalities)
+                   and all(dot(h, x) >= 0 for h in cell.inequalities)
+                   for cell in self.cells)
 
 
 def trop_hypersurface(f: ValuedPolynomial) -> TropicalComplex:

@@ -42,10 +42,10 @@ def rational_from_input(x) -> Fraction:
 
     Floats are refused: a JSON number such as 1e5000 arrives as an inexact
     or infinite float.  So is exponent notation, since "1e999999999" would
-    build a billion-digit integer.
+    build a billion-digit integer, and "_", which only Python >= 3.11 reads.
     """
     try:
-        if type(x) is int or type(x) is str and not set(x) & {"e", "E"}:
+        if type(x) is int or type(x) is str and not set(x) & {"e", "E", "_"}:
             return Fraction(x)
     except (ValueError, ZeroDivisionError):
         pass

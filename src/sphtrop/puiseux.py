@@ -5,10 +5,11 @@ field is Q.  Tropical evaluation and initial forms follow the min-plus
 convention, with infinity handled explicitly: an infinite weight entry
 sends every monomial with a nonzero exponent there to infinity.
 This module alone turns a polynomial into integers, once, as its
-``weight_forms``; term weights, graded initial forms and the hypersurface
-cells read that form.  Each weight clears its own denominators once, so
-``trop_eval`` builds one ``Fraction`` (its minimum) and ``initial_form``
-picks the minimal terms by ``int`` comparison.
+``weight_forms``, which checks each exponent's length once per polynomial;
+term weights, graded initial forms and the hypersurface cells read that
+form.  Each weight clears its own denominators once and takes its products
+with the exponents inline, so ``trop_eval`` builds one ``Fraction`` (its
+minimum) and ``initial_form`` picks the minimal terms by ``int`` comparison.
 Text is parsed in one pass into one dict of monomials t^e x^u: a sum adds
 into it, a product pairs the terms of its factors (at most
 ``MAX_TERM_PAIRS`` pairs over all products), parentheses nest at most
@@ -21,14 +22,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from operator import add
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import (
     MAX_DIM,
     InputError,
     clear_denominators,
-    dot,
     rational_from_input,
 )
 
@@ -183,13 +183,15 @@ def _term_weights(forms: WeightForms, w: ExtendedWeight
 
     Returns the numerators and their common denominator ``den * dv``: w's
     finite entries are cleared once to ``W / den``, so each term weight is
-    ``V * den + U . W`` for the term's pair (U, V).  A term with a nonzero
-    exponent at an infinite entry of w weighs infinity, ``None``.
+    ``V * den + U . W`` for the term's pair (U, V), products inline.  A
+    term with a nonzero exponent at an infinite entry of w weighs infinity,
+    ``None``; only a w with an infinite entry is scanned for such terms.
     """
     pairs, dv = forms
     inf_at = [i for i, x in enumerate(w) if x is INF]
     W, den = clear_denominators([0 if x is INF else x for x in w])
-    return [None if any(U[i] for i in inf_at) else V * den + dot(U, W)
+    return [None if inf_at and any(U[i] for i in inf_at)
+            else V * den + sum(map(mul, U, W))
             for U, V in pairs], den * dv
 
 
@@ -292,6 +294,8 @@ class ValuedPolynomial:
         valuations' denominators: the term weighs (dv u . w + dv v(a)) / dv.
         The one integer form of f, read by the term weights and the cells
         of ``fundthm.trop_hypersurface``; no part of ``==`` or ``hash``."""
+        if any(len(u) != self.nvars for u, _ in self.terms):
+            raise ValueError("dimension mismatch")  # built without from_dict
         V, dv = clear_denominators([c.valuation() for _, c in self.terms])
         return tuple((tuple(dv * a for a in u), v)
                      for (u, _), v in zip(self.terms, V)), dv
@@ -439,7 +443,7 @@ def _collect(pairs: Iterable[tuple]) -> _Monomials:
     """Sum the coefficients of equal keys and drop the zero ones."""
     acc: _Monomials = {}
     for k, c in pairs:
-        acc[k] = acc.get(k, 0) + c
+        acc[k] = acc[k] + c if k in acc else c
     return {k: c for k, c in acc.items() if c}
 
 

@@ -380,7 +380,8 @@ def test_failure_exits_with_its_code_and_one_line(corpus, capsys, tmp_path,
 
 
 @pytest.mark.parametrize("generator", ['[1e5000, 0]', '["1e5000", "0"]',
-                                       '[0.5, 0]', '["1/0", "0"]'])
+                                       '[0.5, 0]', '["1/0", "0"]',
+                                       '["1_0", "0"]'])
 def test_inexact_fan_number_exits_2(corpus, capsys, tmp_path, generator):
     fan = json.loads((corpus / "blowup-a4.fan.json").read_text())
     fan["cones"][1]["generators"][0] = "GENERATOR"
@@ -394,6 +395,13 @@ def test_inexact_fan_number_exits_2(corpus, capsys, tmp_path, generator):
 @pytest.mark.parametrize("action", ["trop", "init"])
 def test_weight_in_exponent_notation_exits_2(capsys, action):
     rc = main(["poly", action, "--poly", E3, "--weight", "1e5,0"])
+    assert rc == 2 and one_line_error(capsys)
+
+
+def test_weight_with_an_underscore_exits_2(capsys):
+    """A weight "1_0" is refused on every Python, as 3.10's ``Fraction``
+    refuses it."""
+    rc = main(["poly", "trop", "--poly", "x1 + 1", "--weight", "1_0"])
     assert rc == 2 and one_line_error(capsys)
 
 

@@ -379,6 +379,59 @@ def test_property_set1_is_the_extended_set_of_the_weights_orbit(case):
             assert membership_set1(f, extended) == cx.contains(point)
 
 
+@st.composite
+def polynomials_and_extended_weights(draw):
+    """Ordinary polynomials and extended weights with infinite entries and
+    rationals of denominators 1-6, also moved onto the equation of a cell of
+    the set of their orbit, where the minimum is attained twice."""
+    f = draw(valued_polynomials())
+    entry = st.one_of(RATIONALS, st.just(INF))
+    weights = draw(st.lists(st.tuples(*[entry] * f.nvars),
+                            min_size=1, max_size=4))
+    sets = extended_trop_sets(f)
+    out = []
+    for w in weights:
+        cells = sets[frozenset(i for i, x in enumerate(w) if x is INF)].cells
+        finite = tuple(x for x in w if x is not INF)
+        for point in [finite] + [on_hyperplane(finite, cell.equalities[0])
+                                 for cell in cells if cell.equalities]:
+            rest = iter(point)
+            out.append(tuple(INF if x is INF else next(rest) for x in w))
+    return f, out
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomials_and_extended_weights())
+def test_property_extended_fundamental_theorem(case):
+    """On every torus orbit set (1), the locus where the minimum is attained
+    twice, is set (2), the weights whose initial form is no monomial."""
+    f, weights = case
+    for w in weights:
+        assert membership_set1(f, w) == membership_set2(f, w)
+
+
+ONE = PuiseuxScalar.rational(1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: f.trop_eval((F(0), F(0))),
+    lambda f: f.initial_form((F(0), F(0))),
+    lambda f: f.term_weights((F(0), F(0))),
+    trop_hypersurface,
+], ids=["trop_eval", "initial_form", "term_weights", "trop_hypersurface"])
+@pytest.mark.parametrize("terms", [
+    (((1,), ONE), ((0, 0), ONE)),
+    (((1, 0, 0), ONE), ((0, 0), ONE)),
+], ids=["short-exponent", "long-exponent"])
+def test_an_exponent_of_the_wrong_length_raises(call, terms):
+    """A polynomial built directly, past ``from_dict``'s check, is refused:
+    term weights take their products inline, where ``map`` would silently
+    stop at the end of the shorter vector."""
+    f = ValuedPolynomial(2, False, terms)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        call(f)
+
+
 @pytest.mark.parametrize("cell", [
     Cell(2, (), ()),
     Cell(2, ((1, -1, 0),), ((1, 0, 0),)),

@@ -158,8 +158,9 @@ def test_rational_from_input_accepts_exact_forms():
     assert rational_from_input(" 0.25 ") == F(1, 4)
 
 
+# Fraction reads "_" as a digit separator from Python 3.11 on only.
 @pytest.mark.parametrize("x", [0.5, float("inf"), True, None, "inf", "nan",
-                               "1/0", "", [1]])
+                               "1/0", "", [1], "1_0", "1/2_0", "0.1_0"])
 def test_rational_from_input_rejects_inexact_and_malformed(x):
     with pytest.raises(InputError, match="exact rational"):
         rational_from_input(x)

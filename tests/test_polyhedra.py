@@ -99,7 +99,8 @@ def test_dimension_mismatch_raises():
     lambda: _dd([], [(1, 2, 3)], 2),
 ], ids=["affine_feasible", "cell-contains", "dd"])
 def test_a_row_of_the_wrong_length_raises(call):
-    """The sweep takes its products inline and a cell through ``dot``;
+    """The sweep takes its products inline, and a cell is tested by the
+    one loop of ``TropicalComplex.contains``, each row through ``dot``;
     ``zip`` would silently stop at the end of the shorter vector, so each
     row's length is checked."""
     with pytest.raises(ValueError, match="dimension mismatch"):

@@ -140,6 +140,8 @@ class TestParsing:
         assert parse_weight("inf")[0] is INF
         with pytest.raises(ValueError):
             parse_weight("1,2", nvars=3)
+        with pytest.raises(InputError, match="exact rational"):
+            parse_weight("1_0")
 
 
 # -- oracles: the per-term Fraction sums the term-weight helper replaced ----

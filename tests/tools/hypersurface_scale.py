@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python tests/tools/hypersurface_scale.py [--src DIR]
+    python tests/tools/hypersurface_scale.py [--src DIR] [--grid]
     python tests/tools/hypersurface_scale.py --print M N
 
 The first form times every size in ``SIZES``, each in a fresh Python
@@ -11,7 +11,11 @@ process, so every complex is built with a cold memo; ``--src`` times the
 checkout's ``src``).  Each line gives the variables, terms, exponent bound,
 cells, seconds and the process's peak resident memory; a size that the
 library refuses gives its ``InputError`` message and the seconds until the
-refusal instead, and the later sizes still run.  The second form
+refusal instead, and the later sizes still run.  With ``--grid`` each line
+also gives the seconds that ``cx.contains`` and ``f.initial_form`` take
+over the weights {-1, 0, 1}^M, the grid of the benchmark's ``hypersurface``
+workload, once the complex cx is built: the least of ``GRID_PASSES``
+passes over the grid.  The second form
 prints the polynomial of M variables and N terms, for example to pass it
 to ``sphtrop poly hypersurface --ordinary --poly``.
 
@@ -24,12 +28,14 @@ beyond the standard library.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import random
 import resource
 import subprocess
 import sys
 import time
+import timeit
 from fractions import Fraction
 from pathlib import Path
 
@@ -64,7 +70,23 @@ def polynomial_text(m: int, n: int) -> str:
     return " + ".join(terms)
 
 
-def time_one(m: int, n: int) -> str:
+# Passes over the grid per test; the least time is reported, the one least
+# disturbed by other processes.
+GRID_PASSES = 5
+
+
+def time_grid(f, cx) -> str:
+    """Seconds of ``cx.contains`` and of ``f.initial_form`` over the grid."""
+    grid = list(itertools.product((Fraction(-1), Fraction(0), Fraction(1)),
+                                  repeat=f.nvars))
+    seconds = [min(timeit.repeat(lambda: [test(w) for w in grid],
+                                 number=1, repeat=GRID_PASSES))
+               for test in (cx.contains, f.initial_form)]
+    return (f" grid={len(grid)} contains={seconds[0]:.4f} s "
+            f"initial_form={seconds[1]:.4f} s")
+
+
+def time_one(m: int, n: int, grid: bool = False) -> str:
     from sphtrop.fundthm import trop_hypersurface
     from sphtrop.linalg import InputError
     from sphtrop.puiseux import ValuedPolynomial
@@ -79,7 +101,8 @@ def time_one(m: int, n: int) -> str:
                 f"{err}")
     seconds = time.perf_counter() - start
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return f"{size} cells={len(cx.cells)} {seconds:.3f} s {peak_mb:.1f} MB"
+    line = f"{size} cells={len(cx.cells)} {seconds:.3f} s {peak_mb:.1f} MB"
+    return line + time_grid(f, cx) if grid else line
 
 
 def main(argv=None) -> int:
@@ -88,6 +111,9 @@ def main(argv=None) -> int:
                         help="source directory holding the sphtrop package")
     parser.add_argument("--print", nargs=2, type=int, metavar=("M", "N"),
                         help="print the polynomial of M variables, N terms")
+    parser.add_argument("--grid", action="store_true",
+                        help="also time cx.contains and f.initial_form over "
+                             "the weights {-1, 0, 1}^M")
     parser.add_argument("--one", nargs=2, type=int, metavar=("M", "N"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -95,12 +121,12 @@ def main(argv=None) -> int:
         print(polynomial_text(*args.print))
         return 0
     if args.one:
-        print(time_one(*args.one), flush=True)
+        print(time_one(*args.one, grid=args.grid), flush=True)
         return 0
     env = dict(os.environ, PYTHONPATH=args.src)
     for m, n in SIZES:
-        subprocess.run([sys.executable, __file__, "--one", str(m), str(n)],
-                       env=env, check=True)
+        subprocess.run([sys.executable, __file__, "--one", str(m), str(n)]
+                       + ["--grid"] * args.grid, env=env, check=True)
     return 0
 
 
