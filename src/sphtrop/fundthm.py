@@ -8,11 +8,11 @@ those the initial ideal is generated by the initial form of f.
 
 Both sides run on integers.  A cell row is one primitive ``int`` tuple
 (c, r) read off ``ValuedPolynomial.weight_forms``; this module scales no
-valuation.  ``TropicalComplex.contains``, for a cell too, lifts a weight
-w once to x = (den w, -den) and tests all cells in one loop, each row h by
-``dot``, which checks the length of a hand-built cell's rows: h holds at w
-when the ``int`` h . x is 0 (an equation) or >= 0.  Reports print each
-value as its ``str``.
+valuation.  ``TropicalComplex.contains`` clears w once to W / den.  A built
+complex keeps its term rows (U, V): w is in it when the least ``dot`` of a
+row with (W, den) is attained twice.  A loaded or hand-built one tests each
+cell row h by ``dot``, which checks its length: h holds when h . (W, -den)
+is 0 (an equation) or >= 0.  Reports print each value as its ``str``.
 
 A complex depends only on the number of variables and the tropical
 polynomial, the ``int`` pairs (dv u, dv v(a)) of the terms: residues do
@@ -36,7 +36,7 @@ from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 from .linalg import (InputError, IntVector, Vector, clear_denominators, dot,
-                     primitive, vec)
+                     primitive)
 from .polyhedra import affine_feasible
 from .puiseux import INF, ExtendedRational, PuiseuxScalar, ValuedPolynomial
 
@@ -56,19 +56,26 @@ class Cell:
 
 @dataclass(frozen=True)
 class TropicalComplex:
-    """A finite union of affine cells; the empty union is the empty set."""
+    """A finite union of affine cells; the empty union is the empty set.
+    A built complex is tested by its ``terms`` rows (min attained twice;
+    not in ``==`` or ``hash``), a loaded or hand-built one cell by cell."""
 
     ambient_dim: int
     cells: tuple[Cell, ...]
+    terms: tuple[IntVector, ...] = field(default=(), compare=False)
 
     @classmethod
     def whole_space(cls, dim: int) -> "TropicalComplex":
         return cls(dim, (Cell(dim, (), ()),))
 
     def contains(self, w: Sequence[Fraction]) -> bool:
-        W, den = clear_denominators(vec(w))
+        W, den = clear_denominators(w)
         if len(W) != self.ambient_dim:
             raise ValueError("dimension mismatch")
+        if self.terms:
+            x = (*W, den)
+            vals = [dot(h, x) for h in self.terms]
+            return vals.count(min(vals)) > 1
         x = (*W, -den)
         return any(all(dot(h, x) == 0 for h in cell.equalities)
                    and all(dot(h, x) >= 0 for h in cell.inequalities)
@@ -127,7 +134,7 @@ def _complex_of(m: int, pairs: tuple[tuple[IntVector, int], ...]
         Cell(m, (row[j][i],), tuple(sorted(
             row[i][k] for k in range(n) if k not in (i, j))))
         for i in range(n) for j in range(i + 1, n) if tight[i] >> j & 1)
-    return TropicalComplex(m, tuple(cells))
+    return TropicalComplex(m, tuple(cells), tuple((*u, c) for u, c in pairs))
 
 
 def membership_set2(f: ValuedPolynomial, w: Sequence[ExtendedRational]) -> bool:
@@ -161,11 +168,9 @@ def extended_trop_sets(f: ValuedPolynomial
     if f.laurent:
         raise ValueError("extended sets require ordinary mode")
     m = f.nvars
-    out: dict[frozenset[int], TropicalComplex] = {}
-    for mask in range(1 << m):
-        sigma = frozenset(i for i in range(m) if mask >> i & 1)
-        out[sigma] = _orbit_complex(f, sigma)
-    return out
+    sigmas = (frozenset(i for i in range(m) if mask >> i & 1)
+              for mask in range(1 << m))
+    return {sigma: _orbit_complex(f, sigma) for sigma in sigmas}
 
 
 def membership_set1(f: ValuedPolynomial, w: Sequence[ExtendedRational]) -> bool:

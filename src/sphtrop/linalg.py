@@ -70,11 +70,14 @@ def vneg(u: Sequence[Fraction]) -> Vector:
 def clear_denominators(u: Sequence) -> tuple[IntVector, int]:
     """``(den * u, den)`` with ``den`` the lcm of the entries' denominators.
 
-    Entries may be ``int`` or ``Fraction``; the scaled entries are ``int``s.
-    A test ``c . u >= r`` on an integer row ``c`` is then the all-``int``
-    test ``c . (den * u) >= r * den``, since ``den`` is positive.
+    Entries must be ``int`` or ``Fraction``, else ``ValueError`` (no float
+    is rounded); the scaled entries are ``int``s.  A test ``c . u >= r`` on
+    an ``int`` row ``c`` is then ``c . (den * u) >= r * den``, as den > 0.
     """
-    den = lcm(*(a.denominator for a in u))
+    try:
+        den = lcm(*(a.denominator for a in u))
+    except AttributeError:
+        raise ValueError(f"expected exact rationals, got {u!r}") from None
     return tuple(a.numerator * (den // a.denominator) for a in u), den
 
 

@@ -18,6 +18,7 @@ from sphtrop.fundthm import (
     membership_set2,
     trop_hypersurface,
 )
+from sphtrop.jsonio import complex_from_json, complex_to_json
 from sphtrop.linalg import dot, primitive
 from sphtrop.polyhedra import affine_feasible
 from sphtrop.puiseux import INF, PuiseuxScalar, ValuedPolynomial
@@ -170,8 +171,9 @@ def on_hyperplane(w, row):
 
 @st.composite
 def complexes_and_weights(draw):
-    """A hypersurface complex and weights: random (denominators 1-6) and
-    moved onto the equality of a random cell, where the inequalities decide."""
+    """A polynomial, its hypersurface complex and weights: random
+    (denominators 1-6) and moved onto the equality of a random cell, where
+    the inequalities decide."""
     f = draw(valued_polynomials())
     cx = trop_hypersurface(f)
     weights = draw(st.lists(st.tuples(*[RATIONALS] * f.nvars),
@@ -180,18 +182,63 @@ def complexes_and_weights(draw):
         cells = draw(st.lists(st.sampled_from(cx.cells), max_size=4))
         weights += [on_hyperplane(w, cell.equalities[0])
                     for w, cell in zip(weights * 4, cells)]
-    return cx, weights
+    return f, cx, weights
 
 
 @settings(max_examples=150, deadline=None)
 @given(complexes_and_weights())
 def test_property_cell_tests_agree_with_fraction_dots(case):
-    cx, weights = case
+    _, cx, weights = case
     for w in weights:
         for cell in cx.cells:
             assert cell.contains(w) == fraction_cell_contains(cell, w)
         assert cx.contains(w) == any(fraction_cell_contains(cell, w)
                                      for cell in cx.cells)
+
+
+@settings(max_examples=150, deadline=None)
+@given(complexes_and_weights())
+def test_property_term_rows_decide_as_the_cells_do(case):
+    """A built complex tests a weight by its term rows, the same complex
+    loaded from JSON, which has none, cell by cell; both say whether the
+    least term weight is attained twice.  Weights: random, moved onto a
+    cell's equation, and the {-1, 0, 1}^m grid."""
+    f, cx, weights = case
+    loaded = complex_from_json(complex_to_json(cx))
+    assert cx.terms and not loaded.terms
+    assert loaded == cx and hash(loaded) == hash(cx)
+    grid = itertools.product((F(-1), F(0), F(1)), repeat=f.nvars)
+    for w in [*weights, *grid]:
+        xs = sorted(f.term_weights(w))
+        twice = len(xs) > 1 and xs[0] == xs[1]
+        assert cx.contains(w) == loaded.contains(w) == twice
+
+
+def test_a_hypersurface_weight_takes_one_dot_per_term(monkeypatch):
+    """Whatever its number of cells, a built complex of n terms, 2 to 8
+    here, tests a weight with exactly n ``dot`` calls, one per term row;
+    the cell loop would take one per cell row it reaches."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return dot(*args)
+
+    monkeypatch.setattr(fundthm, "dot", counting)
+    rng = random.Random(7)
+    for m in (1, 2, 3):
+        monomials = list(itertools.product(range(8 if m == 1 else 3),
+                                           repeat=m))
+        grid = list(itertools.product((F(-1), F(0), F(1)), repeat=m))
+        for n in range(2, 9):
+            f = ValuedPolynomial.from_dict(m, {
+                u: PuiseuxScalar.from_terms([(rng.randint(0, 2), 1)])
+                for u in rng.sample(monomials, n)}, laurent=False)
+            cx = trop_hypersurface(f)
+            for w in grid:
+                calls.clear()
+                cx.contains(w)
+                assert len(calls) == n
 
 
 @settings(max_examples=150, deadline=None)
@@ -453,3 +500,21 @@ def test_cell_contains_refuses_a_weight_of_the_wrong_length(cell, w):
 def test_a_refused_input_raises_its_message(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda w: trop_hypersurface(LINE).contains(w),
+    lambda w: trop_hypersurface(LINE).cells[0].contains(w),
+    lambda w: membership_set1(LINE, w),
+    lambda w: LINE.trop_eval(w),
+    lambda w: LINE.initial_form(w),
+    lambda w: LINE.term_weights(w),
+], ids=["complex-contains", "cell-contains", "membership_set1", "trop_eval",
+        "initial_form", "term_weights"])
+@pytest.mark.parametrize("w", [(0.5, F(0)), (F(0), 0.1), (F(0), "1/2")],
+                         ids=["float-half", "float-tenth", "str"])
+def test_an_inexact_weight_entry_is_refused_not_rounded(call, w):
+    """A float is not read as the rational of its binary value, nor a
+    string parsed: every route refuses the weight with one message."""
+    with pytest.raises(ValueError, match="expected exact rationals"):
+        call(w)

@@ -11,6 +11,7 @@ from sphtrop.linalg import (
     IntVector,
     Vector,
     chart_coordinates,
+    clear_denominators,
     dot,
     embed_from_chart,
     kernel_basis,
@@ -21,6 +22,7 @@ from sphtrop.linalg import (
     rref,
     vec,
 )
+from sphtrop.puiseux import INF
 
 
 # Vector sum and scalar multiple in exact arithmetic, for the oracles here
@@ -321,3 +323,14 @@ def test_embed_from_chart_rejects_a_length_mismatch():
 def test_a_vector_of_the_wrong_length_raises(call):
     with pytest.raises(ValueError, match="dimension mismatch"):
         call()
+
+
+@pytest.mark.parametrize("u", [(F(1, 2), 0.5), ("1/2",), (1, INF)],
+                         ids=["float", "str", "inf"])
+def test_clear_denominators_refuses_an_inexact_entry(u):
+    with pytest.raises(ValueError, match="expected exact rationals"):
+        clear_denominators(u)
+
+
+def test_clear_denominators_scales_ints_and_fractions():
+    assert clear_denominators((F(1, 2), 3, F(-2, 3))) == ((3, 18, -4), 6)
