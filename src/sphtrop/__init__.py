@@ -26,7 +26,6 @@ from .troposphere import (
     contains_point,
     evaluate_point,
     limit_point,
-    stratum_valuation_cone,
     tropicalize_embedding,
 )
 from .fundthm import (
@@ -38,12 +37,7 @@ from .fundthm import (
     membership_set2,
     trop_hypersurface,
 )
-from .grobtrop import (
-    GradedInitialForm,
-    compare_tropicalizations,
-    graded_initial_form,
-    grobner_tropicalize_embedding,
-)
+from .grobtrop import compare_tropicalizations, grobner_tropicalize_embedding
 
 __version__ = "0.1.0"
 
@@ -55,11 +49,9 @@ __all__ = [
     "ValidationReport", "colored_faces", "validate_colored_cone",
     "validate_colored_fan",
     "ExtendedPoint", "ExtendedTrop", "Stratum", "contains_point",
-    "evaluate_point", "limit_point", "stratum_valuation_cone",
-    "tropicalize_embedding",
+    "evaluate_point", "limit_point", "tropicalize_embedding",
     "TropicalComplex", "WitnessPoint", "check_equivalence",
     "extended_trop_sets", "membership_set1", "membership_set2",
     "trop_hypersurface",
-    "GradedInitialForm", "compare_tropicalizations", "graded_initial_form",
-    "grobner_tropicalize_embedding",
+    "compare_tropicalizations", "grobner_tropicalize_embedding",
 ]

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: validate, trop, grtrop, compare, poly, ftt, examples, render.
+Subcommands: validate, trop, compare, poly, ftt, examples, render.
 Exit codes: 0 success, 1 domain failure (invalid fan, mismatch, nonmember),
 2 input error (unreadable file, malformed JSON or polynomial text).  ``main``
 maps errors to them in one place: a ``DomainError`` exits 1, any other
@@ -244,10 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=["facewise", "grobner", "both"],
                     default="facewise")
     sp.set_defaults(func=cmd_trop)
-
-    sp = sub.add_parser("grtrop", help="Groebner-side tropicalization")
-    add_pair(sp)
-    sp.set_defaults(func=cmd_trop, mode="grobner")
 
     sp = sub.add_parser("compare", help="diff two tropicalization files")
     sp.add_argument("left")

@@ -141,7 +141,11 @@ def membership_set2(f: ValuedPolynomial, w: Sequence[ExtendedRational]) -> bool:
     """Initial-ideal criterion for a principal ideal.
 
     The initial ideal of (f) is generated by in_w(f); it contains a
-    (unit) monomial exactly when in_w(f) is a nonzero monomial.
+    (unit) monomial exactly when in_w(f) is a nonzero monomial.  For an
+    extended weight this is the graded-piece unit test: in_w(f) is the class
+    of f in its least graded piece, since terms at an infinite weight entry
+    fall into the infinity summand, and an all-infinite grade gives the zero
+    residue, which is never a unit.
     """
     form = f.initial_form(w)
     return not form.is_monomial()

@@ -1,76 +1,18 @@
-"""Valuation-graded initial forms and the Groebner-side tropicalization.
+"""The Groebner-side tropicalization of an embedding, and its comparison.
 
-For a weight v (possibly with infinite entries) the coordinate ring splits
-into graded pieces by valuation level, with an extra v = infinity summand
-for embeddings.  The Groebner-side extended tropicalization of the embedding
-itself is computed stratum by stratum from the fan members and compared,
-as a stratified set, against the face-wise construction.
+The extended tropicalization of the embedding is computed stratum by
+stratum from the fan members and compared, as a stratified set, against the
+face-wise construction.  The graded-piece unit test of a polynomial under
+an extended weight is ``fundthm.membership_set2``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .linalg import fraction_rows
-from .puiseux import (
-    INF,
-    ExtendedRational,
-    ExtendedWeight,
-    ResiduePolynomial,
-    ValuedPolynomial,
-)
 from .spherical import ColoredFan, SphericalDatum, validate_colored_fan
 from .troposphere import ExtendedTrop, Stratum, StratumKey, stratum_key
-
-
-@dataclass(frozen=True)
-class GradedInitialForm:
-    """The class of f in its minimal graded piece under a weight valuation."""
-
-    weight: ExtendedWeight
-    grade: ExtendedRational
-    representative: ValuedPolynomial
-    infinite_part: ValuedPolynomial
-    residue: ResiduePolynomial
-
-    def is_unit_class(self) -> bool:
-        """Whether the class generates its graded piece, i.e. is a monomial."""
-        return self.grade is not INF and self.residue.is_monomial()
-
-
-def graded_initial_form(f: ValuedPolynomial, v: Sequence[ExtendedRational]
-                        ) -> GradedInitialForm:
-    """Split f by grade: minimal finite-grade part plus the v=inf summand.
-
-    The grade of f is its tropical value; terms of strictly larger grade
-    vanish in the quotient, and terms of infinite grade live in the extra
-    summand.  For finite v the residue agrees with the ordinary initial
-    form of f.  One pass of term weights gives all of it: the grade is the
-    least finite weight, and the residue is read off the grade-minimal terms.
-    """
-    v = tuple(v)
-    weights = f.term_weights(v)
-    grade = min(weights, default=INF)
-    finite_min = {}
-    infinite = {}
-    for (u, c), w in zip(f.terms, weights):
-        if w is INF:
-            infinite[u] = c
-        elif w == grade:
-            finite_min[u] = c
-    if grade is INF:
-        rep = f
-    else:
-        rep = ValuedPolynomial.from_dict(f.nvars, finite_min, laurent=f.laurent)
-    return GradedInitialForm(
-        weight=v,
-        grade=grade,
-        representative=rep,
-        infinite_part=ValuedPolynomial.from_dict(f.nvars, infinite,
-                                                 laurent=f.laurent),
-        residue=ResiduePolynomial.from_dict(f.nvars, {
-            u: c.leading_coefficient() for u, c in finite_min.items()}))
 
 
 def grobner_tropicalize_embedding(datum: SphericalDatum, fan: ColoredFan

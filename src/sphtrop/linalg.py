@@ -54,7 +54,13 @@ def rational_from_input(x) -> Fraction:
 
 
 def vec(entries: Iterable) -> Vector:
-    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
+    """The entries as ``Fraction``s; one that is not an ``int`` or
+    ``Fraction`` raises ``ValueError`` (no float is rounded, no string
+    parsed, no ``bool`` read as a number)."""
+    entries = tuple(entries)
+    if any(type(e) not in (int, Fraction) for e in entries):
+        raise ValueError(f"expected exact rationals, got {entries!r}")
+    return tuple(map(Fraction, entries))
 
 
 def dot(u: Sequence, v: Sequence):

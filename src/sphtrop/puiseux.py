@@ -6,9 +6,9 @@ convention, with infinity handled explicitly: an infinite weight entry
 sends every monomial with a nonzero exponent there to infinity.
 This module alone turns a polynomial into integers, once, as its
 ``weight_forms``, which checks each exponent's length once per polynomial;
-term weights, graded initial forms and the hypersurface cells read that
-form.  Each weight clears its own denominators once and takes its products
-with the exponents inline, so ``trop_eval`` builds one ``Fraction`` (its
+term weights, initial forms and the hypersurface cells read that form.
+Each weight clears its own denominators once and takes its products with
+the exponents inline, so ``trop_eval`` builds one ``Fraction`` (its
 minimum) and ``initial_form`` picks the minimal terms by ``int`` comparison.
 Text is parsed in one pass into one dict of monomials t^e x^u: a sum adds
 into it, a product pairs the terms of its factors (at most

@@ -35,7 +35,6 @@ from .spherical import (
     ColoredFan,
     SphericalDatum,
     colored_faces,
-    relint_meets_valuation_cone,
     validate_colored_fan,
 )
 
@@ -44,13 +43,6 @@ StratumKey = tuple
 
 def stratum_key(face: ColoredCone) -> StratumKey:
     return (face.cone.canonical_key(), tuple(sorted(face.colors)))
-
-
-def stratum_valuation_cone(datum: SphericalDatum, tau: Cone) -> Cone:
-    """Image of the valuation cone in the canonical chart modulo span(tau)."""
-    if not relint_meets_valuation_cone(datum, tau):
-        raise ValueError("face interior does not meet the valuation cone")
-    return Stratum.of(datum, ColoredCone(tau)).valuation_cone_image
 
 
 @dataclass(frozen=True)

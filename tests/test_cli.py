@@ -78,8 +78,8 @@ def test_trop_modes_and_compare(corpus, capsys, tmp_path):
     assert payload["comparison"]["equal"]
 
     gr = tmp_path / "gr.json"
-    rc, _ = run(capsys, "grtrop", "--datum", datum, "--fan", fan,
-                "--out", str(gr))
+    rc, _ = run(capsys, "trop", "--datum", datum, "--fan", fan,
+                "--mode", "grobner", "--out", str(gr))
     assert rc == 0
     rc, out = run(capsys, "compare", str(corpus / "blowup-a4.trop.json"),
                   str(gr))

@@ -2,70 +2,31 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from sphtrop import grobtrop, puiseux
+from sphtrop import grobtrop
 from sphtrop.examples import all_fans, blowup_a4, e3_polynomial
+from sphtrop.fundthm import membership_set2
 from sphtrop.grobtrop import (
     compare_tropicalizations,
-    graded_initial_form,
     grobner_tropicalize_embedding,
 )
 from sphtrop.polyhedra import Cone
-from sphtrop.puiseux import INF, ValuedPolynomial
+from sphtrop.puiseux import INF, ResiduePolynomial, ValuedPolynomial
 from sphtrop.spherical import ColoredCone, ColoredFan, ValidationReport
 from sphtrop.troposphere import (ExtendedTrop, stratum_key,
                                  tropicalize_embedding)
 from test_polyhedra import dd_is_face_of
-from test_puiseux import (fraction_initial_form, fraction_term_weight,
-                          polynomials_and_weights, q_min)
+from test_puiseux import fraction_term_weight, polynomials_and_weights, q_min
 from test_spherical import data_and_collections
 
 
-class TestGradedInitialForm:
-    def test_finite_weight_matches_initial_form(self):
-        f = e3_polynomial()
-        for w in [(F(-2), F(0)), (F(0), F(2)), (F(1), F(1))]:
-            g = graded_initial_form(f, w)
-            assert g.grade == f.trop_eval(w)
-            assert g.residue == f.initial_form(w)
-            assert g.representative.trop_eval(w) == g.grade
-            assert g.infinite_part.is_zero()
-
-    def test_infinite_entry_splits_summands(self):
-        f = ValuedPolynomial.parse("x1 + x2", laurent=False)
-        g = graded_initial_form(f, (INF, F(0)))
-        assert g.grade == 0
-        assert str(g.representative) == "x2"
-        assert str(g.infinite_part) == "x1"
-        assert g.is_unit_class()
-
-    def test_all_terms_infinite(self):
-        f = ValuedPolynomial.parse("x1*x2", laurent=False)
-        g = graded_initial_form(f, (INF, F(0)))
-        assert g.grade is INF
-        assert g.representative == f
-        assert g.residue.is_zero()
-        assert not g.is_unit_class()
-
-
-def test_graded_initial_form_computes_the_term_weights_once():
-    parse = lambda text: ValuedPolynomial.parse(text, laurent=False)
-    for f, w in [(parse("x1 + t*x2 + 1"), (F(0), F(0))),
-                 (parse("x1 + x2"), (INF, F(0))),
-                 (parse("x1*x2"), (INF, F(0))),
-                 (ValuedPolynomial.zero(2, laurent=False), (F(1), F(2)))]:
-        with mock.patch.object(puiseux, "_term_weights",
-                               wraps=puiseux._term_weights) as spy:
-            g = graded_initial_form(f, w)
-        assert spy.call_count == 1
-        assert g.grade == f.trop_eval(w)
-        assert g.residue == f.initial_form(w)
-
-
 def fraction_graded_initial_form(f, v):
-    """The grade, representative, infinite part and residue of f under v,
-    from per-term ``Fraction`` sums."""
+    """The class of f in its least graded piece under the extended weight v,
+    from per-term ``Fraction`` sums: the grade (the least term weight), the
+    representative (the terms of that grade; f itself when every term has
+    infinite weight), the infinity summand (the terms of infinite weight)
+    and the residue (the leading coefficients of the terms of that grade)."""
     weights = [fraction_term_weight(u, c, v) for u, c in f.terms]
     grade = q_min(weights)
     finite_min = {u: c for (u, c), x in zip(f.terms, weights)
@@ -73,19 +34,66 @@ def fraction_graded_initial_form(f, v):
     infinite = {u: c for (u, c), x in zip(f.terms, weights) if x is INF}
     rep = f if grade is INF else ValuedPolynomial.from_dict(
         f.nvars, finite_min, laurent=f.laurent)
+    residue = ResiduePolynomial.from_dict(f.nvars, {
+        u: c.leading_coefficient() for u, c in finite_min.items()})
     return (grade, rep,
             ValuedPolynomial.from_dict(f.nvars, infinite, laurent=f.laurent),
-            fraction_initial_form(f, v))
+            residue)
 
 
-@settings(max_examples=150, deadline=None)
+def is_unit_class(grade, residue):
+    """Whether the class generates its graded piece: a finite grade and a
+    monomial residue."""
+    return grade is not INF and residue.is_monomial()
+
+
+class TestGradedInitialForm:
+    """The oracle's split on hand cases, and set (2) deciding as it does."""
+
+    def test_finite_weight_matches_initial_form(self):
+        f = e3_polynomial()
+        for w in [(F(-2), F(0)), (F(0), F(2)), (F(1), F(1))]:
+            grade, rep, infinite, residue = fraction_graded_initial_form(f, w)
+            assert grade == f.trop_eval(w)
+            assert residue == f.initial_form(w)
+            assert rep.trop_eval(w) == grade
+            assert infinite.is_zero()
+            assert membership_set2(f, w) == (not is_unit_class(grade, residue))
+
+    def test_infinite_entry_splits_summands(self):
+        f = ValuedPolynomial.parse("x1 + x2", laurent=False)
+        grade, rep, infinite, residue = fraction_graded_initial_form(
+            f, (INF, F(0)))
+        assert grade == 0
+        assert str(rep) == "x2"
+        assert str(infinite) == "x1"
+        assert is_unit_class(grade, residue)
+        assert not membership_set2(f, (INF, F(0)))
+
+    def test_all_terms_infinite(self):
+        f = ValuedPolynomial.parse("x1*x2", laurent=False)
+        grade, rep, _, residue = fraction_graded_initial_form(f, (INF, F(0)))
+        assert grade is INF
+        assert rep == f
+        assert residue.is_zero()
+        assert not is_unit_class(grade, residue)
+        assert membership_set2(f, (INF, F(0)))
+
+
+@settings(max_examples=1000, deadline=None)
 @given(polynomials_and_weights())
-def test_property_graded_initial_form_agrees_with_fraction_sums(case):
+@example((ValuedPolynomial.parse("x1 + t*x2 + 1", laurent=False),
+          [(F(0), F(0))]))
+@example((ValuedPolynomial.zero(2, laurent=False), [(F(1), F(2))]))
+def test_property_membership_set2_is_the_graded_unit_test(case):
+    """Set (2) holds exactly when the class of f in its least graded piece
+    is not a unit, and that class is the tropical value and initial form."""
     f, weights = case
-    for v in weights:
-        g = graded_initial_form(f, v)
-        assert (g.grade, g.representative, g.infinite_part, g.residue) == \
-            fraction_graded_initial_form(f, v)
+    for w in weights:
+        grade, _, _, residue = fraction_graded_initial_form(f, w)
+        assert membership_set2(f, w) == (not is_unit_class(grade, residue))
+        assert grade == f.trop_eval(w)
+        assert residue == f.initial_form(w)
 
 
 class TestGrobnerTrop:

@@ -215,12 +215,13 @@ def test_public_scan_finds_an_unread_function_class_and_method():
 UNREAD_PUBLIC = {
     "examples.py: all_fans":
         "every builtin fan with its expected strata, for the tests to walk",
-    "grobtrop.py: is_unit_class":
-        "whether a graded initial form is a monomial class, for callers",
     "jsonio.py: complex_from_json":
         "reader paired with complex_to_json; the benchmark tracer wraps it",
     "polyhedra.py: dual":
         "the dual cone, part of the Cone interface for callers",
+    "puiseux.py: term_weights":
+        "each term's weight under an extended weight, for callers; the "
+        "public face of the one pass that trop_eval and initial_form take",
     "puiseux.py: t_power":
         "the monomial scalar c t^e, the short way for callers to write one",
     "puiseux.py: initial_form_substitution":

@@ -10,8 +10,10 @@ from sphtrop import troposphere
 from sphtrop.examples import all_fans, blowup_a4, table2_datum, table2_fans
 from sphtrop.polyhedra import CONE_CACHE_SIZE, Cone, quotient_chart
 from sphtrop.puiseux import INF
-from sphtrop.spherical import (ColoredCone, ColoredFan, SphericalDatum,
-                               colored_faces, validate_colored_fan)
+from sphtrop.spherical import (Color, ColoredCone, ColoredFan,
+                               SphericalDatum, colored_faces,
+                               relint_meets_valuation_cone,
+                               validate_colored_fan)
 from sphtrop.troposphere import (
     ExtendedTrop,
     Stratum,
@@ -20,7 +22,6 @@ from sphtrop.troposphere import (
     evaluate_point,
     limit_point,
     stratum_key,
-    stratum_valuation_cone,
     tropicalize_embedding,
 )
 from test_acceptance import arrangement_fan, random_valid_fan
@@ -49,14 +50,19 @@ def test_stratum_count_equals_colored_face_count():
 
 def test_stratum_valuation_cones():
     datum = table2_datum()
-    line = stratum_valuation_cone(datum, Cone.from_generators([(1, 0)], 2))
+
+    def image(*gens):
+        tau = Cone.from_generators(gens, 2) if gens else Cone.zero(2)
+        return Stratum.of(datum, ColoredCone(tau)).valuation_cone_image
+
+    line = image((1, 0))
     assert line.dim() == 1 and len(line.lineality) == 1
-    ray = stratum_valuation_cone(datum, Cone.from_generators([(1, 1)], 2))
+    ray = image((1, 1))
     assert ray.dim() == 1 and ray.is_strictly_convex()
-    whole = stratum_valuation_cone(datum, Cone.zero(2))
-    assert whole == datum.valuation_cone
-    with pytest.raises(ValueError):
-        stratum_valuation_cone(datum, Cone.from_generators([(-1, 1)], 2))
+    assert image() == datum.valuation_cone
+    # a face whose relative interior misses V gives no stratum
+    assert not relint_meets_valuation_cone(
+        datum, Cone.from_generators([(-1, 1)], 2))
 
 
 def test_evaluate_point():
@@ -69,6 +75,27 @@ def test_evaluate_point():
         evaluate_point(p, (-1, 0))
     open_p = limit_point(t, (3, 1), Cone.zero(2))
     assert evaluate_point(open_p, (1, 0)) == 3
+
+
+@pytest.mark.parametrize("call", [
+    lambda t, x: Color("D", (x, 0)),
+    lambda t, x: t.stratum_of_face(
+        Cone.from_generators([(1, 1)], 2)).point((x,)),
+    lambda t, x: evaluate_point(limit_point(t, (3, 1), Cone.zero(2)), (x, 0)),
+    lambda t, x: limit_point(t, (x, 1), Cone.from_generators([(1, 1)], 2)),
+], ids=["Color", "Stratum.point", "evaluate_point", "limit_point"])
+@pytest.mark.parametrize("x", [F(1, 2), 0.5, "1/2", True],
+                         ids=["exact", "float", "str", "bool"])
+def test_a_vector_entry_must_be_exact(call, x):
+    """Only ``int`` and ``Fraction`` entries are taken: a float is not read
+    as the rational of its binary value, a string is not parsed and a bool
+    is not read as 0 or 1."""
+    _, t = bl0a4_trop()
+    if type(x) is F:
+        call(t, x)
+    else:
+        with pytest.raises(ValueError, match="expected exact rationals"):
+            call(t, x)
 
 
 def test_evaluate_point_on_a_face_with_lineality():

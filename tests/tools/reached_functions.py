@@ -17,12 +17,18 @@ generated ``sitecustomize`` module, so nothing in the library or under
 ``perfbench/`` is patched; each writes the code objects of ``src/sphtrop``
 that were called to a file when it exits.  A function or method defined
 anywhere in a module (nested ones included, lambdas not) counts as reached
-when its code object was called in any run.  A run that fails is reported
-and makes the script exit 1; otherwise it exits 0, whatever it lists.
+when its code object was called in any run.
+
+The functions it lists must be exactly those named in ``KNOWN_UNREACHED``,
+each kept on purpose with a reason; names are compared, not line numbers.
+The script exits 1 when a run fails or the two differ, and prints each
+difference; otherwise it exits 0.  So a function that the package stops
+reaching, or a listed one that it starts reaching or that is deleted, has
+to be named here with the change that causes it.
 
 Needs nothing beyond the standard library and the tier-1 test
-dependencies.  It takes one to two minutes, so it is a tool to run by hand,
-not part of tier-1.
+dependencies.  It takes about 20 s, so CI runs it as its own step, not as
+part of tier-1.
 """
 
 from __future__ import annotations
@@ -38,6 +44,38 @@ ROOT = Path(__file__).resolve().parents[2]
 PACKAGE = ROOT / "src" / "sphtrop"
 WORKLOADS = ("cli_corpus", "toric_arrangement", "hypersurface")
 SEEDS = (1, 4242)
+
+# "module: qualified name" of every function that none of the runs reaches,
+# with the reason it is kept.
+KNOWN_UNREACHED = {
+    "fundthm.py: Cell.contains":
+        "the one-cell complex's test, for callers; the tests check cells "
+        "with it",
+    "jsonio.py: complex_from_json":
+        "reader paired with complex_to_json; the benchmark tracer wraps it",
+    "jsonio.py: complex_from_json.<locals>.constraint":
+        "complex_from_json's reader of one cell row",
+    "puiseux.py: _Infinity.__lt__":
+        "the order that total_ordering completes; no run asks INF < x",
+    "puiseux.py: _Infinity.__add__":
+        "INF + x is INF, for callers adding to an extended value",
+    "puiseux.py: _Infinity.__neg__":
+        "-INF raises instead of giving a wrong value",
+    "puiseux.py: PuiseuxScalar.__str__":
+        "a scalar as text, for callers and ValuedPolynomial.__str__",
+    "puiseux.py: _exp_str":
+        "a t exponent as text, for PuiseuxScalar.__str__",
+    "puiseux.py: ResiduePolynomial.is_zero":
+        "the zero residue, the class of an all-infinite grade, for callers",
+    "puiseux.py: ValuedPolynomial.zero":
+        "the zero polynomial, for callers",
+    "puiseux.py: ValuedPolynomial.term_weights":
+        "each term's weight under an extended weight, for callers",
+    "puiseux.py: ValuedPolynomial.__str__":
+        "a polynomial as text, for callers",
+    "troposphere.py: contains_point":
+        "whether an extended point lies in a tropicalization, for callers",
+}
 
 PROFILER = '''\
 import atexit, os, sys
@@ -142,17 +180,21 @@ def functions(tree: ast.AST, prefix: str = ""):
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         failed, calls = called_code(tmp)
-    listed = 0
+    unreached = set()
     for path in sorted(PACKAGE.glob("*.py")):
         called = calls.get(str(path), set())
         for name, line in functions(ast.parse(path.read_text())):
             if line not in called:
                 print(f"{path.relative_to(ROOT)}:{line}: {name}")
-                listed += 1
-    print(f"{listed} function(s) reached by none of the runs")
+                unreached.add(f"{path.name}: {name}")
+    print(f"{len(unreached)} function(s) reached by none of the runs")
+    for name in sorted(unreached - KNOWN_UNREACHED.keys()):
+        print(f"unreached but not in KNOWN_UNREACHED: {name}")
+    for name in sorted(KNOWN_UNREACHED.keys() - unreached):
+        print(f"in KNOWN_UNREACHED but reached or gone: {name}")
     for label in failed:
         print(f"failed: {label}")
-    return 1 if failed else 0
+    return 1 if failed or unreached != KNOWN_UNREACHED.keys() else 0
 
 
 if __name__ == "__main__":
