@@ -24,7 +24,8 @@ A complex takes one feasibility sweep per polynomial, over the region
 polynomial: cell (i, j) is nonempty exactly when terms i and j are tight
 together at one of its vertices (minimal faces, when the Newton polytope is
 not full-dimensional), whose tight sets are the maximal cells of the
-regular subdivision of the Newton polytope.  A polynomial of more than
+regular subdivision of the Newton polytope.  A polynomial with one term has
+no pair of terms, so it takes no sweep.  A polynomial of more than
 ``MAX_COMPLEX_TERMS`` terms raises ``InputError`` before the memo.
 """
 
@@ -127,7 +128,9 @@ def _complex_of(m: int, pairs: tuple[tuple[IntVector, int], ...]
             if k != i else None for k, (uk, ck) in enumerate(pairs)]
            for i, (ui, ci) in enumerate(pairs)]
     # Bit j of tight[i]: terms i and j are minimal together at some vertex.
-    masks = affine_feasible((), [(*u, -1, -c) for u, c in pairs], m + 1)
+    # A single term has no pair, so it takes no sweep.
+    masks = (affine_feasible((), [(*u, -1, -c) for u, c in pairs], m + 1)
+             if n > 1 else ())
     tight = [reduce(int.__or__, (s for s in masks if s >> i & 1), 0)
              for i in range(n - 1)]
     cells = dict.fromkeys(

@@ -53,13 +53,20 @@ def rational_from_input(x) -> Fraction:
                      f"\"0.25\" (no floats, no exponents), got {x!r}")
 
 
-def vec(entries: Iterable) -> Vector:
-    """The entries as ``Fraction``s; one that is not an ``int`` or
-    ``Fraction`` raises ``ValueError`` (no float is rounded, no string
-    parsed, no ``bool`` read as a number)."""
-    entries = tuple(entries)
-    if any(type(e) not in (int, Fraction) for e in entries):
+_EXACT = frozenset((int, Fraction))
+
+
+def _refuse_inexact(entries: Sequence) -> None:
+    """The one rule for exact input: an entry that is not an ``int`` or
+    ``Fraction`` (a float, a string, a ``bool``) raises ``ValueError``."""
+    if not set(map(type, entries)) <= _EXACT:
         raise ValueError(f"expected exact rationals, got {entries!r}")
+
+
+def vec(entries: Iterable) -> Vector:
+    """The entries as ``Fraction``s, after ``_refuse_inexact``."""
+    entries = tuple(entries)
+    _refuse_inexact(entries)
     return tuple(map(Fraction, entries))
 
 
@@ -76,15 +83,14 @@ def vneg(u: Sequence[Fraction]) -> Vector:
 def clear_denominators(u: Sequence) -> tuple[IntVector, int]:
     """``(den * u, den)`` with ``den`` the lcm of the entries' denominators.
 
-    Entries must be ``int`` or ``Fraction``, else ``ValueError`` (no float
-    is rounded); the scaled entries are ``int``s.  A test ``c . u >= r`` on
-    an ``int`` row ``c`` is then ``c . (den * u) >= r * den``, as den > 0.
+    Entries pass ``_refuse_inexact``, and each denominator is read once;
+    the scaled entries are ``int``s.  A test ``c . u >= r`` on an ``int``
+    row ``c`` is then ``c . (den * u) >= r * den``, as den > 0.
     """
-    try:
-        den = lcm(*(a.denominator for a in u))
-    except AttributeError:
-        raise ValueError(f"expected exact rationals, got {u!r}") from None
-    return tuple(a.numerator * (den // a.denominator) for a in u), den
+    _refuse_inexact(u)
+    ds = [a.denominator for a in u]
+    den = lcm(*ds)
+    return tuple([a.numerator * (den // d) for a, d in zip(u, ds)]), den
 
 
 def primitive(u: Sequence, fix_sign: bool = False) -> IntVector:

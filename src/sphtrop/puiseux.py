@@ -10,10 +10,16 @@ term weights, initial forms and the hypersurface cells read that form.
 Each weight clears its own denominators once and takes its products with
 the exponents inline, so ``trop_eval`` builds one ``Fraction`` (its
 minimum) and ``initial_form`` picks the minimal terms by ``int`` comparison.
+A polynomial's terms are sorted by decreasing exponent, collected and
+nonzero, and values built from them keep that order without a new sort:
+the residue of an initial form is read off the minimal terms in order,
+and an orbit restriction drops coordinates that are 0 on every kept term.
 Text is parsed in one pass into one dict of monomials t^e x^u: a sum adds
 into it, a product pairs the terms of its factors (at most
-``MAX_TERM_PAIRS`` pairs over all products), parentheses nest at most
-``MAX_NESTING`` deep, and one ``ValuedPolynomial`` is built at the end.
+``MAX_TERM_PAIRS`` pairs over all products; with a single monomial no two
+keys meet, so nothing is collected), parentheses nest at most
+``MAX_NESTING`` deep, and one ``ValuedPolynomial`` is built at the end, each
+coefficient from its sorted terms.
 """
 
 from __future__ import annotations
@@ -328,9 +334,10 @@ class ValuedPolynomial:
             return ResiduePolynomial.zero(self.nvars)
         xs, d = _term_weights(self.weight_forms, w)
         best = best.numerator * (d // best.denominator)
-        coeffs = {u: c.leading_coefficient()
-                  for (u, c), x in zip(self.terms, xs) if x == best}
-        return ResiduePolynomial.from_dict(self.nvars, coeffs)
+        # The terms are sorted and their leading coefficients are nonzero.
+        return ResiduePolynomial(self.nvars, tuple(
+            (u, c.leading_coefficient())
+            for (u, c), x in zip(self.terms, xs) if x == best))
 
     def initial_form_substitution(self, w: Sequence[Fraction]) -> ResiduePolynomial:
         """Residue of t^(-W) f(t^w1 x1, ..., t^wm xm); finite weights only."""
@@ -353,13 +360,15 @@ class ValuedPolynomial:
         if self.laurent:
             raise ValueError("orbit restriction requires ordinary mode")
         sigma = frozenset(sigma)
-        if any(i < 0 or i >= self.nvars for i in sigma):
-            raise ValueError("orbit index out of range")
+        if any(type(i) is not int or not 0 <= i < self.nvars for i in sigma):
+            raise ValueError(f"orbit index out of range: expected ints in "
+                             f"range({self.nvars}), got {set(sigma)!r}")
         keep = [i for i in range(self.nvars) if i not in sigma]
-        # Kept exponents vanish on sigma, so dropping it keeps them distinct.
-        coeffs = {tuple(u[i] for i in keep): c for u, c in self.terms
-                  if not any(u[i] for i in sigma)}
-        return ValuedPolynomial.from_dict(len(keep), coeffs, laurent=False)
+        # Kept exponents vanish on sigma, so dropping it keeps them distinct
+        # and in the same decreasing order.
+        return ValuedPolynomial(len(keep), False, tuple(
+            (tuple(u[i] for i in keep), c) for u, c in self.terms
+            if not any(u[i] for i in sigma)))
 
     def evaluate(self, point: Sequence[PuiseuxScalar]) -> PuiseuxScalar:
         """Exact evaluation at a torus point (all coordinates nonzero).
@@ -406,8 +415,9 @@ class ValuedPolynomial:
         coeffs: dict[tuple[int, ...], list] = {}
         for (u, e), c in monomials.items():
             coeffs.setdefault(u, []).append((e, c))
+        # The monomials are collected: each sorted list is a canonical scalar.
         return cls.from_dict(nvars, {
-            u: PuiseuxScalar.from_terms(ts) for u, ts in coeffs.items()},
+            u: PuiseuxScalar(tuple(sorted(ts))) for u, ts in coeffs.items()},
             laurent)
 
 
@@ -435,8 +445,11 @@ MAX_NESTING = 64
 
 # A parsed expression: the nonzero rational coefficient of t^e x^u under
 # the key (u, e), since a finite-support Puiseux polynomial is a finite
-# Q-combination of such monomials.
+# Q-combination of such monomials.  Every e and coefficient is a
+# ``Fraction``, so a parsed scalar needs no conversion.
 _Monomials = dict[tuple[tuple[int, ...], Fraction], Fraction]
+_ZERO = Fraction(0)
+_ONE = {1: Fraction(1), -1: Fraction(-1)}
 
 
 def _collect(pairs: Iterable[tuple]) -> _Monomials:
@@ -489,9 +502,13 @@ class _Parser:
             if self.pairs > MAX_TERM_PAIRS:
                 raise InputError(f"the products in one polynomial form over "
                                  f"{MAX_TERM_PAIRS} term pairs")
-            node = _collect(((tuple(map(add, u, v)), e + f), c * d)
-                            for (u, e), c in node.items()
-                            for (v, f), d in factor.items())
+            pairs = (((tuple(map(add, u, v)), e + f if e and f else e or f),
+                      c * d)
+                     for (u, e), c in node.items()
+                     for (v, f), d in factor.items())
+            # Times one monomial, no two keys meet and no coefficient is 0.
+            node = (dict(pairs) if len(node) == 1 or len(factor) == 1
+                    else _collect(pairs))
         return node
 
     def parse_factor(self) -> _Monomials:
@@ -512,10 +529,11 @@ class _Parser:
             return {k: sign * c for k, c in node.items()}
         if tok is None:
             raise ValueError("unexpected end of input")
-        if re.fullmatch(r"\d+/\d+|\d+", tok):
-            return _collect([((zero, 0), sign * rational_from_input(tok))])
+        if tok[0].isdecimal():  # the tokenizer's numbers start with \d
+            q = rational_from_input(tok)
+            return {(zero, _ZERO): q if sign > 0 else -q} if q else {}
         if tok == "t":
-            return {(zero, self._maybe_exponent()): sign}
+            return {(zero, self._maybe_exponent()): _ONE[sign]}
         m = re.fullmatch(r"x(\d+)", tok)
         if m:
             idx = int(m.group(1)) - 1
@@ -525,7 +543,7 @@ class _Parser:
             if e.denominator != 1:
                 raise ValueError("variable exponents must be integers")
             u = tuple(int(e) if i == idx else 0 for i in range(self.nvars))
-            return {(u, 0): sign}
+            return {(u, _ZERO): _ONE[sign]}
         raise ValueError(f"unexpected token {tok!r}")
 
     def _maybe_exponent(self) -> Fraction:

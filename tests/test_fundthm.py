@@ -51,6 +51,26 @@ def test_single_term_is_empty():
     assert cx.cells == ()
 
 
+def test_a_single_term_takes_no_feasibility_sweep(monkeypatch):
+    """A one-term polynomial has no pair of terms, so its complex has no
+    cell and is built without an ``affine_feasible`` call; three terms
+    take one."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return affine_feasible(*args)
+
+    monkeypatch.setattr(fundthm, "affine_feasible", counting)
+    fundthm._complex_of.cache_clear()
+    for text in ("x1*x2", "t^(1/2)*x1^3", "2", "x2^2"):
+        cx = trop_hypersurface(ValuedPolynomial.parse(text, nvars=2,
+                                                      laurent=False))
+        assert cx.cells == () and not cx.contains((F(1), F(-1)))
+    assert calls == []
+    assert len(trop_hypersurface(LINE).cells) == 3 and len(calls) == 1
+
+
 def test_zero_polynomial_rejected():
     # on every call: the memo behind trop_hypersurface caches no exception
     for _ in range(3):
@@ -511,10 +531,12 @@ def test_a_refused_input_raises_its_message(call, message):
     lambda w: LINE.term_weights(w),
 ], ids=["complex-contains", "cell-contains", "membership_set1", "trop_eval",
         "initial_form", "term_weights"])
-@pytest.mark.parametrize("w", [(0.5, F(0)), (F(0), 0.1), (F(0), "1/2")],
-                         ids=["float-half", "float-tenth", "str"])
+@pytest.mark.parametrize("w", [(0.5, F(0)), (F(0), 0.1), (F(0), "1/2"),
+                               (True, F(0))],
+                         ids=["float-half", "float-tenth", "str", "bool"])
 def test_an_inexact_weight_entry_is_refused_not_rounded(call, w):
-    """A float is not read as the rational of its binary value, nor a
-    string parsed: every route refuses the weight with one message."""
+    """A float is not read as the rational of its binary value, a string
+    parsed or a bool read as 0 or 1: every route refuses the weight with one
+    message."""
     with pytest.raises(ValueError, match="expected exact rationals"):
         call(w)

@@ -325,9 +325,10 @@ def test_a_vector_of_the_wrong_length_raises(call):
         call()
 
 
-@pytest.mark.parametrize("u", [(F(1, 2), 0.5), ("1/2",), (1, INF)],
-                         ids=["float", "str", "inf"])
+@pytest.mark.parametrize("u", [(F(1, 2), 0.5), ("1/2",), (1, INF), (True, 0)],
+                         ids=["float", "str", "inf", "bool"])
 def test_clear_denominators_refuses_an_inexact_entry(u):
+    """The rule of ``vec``: a ``bool`` is no more a number than a float."""
     with pytest.raises(ValueError, match="expected exact rationals"):
         clear_denominators(u)
 

@@ -1,9 +1,10 @@
+import itertools
 import re
 from fractions import Fraction
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sphtrop.linalg import MAX_DIM, InputError, rational_from_input
@@ -219,6 +220,13 @@ def polynomials_and_weights(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(polynomials_and_weights())
+# One term: its residue alone, or the zero form where it weighs infinity.
+@example((ValuedPolynomial.parse("-2*t^(1/2)*x1*x2 + 3*t*x1*x2",
+                                 laurent=False),
+          [(F(1), F(-3, 2)), (INF, F(0))]))
+# The minimal terms x1^2 and 1 have x1 between them in term order.
+@example((ValuedPolynomial.parse("x1^2 + (t + t^3)*x1 - 5", laurent=False),
+          [(F(0),)]))
 def test_property_term_weights_agree_with_fraction_sums(case):
     f, weights = case
     for w in weights:
@@ -228,6 +236,49 @@ def test_property_term_weights_agree_with_fraction_sums(case):
         assert value is INF or type(value) is Fraction
         assert value == q_min(expected)
         assert f.initial_form(w) == fraction_initial_form(f, w)
+
+
+# The former ``restrict_to_orbit``, kept verbatim as an oracle: it built the
+# restriction through ``from_dict``, which checks and sorts every term again.
+def from_dict_restriction(self, sigma):
+    if self.laurent:
+        raise ValueError("orbit restriction requires ordinary mode")
+    sigma = frozenset(sigma)
+    if any(i < 0 or i >= self.nvars for i in sigma):
+        raise ValueError("orbit index out of range")
+    keep = [i for i in range(self.nvars) if i not in sigma]
+    # Kept exponents vanish on sigma, so dropping it keeps them distinct.
+    coeffs = {tuple(u[i] for i in keep): c for u, c in self.terms
+              if not any(u[i] for i in sigma)}
+    return ValuedPolynomial.from_dict(len(keep), coeffs, laurent=False)
+
+
+@st.composite
+def ordinary_polynomials(draw):
+    """Ordinary polynomials in 1-4 variables, many terms on the boundary."""
+    m = draw(st.integers(1, 4))
+    exponents = draw(st.lists(st.tuples(*[st.integers(0, 2)] * m),
+                              min_size=1, max_size=8, unique=True))
+    return ValuedPolynomial.from_dict(m, {
+        u: PuiseuxScalar.from_terms([(draw(RATIONALS), c), (5, 1)])
+        for u, c in zip(exponents, draw(st.lists(
+            st.sampled_from((-2, -1, 1, 3)), min_size=len(exponents),
+            max_size=len(exponents))))}, laurent=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ordinary_polynomials())
+def test_property_restriction_is_the_from_dict_one(f):
+    """On every orbit the restriction equals the one built through
+    ``from_dict``, with its terms in the same order and the same integer
+    form."""
+    for k in range(f.nvars + 1):
+        for sigma in itertools.combinations(range(f.nvars), k):
+            got, want = f.restrict_to_orbit(sigma), from_dict_restriction(
+                f, sigma)
+            assert got == want
+            assert [u for u, _ in got.terms] == [u for u, _ in want.terms]
+            assert got.weight_forms == want.weight_forms
 
 
 def test_scaled_terms_are_computed_once_and_are_no_part_of_equality():
@@ -558,3 +609,14 @@ ONE = PuiseuxScalar.rational(1)
 def test_a_refused_input_raises_its_message(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("sigma", [{True}, {1.0}, {"1"}, {None}, {-1}, {2},
+                                   {0, 5}],
+                         ids=["bool", "float", "str", "none", "negative",
+                              "past-the-end", "one-of-two"])
+def test_an_orbit_index_that_is_not_an_int_in_range_is_refused(sigma):
+    """A bool is not read as 1, and a float or a str raises the same
+    ``ValueError`` as an index out of range, not a ``TypeError``."""
+    with pytest.raises(ValueError, match="orbit index out of range"):
+        LINE.restrict_to_orbit(sigma)

@@ -15,7 +15,11 @@ refusal instead, and the later sizes still run.  With ``--grid`` each line
 also gives the seconds that ``cx.contains`` and ``f.initial_form`` take
 over the weights {-1, 0, 1}^M, the grid of the benchmark's ``hypersurface``
 workload, once the complex cx is built: the least of ``GRID_PASSES``
-passes over the grid.  The second form
+passes over the grid.  It then gives the other two stages of that
+workload's pass: ``ValuedPolynomial.parse`` of the polynomial's text, and
+``extended_trop_sets(f)`` with the memo of complexes emptied before each
+call, so that every orbit's complex, the torus's included, is built
+again; each is the least of ``GRID_PASSES`` runs.  The second form
 prints the polynomial of M variables and N terms, for example to pass it
 to ``sphtrop poly hypersurface --ordinary --poly``.
 
@@ -75,15 +79,25 @@ def polynomial_text(m: int, n: int) -> str:
 GRID_PASSES = 5
 
 
-def time_grid(f, cx) -> str:
-    """Seconds of ``cx.contains`` and of ``f.initial_form`` over the grid."""
+def time_grid(text: str, f, cx) -> str:
+    """Seconds of ``cx.contains`` and of ``f.initial_form`` over the grid,
+    of parsing ``text`` and of a cold ``extended_trop_sets(f)``."""
+    from sphtrop import fundthm
+    from sphtrop.puiseux import ValuedPolynomial
+
     grid = list(itertools.product((Fraction(-1), Fraction(0), Fraction(1)),
                                   repeat=f.nvars))
     seconds = [min(timeit.repeat(lambda: [test(w) for w in grid],
                                  number=1, repeat=GRID_PASSES))
                for test in (cx.contains, f.initial_form)]
+    parse = min(timeit.repeat(lambda: ValuedPolynomial.parse(
+        text, nvars=f.nvars, laurent=False), number=1, repeat=GRID_PASSES))
+    orbits = min(timeit.repeat(lambda: fundthm.extended_trop_sets(f),
+                               setup=fundthm._complex_of.cache_clear,
+                               number=1, repeat=GRID_PASSES))
     return (f" grid={len(grid)} contains={seconds[0]:.4f} s "
-            f"initial_form={seconds[1]:.4f} s")
+            f"initial_form={seconds[1]:.4f} s parse={parse:.4f} s "
+            f"cold_extended_trop_sets={orbits:.4f} s")
 
 
 def time_one(m: int, n: int, grid: bool = False) -> str:
@@ -91,7 +105,8 @@ def time_one(m: int, n: int, grid: bool = False) -> str:
     from sphtrop.linalg import InputError
     from sphtrop.puiseux import ValuedPolynomial
 
-    f = ValuedPolynomial.parse(polynomial_text(m, n), nvars=m, laurent=False)
+    text = polynomial_text(m, n)
+    f = ValuedPolynomial.parse(text, nvars=m, laurent=False)
     size = f"m={m} terms={n} degree={degree(m, n)}"
     start = time.perf_counter()
     try:
@@ -102,7 +117,7 @@ def time_one(m: int, n: int, grid: bool = False) -> str:
     seconds = time.perf_counter() - start
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     line = f"{size} cells={len(cx.cells)} {seconds:.3f} s {peak_mb:.1f} MB"
-    return line + time_grid(f, cx) if grid else line
+    return line + time_grid(text, f, cx) if grid else line
 
 
 def main(argv=None) -> int:
@@ -113,7 +128,8 @@ def main(argv=None) -> int:
                         help="print the polynomial of M variables, N terms")
     parser.add_argument("--grid", action="store_true",
                         help="also time cx.contains and f.initial_form over "
-                             "the weights {-1, 0, 1}^M")
+                             "the weights {-1, 0, 1}^M, the parse and a cold "
+                             "extended_trop_sets")
     parser.add_argument("--one", nargs=2, type=int, metavar=("M", "N"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
