@@ -122,8 +122,11 @@ def cmd_trop(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    report = _decoded("bad tropicalization file", compare_tropicalizations,
-                      _load_trop(args.left), _load_trop(args.right))
+    left, right = _load_trop(args.left), _load_trop(args.right)
+    try:
+        report = compare_tropicalizations(left, right)
+    except ValueError as e:  # the ambient ranks differ
+        raise DomainError(str(e))
     _emit(jsonio.dumps(report.to_json()), args.out)
     return 0 if report.equal else 1
 

@@ -8,11 +8,11 @@ those the initial ideal is generated by the initial form of f.
 
 Both sides run on integers.  A cell row is one primitive ``int`` tuple
 (c, r) read off ``ValuedPolynomial.weight_forms``; this module scales no
-valuation.  ``TropicalComplex.contains`` clears w once to W / den.  A built
-complex keeps its term rows (U, V): w is in it when the least ``dot`` of a
-row with (W, den) is attained twice.  A loaded or hand-built one tests each
-cell row h by ``dot``, which checks its length: h holds when h . (W, -den)
-is 0 (an equation) or >= 0.  Reports print each value as its ``str``.
+valuation.  ``TropicalComplex.contains`` clears w once to W / den.  Every
+built complex has term rows (U, V), the whole space two zero rows: w is in
+it when the least ``dot`` of a row with (W, den) is attained twice.  Only a
+loaded or hand-built one tests each cell row h by ``dot`` (length checked):
+h . (W, -den) is 0 for an equation, >= 0 else.  Reports print ``str``s.
 
 A complex depends only on the number of variables and the tropical
 polynomial, the ``int`` pairs (dv u, dv v(a)) of the terms: residues do
@@ -47,12 +47,8 @@ class Cell:
     """An affine polyhedron {w : Aw = a, Bw >= b} in weight space, each
     row one primitive ``int`` tuple (c_1, ..., c_m, r): c.w = r or >= r."""
 
-    dim: int
     equalities: tuple[IntVector, ...]
     inequalities: tuple[IntVector, ...]
-
-    def contains(self, w: Sequence[Fraction]) -> bool:
-        return TropicalComplex(self.dim, (self,)).contains(w)
 
 
 @dataclass(frozen=True)
@@ -67,7 +63,7 @@ class TropicalComplex:
 
     @classmethod
     def whole_space(cls, dim: int) -> "TropicalComplex":
-        return cls(dim, (Cell(dim, (), ()),))
+        return cls(dim, (Cell((), ()),), ((0,) * (dim + 1),) * 2)
 
     def contains(self, w: Sequence[Fraction]) -> bool:
         W, den = clear_denominators(w)
@@ -134,7 +130,7 @@ def _complex_of(m: int, pairs: tuple[tuple[IntVector, int], ...]
     tight = [reduce(int.__or__, (s for s in masks if s >> i & 1), 0)
              for i in range(n - 1)]
     cells = dict.fromkeys(
-        Cell(m, (row[j][i],), tuple(sorted(
+        Cell((row[j][i],), tuple(sorted(
             row[i][k] for k in range(n) if k not in (i, j))))
         for i in range(n) for j in range(i + 1, n) if tight[i] >> j & 1)
     return TropicalComplex(m, tuple(cells), tuple((*u, c) for u, c in pairs))

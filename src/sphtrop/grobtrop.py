@@ -73,7 +73,8 @@ def compare_tropicalizations(a: ExtendedTrop, b: ExtendedTrop
     loop runs over its keys in sorted order, so the report does not depend
     on string hashing."""
     if a.ambient_rank != b.ambient_rank:
-        raise ValueError("ambient ranks differ")
+        raise ValueError(f"ambient ranks differ: {a.ambient_rank} on the "
+                         f"left, {b.ambient_rank} on the right")
     report = ComparisonReport()
     for key in sorted(a.strata.keys() - b.strata.keys()):
         report.mismatches.append(f"stratum only on the left: {_shown(key)}")

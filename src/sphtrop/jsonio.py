@@ -230,8 +230,7 @@ def complex_from_json(data) -> TropicalComplex:
                              f"expected {dim}")
         return primitive((*coeffs, rational_from_input(c["rhs"])))
     cells = tuple(
-        Cell(dim,
-             tuple(constraint(c, i) for c in cell["equalities"]),
+        Cell(tuple(constraint(c, i) for c in cell["equalities"]),
              tuple(constraint(c, i) for c in cell["inequalities"]))
         for i, cell in enumerate(data["cells"]))
     return TropicalComplex(dim, cells)

@@ -306,12 +306,6 @@ class ValuedPolynomial:
         return tuple((tuple(dv * a for a in u), v)
                      for (u, _), v in zip(self.terms, V)), dv
 
-    def term_weights(self, w: Sequence[ExtendedRational]
-                     ) -> list[ExtendedRational]:
-        """Each term's v(a_u) + u.w, with the conventions of ``trop_eval``."""
-        xs, d = _term_weights(self.weight_forms, self._check_weight(w))
-        return [INF if x is None else Fraction(x, d) for x in xs]
-
     def _check_weight(self, w: Sequence[ExtendedRational]) -> ExtendedWeight:
         w = tuple(w)
         if len(w) != self.nvars:

@@ -6,8 +6,8 @@ images in N_Q.  Colors are identified by name; several colors may share
 the same image vector.  A fan's validity depends on nothing but the datum
 and the fan, the key of ``_validate_fan``, an LRU memo of at most
 ``FAN_CACHE_SIZE`` verdicts (errors are not cached); ``validate_colored_fan``
-copies its verdict to a fresh report on every call and applies
-``require_strict`` there.  In the same way a colored cone's verdict and its
+copies its verdict to a fresh report on every call; strict convexity is
+reported, never a failure.  In the same way a colored cone's verdict and its
 colored faces depend only on the datum and the colored cone: both are built
 once per entry of one LRU memo, ``_cone_record``, of at most
 ``polyhedra.CONE_CACHE_SIZE`` entries (every key holds a cone of that memo),
@@ -203,12 +203,10 @@ def colored_faces(datum: SphericalDatum, cc: ColoredCone) -> list[ColoredCone]:
     return list(_cone_record(datum, cc)[2])
 
 
-def validate_colored_fan(datum: SphericalDatum, fan: ColoredFan,
-                         require_strict: bool = False) -> ValidationReport:
-    """Face closure, relint disjointness inside V, and optional strictness."""
+def validate_colored_fan(datum: SphericalDatum, fan: ColoredFan
+                         ) -> ValidationReport:
+    """Face closure and relint disjointness in V; strictness is reported."""
     failures, strict = _validate_fan(datum, fan)
-    if require_strict and not strict:
-        failures += ("strict-convexity",)
     return ValidationReport(not failures, list(failures), strict)
 
 
@@ -219,7 +217,7 @@ FAN_CACHE_SIZE = 32
 @lru_cache(maxsize=FAN_CACHE_SIZE)
 def _validate_fan(datum: SphericalDatum, fan: ColoredFan
                   ) -> tuple[tuple[str, ...], bool]:
-    """The verdict ``(failures, strictly_convex)``, strictness not required."""
+    """The verdict ``(failures, strictly_convex)``."""
     failures: list[str] = []
     strict = True
     for i, cc in enumerate(fan.cones):

@@ -95,6 +95,16 @@ def test_trop_modes_and_compare(corpus, capsys, tmp_path):
     assert "comparison" not in payload
 
 
+def test_compare_of_different_ranks_is_a_domain_failure(corpus, capsys):
+    """Two files that both load but have different ambient ranks are a
+    mismatch, exit 1 with one line naming both ranks, not a bad file."""
+    rc = main(["compare", str(corpus / "table1.A2.trop.json"),
+               str(corpus / "table2.A4.trop.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: ambient ranks differ: 1 on the left, 2 on the right\n")
+
+
 def compare_with_edited(corpus, capsys, tmp_path, edit):
     """compare blowup-a4.trop.json with a copy edited by edit(strata)."""
     trop = json.loads((corpus / "blowup-a4.trop.json").read_text())

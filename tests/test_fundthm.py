@@ -19,9 +19,10 @@ from sphtrop.fundthm import (
     trop_hypersurface,
 )
 from sphtrop.jsonio import complex_from_json, complex_to_json
-from sphtrop.linalg import dot, primitive
+from sphtrop.linalg import clear_denominators, dot, primitive
 from sphtrop.polyhedra import affine_feasible
-from sphtrop.puiseux import INF, PuiseuxScalar, ValuedPolynomial
+from sphtrop.puiseux import (INF, PuiseuxScalar, ValuedPolynomial,
+                              _term_weights)
 from test_polyhedra import fm_feasible
 
 LINE = ValuedPolynomial.parse("x1 + x2 + 1", laurent=False)
@@ -152,12 +153,11 @@ def fraction_trop_hypersurface(f):
             ineqs = tuple(sorted(
                 primitive((*[a - b for a, b in zip(uk, ui)], ci - ck))
                 for k, (uk, ck) in enumerate(terms) if k not in (i, j)))
-            cell = Cell(m, (eq,), ineqs)
-            key = (cell.equalities, cell.inequalities)
-            if key in seen:
+            cell = Cell((eq,), ineqs)
+            if cell in seen:
                 continue
-            seen.add(key)
-            if not fm_empty(cell):
+            seen.add(cell)
+            if not fm_empty(cell, m):
                 cells.append(cell)
     return TropicalComplex(m, tuple(cells))
 
@@ -191,7 +191,7 @@ def on_hyperplane(w, row):
 
 @st.composite
 def complexes_and_weights(draw):
-    """A polynomial, its hypersurface complex and weights: random
+    """A polynomial's hypersurface complex and weights: random
     (denominators 1-6) and moved onto the equality of a random cell, where
     the inequalities decide."""
     f = draw(valued_polynomials())
@@ -202,42 +202,91 @@ def complexes_and_weights(draw):
         cells = draw(st.lists(st.sampled_from(cx.cells), max_size=4))
         weights += [on_hyperplane(w, cell.equalities[0])
                     for w, cell in zip(weights * 4, cells)]
-    return f, cx, weights
+    return cx, weights
 
 
 @settings(max_examples=150, deadline=None)
 @given(complexes_and_weights())
 def test_property_cell_tests_agree_with_fraction_dots(case):
-    _, cx, weights = case
+    cx, weights = case
     for w in weights:
         for cell in cx.cells:
-            assert cell.contains(w) == fraction_cell_contains(cell, w)
+            one_cell = TropicalComplex(cx.ambient_dim, (cell,))
+            assert one_cell.contains(w) == fraction_cell_contains(cell, w)
         assert cx.contains(w) == any(fraction_cell_contains(cell, w)
                                      for cell in cx.cells)
 
 
+def cell_loop_contains(cx, w):
+    """The cell loop of ``TropicalComplex.contains``, kept as the oracle of
+    its term rows: w is in cx when each row h of some cell has h . (W, -den)
+    0 (an equation) or >= 0 (an inequality), for w = W / den."""
+    W, den = clear_denominators(w)
+    if len(W) != cx.ambient_dim:
+        raise ValueError("dimension mismatch")
+    x = (*W, -den)
+    return any(all(dot(h, x) == 0 for h in cell.equalities)
+               and all(dot(h, x) >= 0 for h in cell.inequalities)
+               for cell in cx.cells)
+
+
+@st.composite
+def orbit_polynomials(draw):
+    """``valued_polynomials`` times a monomial x^s, s in {0, 1}^m.  With
+    s = 0 the constant term is there or not as drawn; with s != 0 it is
+    not, and f restricts to zero on every orbit whose sigma meets s."""
+    f = draw(valued_polynomials())
+    s = draw(st.tuples(*[st.integers(0, 1)] * f.nvars))
+    return ValuedPolynomial.from_dict(f.nvars, {
+        tuple(a + b for a, b in zip(u, s)): c for u, c in f.terms},
+        laurent=False)
+
+
+@st.composite
+def orbit_complexes_and_weights(draw):
+    """A polynomial and, per torus orbit, its complex with weights: random
+    (denominators 1-6), moved onto the equation of a cell, where the
+    inequalities decide, and the {-1, 0, 1}^d grid of the orbit."""
+    f = draw(orbit_polynomials())
+    orbits = []
+    for cx in extended_trop_sets(f).values():
+        d = cx.ambient_dim
+        weights = draw(st.lists(st.tuples(*[RATIONALS] * d),
+                                min_size=1, max_size=3))
+        weights += [on_hyperplane(w, cell.equalities[0])
+                    for w, cell in zip(weights * 4, cx.cells)
+                    if cell.equalities]
+        weights += itertools.product((F(-1), F(0), F(1)), repeat=d)
+        orbits.append((cx, weights))
+    return f, orbits
+
+
 @settings(max_examples=150, deadline=None)
-@given(complexes_and_weights())
+@given(orbit_complexes_and_weights())
 def test_property_term_rows_decide_as_the_cells_do(case):
-    """A built complex tests a weight by its term rows, the same complex
-    loaded from JSON, which has none, cell by cell; both say whether the
-    least term weight is attained twice.  Weights: random, moved onto a
-    cell's equation, and the {-1, 0, 1}^m grid."""
-    f, cx, weights = case
-    loaded = complex_from_json(complex_to_json(cx))
-    assert cx.terms and not loaded.terms
-    assert loaded == cx and hash(loaded) == hash(cx)
-    grid = itertools.product((F(-1), F(0), F(1)), repeat=f.nvars)
-    for w in [*weights, *grid]:
-        xs = sorted(f.term_weights(w))
-        twice = len(xs) > 1 and xs[0] == xs[1]
-        assert cx.contains(w) == loaded.contains(w) == twice
+    """Every complex that ``extended_trop_sets`` builds, the torus's and
+    each orbit's, whole-space ones included, decides a weight by its term
+    rows as the cell loop does on its cells; the torus complex loaded from
+    JSON, which has no term rows, decides as the built one."""
+    f, orbits = case
+    for cx, weights in orbits:
+        assert cx.terms
+        for w in weights:
+            assert cx.contains(w) == cell_loop_contains(cx, w)
+    torus, weights = orbits[0]  # the empty sigma comes first
+    assert torus is trop_hypersurface(f)
+    loaded = complex_from_json(complex_to_json(torus))
+    assert not loaded.terms
+    assert loaded == torus and hash(loaded) == hash(torus)
+    for w in weights:
+        assert loaded.contains(w) == torus.contains(w)
 
 
 def test_a_hypersurface_weight_takes_one_dot_per_term(monkeypatch):
     """Whatever its number of cells, a built complex of n terms, 2 to 8
     here, tests a weight with exactly n ``dot`` calls, one per term row;
-    the cell loop would take one per cell row it reaches."""
+    the cell loop would take one per cell row it reaches.  The whole space
+    takes two, one per zero term row."""
     calls = []
 
     def counting(*args):
@@ -259,6 +308,9 @@ def test_a_hypersurface_weight_takes_one_dot_per_term(monkeypatch):
                 calls.clear()
                 cx.contains(w)
                 assert len(calls) == n
+        calls.clear()
+        assert TropicalComplex.whole_space(m).contains(grid[0])
+        assert len(calls) == 2
 
 
 @settings(max_examples=150, deadline=None)
@@ -270,11 +322,12 @@ def test_property_integer_rows_give_the_fraction_cells(f):
 # -- the per-pair route: one emptiness test per candidate cell --------------
 
 
-def fm_empty(cell):
-    """Emptiness of a cell by Fourier-Motzkin elimination, not by a sweep."""
+def fm_empty(cell, m):
+    """Emptiness of a cell in R^m by Fourier-Motzkin elimination, not by a
+    sweep."""
     return not fm_feasible([(h[:-1], h[-1]) for h in cell.equalities],
                            [(h[:-1], h[-1]) for h in cell.inequalities], [],
-                           cell.dim)
+                           m)
 
 
 def per_pair_complex_of(m, pairs):
@@ -288,10 +341,10 @@ def per_pair_complex_of(m, pairs):
             if k != i else None for k, (uk, ck) in enumerate(pairs)]
            for i, (ui, ci) in enumerate(pairs)]
     cells = dict.fromkeys(
-        Cell(m, (row[j][i],), tuple(sorted(
+        Cell((row[j][i],), tuple(sorted(
             row[i][k] for k in range(n) if k not in (i, j))))
         for i in range(n) for j in range(i + 1, n))
-    return TropicalComplex(m, tuple(c for c in cells if not fm_empty(c)))
+    return TropicalComplex(m, tuple(c for c in cells if not fm_empty(c, m)))
 
 
 @st.composite
@@ -483,7 +536,7 @@ ONE = PuiseuxScalar.rational(1)
 @pytest.mark.parametrize("call", [
     lambda f: f.trop_eval((F(0), F(0))),
     lambda f: f.initial_form((F(0), F(0))),
-    lambda f: f.term_weights((F(0), F(0))),
+    lambda f: _term_weights(f.weight_forms, (F(0), F(0))),
     trop_hypersurface,
 ], ids=["trop_eval", "initial_form", "term_weights", "trop_hypersurface"])
 @pytest.mark.parametrize("terms", [
@@ -499,16 +552,36 @@ def test_an_exponent_of_the_wrong_length_raises(call, terms):
         call(f)
 
 
-@pytest.mark.parametrize("cell", [
-    Cell(2, (), ()),
-    Cell(2, ((1, -1, 0),), ((1, 0, 0),)),
-], ids=["rowless", "with-rows"])
+@pytest.mark.parametrize("cx", [
+    TropicalComplex(2, (Cell((), ()),)),
+    TropicalComplex(2, (Cell(((1, -1, 0),), ((1, 0, 0),)),)),
+    TropicalComplex.whole_space(2),
+], ids=["rowless", "with-rows", "whole-space"])
 @pytest.mark.parametrize("w", [(F(1),), (F(1), F(2), F(3))],
                          ids=["short", "long"])
-def test_cell_contains_refuses_a_weight_of_the_wrong_length(cell, w):
-    """A cell tests a weight as the complex of that one cell does."""
+def test_cell_contains_refuses_a_weight_of_the_wrong_length(cx, w):
+    """The complex of one cell, row-less or not, refuses a weight of the
+    wrong length in its cell loop, and the whole space by its term rows."""
     with pytest.raises(ValueError, match="dimension mismatch"):
-        cell.contains(w)
+        cx.contains(w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4).flatmap(
+    lambda m: st.tuples(st.just(m), st.tuples(*[RATIONALS] * m))))
+def test_property_the_whole_space_holds_every_exact_weight(case):
+    """Its two zero term rows tie at every weight, in dimensions 0-4."""
+    m, w = case
+    assert TropicalComplex.whole_space(m).contains(w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(orbit_polynomials())
+def test_property_every_built_complex_has_term_rows(f):
+    """The torus complex and every orbit complex, a whole orbit's too, are
+    decided by term rows, never by the cell loop."""
+    assert trop_hypersurface(f).terms
+    assert all(cx.terms for cx in extended_trop_sets(f).values())
 
 
 @pytest.mark.parametrize("call, message", [
@@ -524,13 +597,14 @@ def test_a_refused_input_raises_its_message(call, message):
 
 @pytest.mark.parametrize("call", [
     lambda w: trop_hypersurface(LINE).contains(w),
-    lambda w: trop_hypersurface(LINE).cells[0].contains(w),
+    lambda w: TropicalComplex(2, trop_hypersurface(LINE).cells[:1]).contains(w),
+    lambda w: TropicalComplex.whole_space(2).contains(w),
     lambda w: membership_set1(LINE, w),
     lambda w: LINE.trop_eval(w),
     lambda w: LINE.initial_form(w),
-    lambda w: LINE.term_weights(w),
-], ids=["complex-contains", "cell-contains", "membership_set1", "trop_eval",
-        "initial_form", "term_weights"])
+    lambda w: _term_weights(LINE.weight_forms, w),
+], ids=["complex-contains", "cell-contains", "whole-space-contains",
+        "membership_set1", "trop_eval", "initial_form", "term_weights"])
 @pytest.mark.parametrize("w", [(0.5, F(0)), (F(0), 0.1), (F(0), "1/2"),
                                (True, F(0))],
                          ids=["float-half", "float-tenth", "str", "bool"])

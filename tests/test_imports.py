@@ -2,9 +2,12 @@
 and no import there is made inside a function; every private function, class
 or method there is read somewhere in ``src/sphtrop``, and so is every public
 one, except a short list of public names kept on purpose; ``__all__`` lists
-exactly the names the package imports."""
+exactly the names the package imports; every name that the benchmark
+tracer wraps is defined in the package."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -219,9 +222,6 @@ UNREAD_PUBLIC = {
         "reader paired with complex_to_json; the benchmark tracer wraps it",
     "polyhedra.py: dual":
         "the dual cone, part of the Cone interface for callers",
-    "puiseux.py: term_weights":
-        "each term's weight under an extended weight, for callers; the "
-        "public face of the one pass that trop_eval and initial_form take",
     "puiseux.py: t_power":
         "the monomial scalar c t^e, the short way for callers to write one",
     "puiseux.py: initial_form_substitution":
@@ -329,3 +329,25 @@ def test_memo_scan_finds_each_unbounded_memo():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_memo_is_bounded(path):
     assert unbounded_memos(path.read_text()) == []
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    """Each (module, attribute) of ``perfbench/tracer.py``'s ``SPANNED`` and
+    ``COUNTED`` tables is defined in the package, looked up as the tracer
+    does: a "Class.method" name in the class ``__dict__``.  So deleting or
+    renaming a wrapped name fails here, not only in a traced benchmark run.
+    The tracer is loaded from its file and nothing in it is changed."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", SRC.parents[1] / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wrapped = [(module, attr) for table in (tracer.SPANNED, tracer.COUNTED)
+               for module, attrs in table.values() for attr in attrs]
+    missing = []
+    for module, attr in wrapped:
+        home = importlib.import_module(f"sphtrop.{module}")
+        owner, _, name = attr.rpartition(".")
+        scope = vars(getattr(home, owner)) if owner else vars(home)
+        if scope.get(name) is None:
+            missing.append(f"{module}.{attr}")
+    assert wrapped and missing == []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sphtrop.fundthm import Cell
+from sphtrop.fundthm import Cell, TropicalComplex
 from sphtrop.linalg import (IntVector, dot, eliminate, embed_from_chart,
                             primitive, project_to_chart, rref, vec, vneg)
 from sphtrop.polyhedra import Cone, _dd, affine_feasible, quotient_chart
@@ -95,7 +95,7 @@ def test_dimension_mismatch_raises():
 
 @pytest.mark.parametrize("call", [
     lambda: affine_feasible([], [(1, 0)], 2),
-    lambda: Cell(2, ((1, 0),), ()).contains((F(0), F(0))),
+    lambda: TropicalComplex(2, (Cell(((1, 0),), ()),)).contains((F(0), F(0))),
     lambda: _dd([], [(1, 2, 3)], 2),
 ], ids=["affine_feasible", "cell-contains", "dd"])
 def test_a_row_of_the_wrong_length_raises(call):

@@ -27,7 +27,7 @@ from test_polyhedra import (_facet_separates, dd_relints_overlap,
 
 def test_builtin_corpus_is_valid_and_strict():
     for name, datum, fan, _ in all_fans():
-        report = validate_colored_fan(datum, fan, require_strict=True)
+        report = validate_colored_fan(datum, fan)
         assert report.ok, (name, report.failures)
         assert report.strictly_convex
 
@@ -61,7 +61,7 @@ def test_strict_convexity_reported_separately():
     assert report.ok
     assert report.strictly_convex is False
     fan = ColoredFan((ColoredCone(Cone.zero(2)), halfplane))
-    assert not validate_colored_fan(datum, fan, require_strict=True).ok
+    assert validate_colored_fan(datum, fan).strictly_convex is False
 
 
 def test_colored_faces_drop_faces_outside_v():
@@ -215,10 +215,10 @@ def unmemoised_colored_faces(datum: SphericalDatum, cc: ColoredCone
     return out
 
 
-def unmemoised_validate_colored_fan(datum: SphericalDatum, fan: ColoredFan,
-                                    require_strict: bool = False
+def unmemoised_validate_colored_fan(datum: SphericalDatum, fan: ColoredFan
                                     ) -> ValidationReport:
-    """Face closure, relint disjointness inside V, and optional strictness."""
+    """Face closure and relint disjointness inside V; strict convexity is
+    reported in ``strictly_convex``, not as a failure."""
     failures: list[str] = []
     strict = True
     valid_members: list[ColoredCone] = []
@@ -262,8 +262,6 @@ def unmemoised_validate_colored_fan(datum: SphericalDatum, fan: ColoredFan,
                     f"and {fraction_rows(b.cone.rays)} share "
                     "relative-interior points inside V")
 
-    if require_strict and not strict:
-        failures.append("strict-convexity")
     return ValidationReport(ok=not failures, failures=failures,
                             strictly_convex=strict)
 
@@ -339,13 +337,13 @@ def data_and_collections(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data_and_collections(), st.booleans())
-def test_property_memo_gives_the_unmemoised_report(case, require_strict):
+@given(data_and_collections())
+def test_property_memo_gives_the_unmemoised_report(case):
     datum, fan = case
     spherical._validate_fan.cache_clear()
-    oracle = unmemoised_validate_colored_fan(datum, fan, require_strict)
+    oracle = unmemoised_validate_colored_fan(datum, fan)
     for _ in range(2):  # a miss, then a hit
-        report = validate_colored_fan(datum, fan, require_strict)
+        report = validate_colored_fan(datum, fan)
         assert report == oracle
         assert type(report.failures) is list
 
@@ -399,18 +397,16 @@ def test_memo_is_bounded_and_rebuilds_what_it_evicted():
     assert info().misses == misses + 1
     assert again == first == unmemoised_validate_colored_fan(datum, fans[0])
     assert again.ok
-    # require_strict is applied per call: asked both ways, a fan whose line
-    # is not strictly convex is one miss and then one hit
+    # a fan whose line is not strictly convex is one miss and then one hit,
+    # valid both times, with strictly_convex False in each fresh report
     line = ColoredFan((ColoredCone(Cone.from_generators([(1, 0), (-1, 0)],
                                                         2)),))
     before = info()
-    for require_strict in (True, False):
-        assert (validate_colored_fan(datum, line, require_strict)
-                == unmemoised_validate_colored_fan(datum, line,
-                                                   require_strict))
+    for _ in range(2):
+        report = validate_colored_fan(datum, line)
+        assert report == unmemoised_validate_colored_fan(datum, line)
+        assert report.ok and report.strictly_convex is False
     assert (info().misses, info().hits) == (before.misses + 1, before.hits + 1)
-    assert validate_colored_fan(datum, line, True).failures == [
-        "strict-convexity"]
 
 
 def test_a_cone_of_the_wrong_dimension_raises_on_every_call():
@@ -567,14 +563,12 @@ def arrangement_fans(draw, spoilt=None):
 
 @pytest.mark.parametrize("spoilt", [None, "duplicate", "overlap", "missing"])
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), require_strict=st.booleans())
-def test_property_fan_verdict_is_the_former_pairwise_pass(spoilt, data,
-                                                          require_strict):
+@given(data=st.data())
+def test_property_fan_verdict_is_the_former_pairwise_pass(spoilt, data):
     datum, fan = data.draw(arrangement_fans(spoilt))
     spherical._validate_fan.cache_clear()
-    report = validate_colored_fan(datum, fan, require_strict)
-    assert report == unmemoised_validate_colored_fan(datum, fan,
-                                                     require_strict)
+    report = validate_colored_fan(datum, fan)
+    assert report == unmemoised_validate_colored_fan(datum, fan)
 
 
 @settings(max_examples=100, deadline=None)

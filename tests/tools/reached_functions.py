@@ -48,9 +48,6 @@ SEEDS = (1, 4242)
 # "module: qualified name" of every function that none of the runs reaches,
 # with the reason it is kept.
 KNOWN_UNREACHED = {
-    "fundthm.py: Cell.contains":
-        "the one-cell complex's test, for callers; the tests check cells "
-        "with it",
     "jsonio.py: complex_from_json":
         "reader paired with complex_to_json; the benchmark tracer wraps it",
     "jsonio.py: complex_from_json.<locals>.constraint":
@@ -69,8 +66,6 @@ KNOWN_UNREACHED = {
         "the zero residue, the class of an all-infinite grade, for callers",
     "puiseux.py: ValuedPolynomial.zero":
         "the zero polynomial, for callers",
-    "puiseux.py: ValuedPolynomial.term_weights":
-        "each term's weight under an extended weight, for callers",
     "puiseux.py: ValuedPolynomial.__str__":
         "a polynomial as text, for callers",
     "troposphere.py: contains_point":
