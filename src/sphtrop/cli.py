@@ -2,9 +2,11 @@
 
 Subcommands: validate, trop, compare, poly, ftt, examples, render.
 Exit codes: 0 success, 1 domain failure (invalid fan, mismatch, nonmember),
-2 input error (unreadable file, malformed JSON or polynomial text).  ``main``
-maps errors to them in one place: a ``DomainError`` exits 1, any other
-``ValueError`` (``InputError`` among them) exits 2, each with one line.
+2 input error (unreadable file, malformed JSON or polynomial text).  The
+library raises ``linalg.DomainError`` where the mathematics refuses
+well-formed input, and ``main`` alone maps errors to exit codes, by type:
+a ``DomainError`` exits 1, any other ``ValueError`` (``InputError`` among
+them) exits 2, each with one line.
 """
 
 from __future__ import annotations
@@ -23,15 +25,11 @@ from .fundthm import (
     trop_hypersurface,
 )
 from .grobtrop import compare_tropicalizations, grobner_tropicalize_embedding
-from .linalg import InputError, rational_from_input
+from .linalg import DomainError, InputError, rational_from_input
 from .puiseux import PuiseuxScalar, ValuedPolynomial, parse_weight
 from .render import render_ascii, render_svg
 from .spherical import validate_colored_fan
 from .troposphere import tropicalize_embedding
-
-
-class DomainError(Exception):
-    pass
 
 
 def _read(path: str) -> str:
@@ -55,7 +53,7 @@ def _decoded(what: str, build, *args, **kwargs):
     files already read and decoded, keep their own errors."""
     try:
         return build(*args, **kwargs)
-    except (KeyError, ValueError, TypeError, RecursionError) as e:
+    except (KeyError, ValueError, TypeError, RecursionError, OSError) as e:
         raise InputError(f"{what}: {e}")
 
 
@@ -96,25 +94,15 @@ def cmd_validate(args) -> int:
     return 0 if report.ok else 1
 
 
-def _tropicalize(datum, fan, mode: str):
-    try:
-        if mode == "grobner":
-            return grobner_tropicalize_embedding(datum, fan), None
-        facewise = tropicalize_embedding(datum, fan)
-        if mode == "facewise":
-            return facewise, None
-        grobner = grobner_tropicalize_embedding(datum, fan)
-        return facewise, compare_tropicalizations(facewise, grobner)
-    except ValueError as e:
-        raise DomainError(str(e))
-
-
 def cmd_trop(args) -> int:
     datum, fan = _load_pair(args)
-    trop, comparison = _tropicalize(datum, fan, args.mode)
-    payload = jsonio.trop_to_json(trop)
-    rc = 0
-    if comparison is not None:
+    route = (grobner_tropicalize_embedding if args.mode == "grobner"
+             else tropicalize_embedding)
+    trop = route(datum, fan)
+    payload, rc = jsonio.trop_to_json(trop), 0
+    if args.mode == "both":
+        comparison = compare_tropicalizations(
+            trop, grobner_tropicalize_embedding(datum, fan))
         payload["comparison"] = comparison.to_json()
         rc = 0 if comparison.equal else 1
     _emit(jsonio.dumps(payload), args.out)
@@ -123,10 +111,7 @@ def cmd_trop(args) -> int:
 
 def cmd_compare(args) -> int:
     left, right = _load_trop(args.left), _load_trop(args.right)
-    try:
-        report = compare_tropicalizations(left, right)
-    except ValueError as e:  # the ambient ranks differ
-        raise DomainError(str(e))
+    report = compare_tropicalizations(left, right)
     _emit(jsonio.dumps(report.to_json()), args.out)
     return 0 if report.equal else 1
 
@@ -194,10 +179,7 @@ EXAMPLES = {
 
 def cmd_examples(args) -> int:
     outdir = args.out or "."
-    try:
-        os.makedirs(outdir, exist_ok=True)
-    except OSError as e:
-        raise InputError(f"cannot write {outdir}: {e}")
+    _decoded(f"cannot write {outdir}", os.makedirs, outdir, exist_ok=True)
     for name, payload in EXAMPLES[args.name](args.name):
         path = os.path.join(outdir, name)
         _write(path, jsonio.dumps(payload))
@@ -207,19 +189,12 @@ def cmd_examples(args) -> int:
 
 def cmd_render(args) -> int:
     # --extent is checked only: a figure is the same at every extent.
-    try:
-        extent = rational_from_input(args.extent)
-    except InputError:
-        extent = None
-    if extent is None or extent <= 0:
+    if _decoded("--extent", rational_from_input, args.extent) <= 0:
         raise InputError(f"--extent must be a positive rational, "
                          f"got {args.extent!r}")
     trop = _load_trop(args.trop)
-    try:
-        figure = render_svg(trop) if args.format == "svg" else render_ascii(trop)
-    except ValueError as e:
-        raise DomainError(str(e))
-    _emit(figure, args.out)
+    _emit(render_svg(trop) if args.format == "svg" else render_ascii(trop),
+          args.out)
     return 0
 
 

@@ -178,10 +178,8 @@ def extended_trop_sets(f: ValuedPolynomial
 
 def membership_set1(f: ValuedPolynomial, w: Sequence[ExtendedRational]) -> bool:
     """Membership of an extended weight in set (1) of the fundamental theorem."""
-    w = tuple(w)
+    w = f._check_weight(w)
     sigma = frozenset(i for i, x in enumerate(w) if x is INF)
-    if sigma and f.laurent:
-        raise ValueError("infinite weight entry on a Laurent polynomial")
     finite = tuple(x for x in w if x is not INF)
     return _orbit_complex(f, sigma).contains(finite)
 

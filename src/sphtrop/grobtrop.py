@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import fraction_rows
+from .linalg import DomainError, fraction_rows
 from .spherical import ColoredFan, SphericalDatum, validate_colored_fan
 from .troposphere import ExtendedTrop, Stratum, StratumKey, stratum_key
 
@@ -26,7 +26,7 @@ def grobner_tropicalize_embedding(datum: SphericalDatum, fan: ColoredFan
     """
     report = validate_colored_fan(datum, fan)
     if not report.ok:
-        raise ValueError(f"invalid colored fan: {report.failures}")
+        raise DomainError(f"invalid colored fan: {report.failures}")
 
     strata = {stratum_key(cc): Stratum.of(datum, cc) for cc in fan.cones}
 
@@ -73,8 +73,8 @@ def compare_tropicalizations(a: ExtendedTrop, b: ExtendedTrop
     loop runs over its keys in sorted order, so the report does not depend
     on string hashing."""
     if a.ambient_rank != b.ambient_rank:
-        raise ValueError(f"ambient ranks differ: {a.ambient_rank} on the "
-                         f"left, {b.ambient_rank} on the right")
+        raise DomainError(f"ambient ranks differ: {a.ambient_rank} on the "
+                          f"left, {b.ambient_rank} on the right")
     report = ComparisonReport()
     for key in sorted(a.strata.keys() - b.strata.keys()):
         report.mismatches.append(f"stratum only on the left: {_shown(key)}")

@@ -31,6 +31,12 @@ class InputError(ValueError):
     """Malformed input data, reported with a one-line message on load."""
 
 
+class DomainError(ValueError):
+    """Well-formed input that the mathematics refuses: an invalid colored fan
+    (either tropicalization) or cone (``colored_faces``), two tropicalizations
+    of different ambient ranks (``compare``), a figure of rank > 2."""
+
+
 # Largest rank, ambient dimension or variable count read from input.  The
 # double-description sweep starts from an identity matrix of that size, so
 # an unchecked rank of 10**9 would exhaust memory before any vector is read.

@@ -569,7 +569,7 @@ def _max_var_index(tokens: list[str]) -> int:
     return best
 
 
-def parse_weight(text: str, nvars: int | None = None) -> ExtendedWeight:
+def parse_weight(text: str, nvars: int) -> ExtendedWeight:
     """Parse a weight like "(-2,0)", "1/2,inf" into Fractions and INF."""
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
@@ -581,6 +581,6 @@ def parse_weight(text: str, nvars: int | None = None) -> ExtendedWeight:
             out.append(INF)
         else:
             out.append(rational_from_input(e))
-    if nvars is not None and len(out) != nvars:
+    if len(out) != nvars:
         raise ValueError("weight length mismatch")
     return tuple(out)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .linalg import IntVector, embed_from_chart, primitive
+from .linalg import DomainError, IntVector, embed_from_chart, primitive
 from .polyhedra import Cone
 from .troposphere import ExtendedTrop, Stratum
 
@@ -51,7 +51,7 @@ def _embedded_pieces(t: ExtendedTrop):
     plane directions, or the facet rows of a two-dimensional piece, which
     in rank <= 2 is full-dimensional with apex 0."""
     if t.ambient_rank > 2:
-        raise ValueError("rendering supports rank <= 2 only")
+        raise DomainError("rendering supports rank <= 2 only")
     pieces = []
     for key in sorted(t.strata):
         s = t.strata[key]

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .linalg import Vector, dot, fraction_rows, vec
+from .linalg import DomainError, Vector, dot, fraction_rows, vec
 from .polyhedra import CONE_CACHE_SIZE, Cone
 
 
@@ -199,7 +199,7 @@ def colored_faces(datum: SphericalDatum, cc: ColoredCone) -> list[ColoredCone]:
     """
     report = validate_colored_cone(datum, cc)
     if not report.ok:
-        raise ValueError(f"invalid colored cone: {report.failures}")
+        raise DomainError(f"invalid colored cone: {report.failures}")
     return list(_cone_record(datum, cc)[2])
 
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .linalg import (IntVector, Vector, chart_coordinates, dot, kernel_basis,
-                     project_to_chart, vec)
+from .linalg import (DomainError, IntVector, Vector, chart_coordinates, dot,
+                     kernel_basis, project_to_chart, vec)
 from .polyhedra import CONE_CACHE_SIZE, Cone, quotient_chart
 from .puiseux import INF, ExtendedRational
 from .spherical import (
@@ -133,7 +133,7 @@ def tropicalize_embedding(datum: SphericalDatum, fan: ColoredFan
     """
     report = validate_colored_fan(datum, fan)
     if not report.ok:
-        raise ValueError(f"invalid colored fan: {report.failures}")
+        raise DomainError(f"invalid colored fan: {report.failures}")
     strata: dict[StratumKey, Stratum] = {}
     face_of: dict[StratumKey, frozenset[StratumKey]] = {}
     for cc in fan.cones:
@@ -167,8 +167,10 @@ def evaluate_point(p: ExtendedPoint, u: Sequence) -> ExtendedRational:
 
 def limit_point(trop: ExtendedTrop, w: Sequence, tau: Cone) -> ExtendedPoint:
     """Limit of w + n*r (r interior to tau) in the tau-stratum."""
-    s = trop.stratum_of_face(tau)
-    return s.point(project_to_chart(s.chart, vec(w)))
+    s, w = trop.stratum_of_face(tau), vec(w)
+    if len(w) != trop.ambient_rank:
+        raise ValueError("dimension mismatch")
+    return s.point(project_to_chart(s.chart, w))
 
 
 def contains_point(trop: ExtendedTrop, p: ExtendedPoint) -> bool:

@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from sphtrop import cli
 from sphtrop.cli import build_parser, main
 from sphtrop.fundthm import MAX_COMPLEX_TERMS
+from sphtrop.linalg import InputError
 from sphtrop.polyhedra import MAX_SWEEP_RAYS
 from sphtrop.puiseux import MAX_COEFF_BITS, MAX_NESTING, MAX_TERM_PAIRS
 
@@ -103,6 +105,37 @@ def test_compare_of_different_ranks_is_a_domain_failure(corpus, capsys):
     assert rc == 1
     assert capsys.readouterr().err == (
         "error: ambient ranks differ: 1 on the left, 2 on the right\n")
+
+
+TROP_ARGV = ["trop", "--datum", "CORPUS/blowup-a4.datum.json",
+             "--fan", "CORPUS/blowup-a4.fan.json", "--mode"]
+RENDER_ARGV = ["render", "--trop", "CORPUS/blowup-a4.trop.json", "--format"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (TROP_ARGV + ["facewise"], "tropicalize_embedding"),
+    (TROP_ARGV + ["grobner"], "grobner_tropicalize_embedding"),
+    (TROP_ARGV + ["both"], "tropicalize_embedding"),
+    (TROP_ARGV + ["both"], "grobner_tropicalize_embedding"),
+    (TROP_ARGV + ["both"], "compare_tropicalizations"),
+    (RENDER_ARGV + ["ascii"], "render_ascii"),
+    (RENDER_ARGV + ["svg"], "render_svg"),
+    (["compare", "CORPUS/blowup-a4.trop.json", "CORPUS/table2.A4.trop.json"],
+     "compare_tropicalizations"),
+], ids=["trop-facewise", "trop-grobner", "trop-both-facewise",
+        "trop-both-grobner", "trop-both-compare", "render-ascii",
+        "render-svg", "compare"])
+def test_an_input_error_after_loading_exits_2(corpus, capsys, monkeypatch,
+                                              argv, name):
+    """The exit code follows the error's type, not the call it came from:
+    an ``InputError`` from the library call after the files load (the sweep
+    bound is one) is bad input, exit 2 with its one line."""
+    def refuse(*args):
+        raise InputError("past a bound")
+
+    monkeypatch.setattr(cli, name, refuse)
+    assert main([a.replace("CORPUS", str(corpus)) for a in argv]) == 2
+    assert capsys.readouterr() == ("", "error: past a bound\n")
 
 
 def compare_with_edited(corpus, capsys, tmp_path, edit):
@@ -321,6 +354,19 @@ def test_render_bad_extent_exits_2(corpus, capsys, extent):
     rc = main(["render", "--trop", str(corpus / "blowup-a4.trop.json"),
                "--format", "ascii", f"--extent={extent}"])
     assert rc == 2 and one_line_error(capsys)
+
+
+@pytest.mark.parametrize("extent, err", [
+    ("abc", "error: --extent: expected an exact rational such as 3, "
+            "\"-1/2\" or \"0.25\" (no floats, no exponents), got 'abc'\n"),
+    ("-1", "error: --extent must be a positive rational, got '-1'\n"),
+], ids=["unparsable", "not-positive"])
+def test_a_bad_extent_names_the_flag(corpus, capsys, extent, err):
+    """An extent that is not a rational is reported under the flag's name,
+    as every input is under its own; one that is not positive says so."""
+    assert main(["render", "--trop", str(corpus / "blowup-a4.trop.json"),
+                 f"--extent={extent}"]) == 2
+    assert capsys.readouterr() == ("", err)
 
 
 def test_fan_color_missing_from_palette_exits_2(corpus, capsys, tmp_path):

@@ -584,6 +584,22 @@ def test_property_every_built_complex_has_term_rows(f):
     assert all(cx.terms for cx in extended_trop_sets(f).values())
 
 
+@pytest.mark.parametrize("membership", [membership_set1, membership_set2])
+@pytest.mark.parametrize("f, w, message", [
+    (LINE, (F(0),), "weight length mismatch"),
+    (LINE, (F(0),) * 3, "weight length mismatch"),
+    (LINE, (F(0), F(0), INF), "weight length mismatch"),
+    (ValuedPolynomial.parse("x1 + x2 + 1"), (INF, F(0)),
+     "infinite weight entry on a Laurent polynomial"),
+], ids=["short", "long", "infinite-past-nvars", "infinite-on-laurent"])
+def test_both_sets_refuse_a_malformed_weight_with_one_message(membership, f,
+                                                              w, message):
+    """Set (1) checks a weight by the polynomial's own rule, the one that set
+    (2) reaches through ``initial_form``."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        membership(f, w)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: TropicalComplex.whole_space(2).contains((F(0),)),
      "dimension mismatch"),

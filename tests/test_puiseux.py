@@ -137,13 +137,13 @@ class TestParsing:
             ValuedPolynomial.parse("x1^-1", laurent=False)
 
     def test_parse_weight(self):
-        assert parse_weight("(-2,0)") == (F(-2), F(0))
-        assert parse_weight("1/2, inf") == (F(1, 2), INF)
-        assert parse_weight("inf")[0] is INF
+        assert parse_weight("(-2,0)", 2) == (F(-2), F(0))
+        assert parse_weight("1/2, inf", 2) == (F(1, 2), INF)
+        assert parse_weight("inf", 1)[0] is INF
         with pytest.raises(ValueError):
             parse_weight("1,2", nvars=3)
         with pytest.raises(InputError, match="exact rational"):
-            parse_weight("1_0")
+            parse_weight("1_0", 1)
 
 
 # -- oracles: the per-term Fraction sums the term-weight helper replaced ----

@@ -8,8 +8,12 @@ from hypothesis import strategies as st
 
 from sphtrop import troposphere
 from sphtrop.examples import all_fans, blowup_a4, table2_datum, table2_fans
+from sphtrop.grobtrop import (compare_tropicalizations,
+                              grobner_tropicalize_embedding)
+from sphtrop.linalg import DomainError, InputError
 from sphtrop.polyhedra import CONE_CACHE_SIZE, Cone, quotient_chart
 from sphtrop.puiseux import INF
+from sphtrop.render import render_ascii, render_svg
 from sphtrop.spherical import (Color, ColoredCone, ColoredFan,
                                SphericalDatum, colored_faces,
                                relint_meets_valuation_cone,
@@ -409,8 +413,47 @@ def stranger(t):
      lambda t: t.stratum_of_face(Cone.from_generators([(1, -1)], 2))),
     (KeyError, "unknown stratum",
      lambda t: contains_point(t, stranger(t).point((0,)))),
-], ids=["point-length", "no-such-face", "contains-unknown-stratum"])
+    # A full-dimensional face has an empty chart, which reads no entry of w.
+    (ValueError, "dimension mismatch", lambda t: limit_point(
+        t, (3,), Cone.from_generators([(1, 0), (1, 1)], 2))),
+    (ValueError, "dimension mismatch", lambda t: limit_point(
+        t, (3, 1, 4), Cone.from_generators([(1, 0), (1, 1)], 2))),
+], ids=["point-length", "no-such-face", "contains-unknown-stratum",
+        "limit-point-short-weight", "limit-point-long-weight"])
 def test_a_refused_input_raises_its_message(error, message, call):
     _, t = bl0a4_trop()
     with pytest.raises(error, match=message):
         call(t)
+
+
+# The relative interior of the ray through (-1, 0) misses the valuation cone
+# x >= y of table 2's datum: it is not a colored cone, nor a fan of it a
+# colored fan.
+NOT_A_COLORED_CONE = ColoredCone(Cone.from_generators([(-1, 0)], 2))
+
+
+def rank3_trop():
+    return tropicalize_embedding(SphericalDatum(3, Cone.full_space(3), ()),
+                                 ColoredFan((ColoredCone(Cone.zero(3)),)))
+
+
+@pytest.mark.parametrize("message, call", [
+    ("invalid colored fan", lambda: tropicalize_embedding(
+        table2_datum(), ColoredFan((NOT_A_COLORED_CONE,)))),
+    ("invalid colored fan", lambda: grobner_tropicalize_embedding(
+        table2_datum(), ColoredFan((NOT_A_COLORED_CONE,)))),
+    ("ambient ranks differ", lambda: compare_tropicalizations(
+        bl0a4_trop()[1], rank3_trop())),
+    ("invalid colored cone",
+     lambda: colored_faces(table2_datum(), NOT_A_COLORED_CONE)),
+    ("rendering supports rank <= 2 only", lambda: render_ascii(rank3_trop())),
+    ("rendering supports rank <= 2 only", lambda: render_svg(rank3_trop())),
+], ids=["facewise-invalid-fan", "grobner-invalid-fan", "compare-ranks-differ",
+        "colored-faces-invalid-cone", "ascii-rank-3", "svg-rank-3"])
+def test_a_refused_mathematical_input_raises_domain_error(message, call):
+    """Well-formed input that the mathematics refuses raises ``DomainError``,
+    a ``ValueError`` that is not an ``InputError``: the CLI exits 1 on it."""
+    with pytest.raises(DomainError, match=message) as info:
+        call()
+    assert isinstance(info.value, ValueError)
+    assert not isinstance(info.value, InputError)

@@ -17,9 +17,10 @@ statements (docstrings).  Only the outermost unexecuted statement of a
 block is listed.
 
 Needs nothing beyond the standard library and the tier-1 test
-dependencies.  The traced run takes several minutes, and ``hypothesis``
-may draw other examples on another run, so this is a tool to run by hand,
-not part of tier-1.  Exits 1 when it lists any statement, else 0.
+dependencies.  The traced run takes several minutes, so it is not part of
+tier-1; CI runs it on one leg with ``--hypothesis-seed=0``, which fixes
+the examples ``hypothesis`` draws, the one thing that could change from
+run to run.  Exits 1 when it lists any statement, else 0.
 """
 
 from __future__ import annotations
