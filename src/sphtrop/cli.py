@@ -33,19 +33,16 @@ from .troposphere import tropicalize_embedding
 
 
 def _read(path: str) -> str:
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except (OSError, UnicodeError) as e:
-        raise InputError(f"cannot read {path}: {e}")
+    return _decoded(f"cannot read {path}", _file, path, "r")
 
 
 def _write(path: str, text: str):
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as e:
-        raise InputError(f"cannot write {path}: {e}")
+    _decoded(f"cannot write {path}", _file, path, "w", text)
+
+
+def _file(path: str, mode: str, text: str | None = None):
+    with open(path, mode) as fh:
+        return fh.read() if text is None else fh.write(text)
 
 
 def _decoded(what: str, build, *args, **kwargs):

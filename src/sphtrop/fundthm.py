@@ -8,13 +8,14 @@ those the initial ideal is generated by the initial form of f.
 
 Both sides run on integers.  A cell row is one primitive ``int`` tuple
 (c, r) read off ``ValuedPolynomial.weight_forms``; this module scales no
-valuation.  ``TropicalComplex.contains`` clears w once to W / den.  Every
-built complex has term rows (U, V), the whole space two zero rows: w is in
-it when the least ``dot`` of a row with (W, den) is attained twice.  Only a
+valuation.  ``TropicalComplex.contains`` clears w once to W / den.  An
+orbit's set is ``trop_hypersurface`` of f's restriction there, with term
+rows (U, V), the zero polynomial's whole space two zero rows: w is in it
+when the least ``dot`` of a row with (W, den) is attained twice.  Only a
 loaded or hand-built one tests each cell row h by ``dot`` (length checked):
 h . (W, -den) is 0 for an equation, >= 0 else.  Reports print ``str``s.
 
-A complex depends only on the number of variables and the tropical
+A nonzero complex depends only on the number of variables and the tropical
 polynomial, the ``int`` pairs (dv u, dv v(a)) of the terms: residues do
 not enter it.  Each is built once and kept in an LRU cache of at most
 ``COMPLEX_CACHE_SIZE`` complexes, shared by a polynomial's orbits, samples
@@ -61,10 +62,6 @@ class TropicalComplex:
     cells: tuple[Cell, ...]
     terms: tuple[IntVector, ...] = field(default=(), compare=False)
 
-    @classmethod
-    def whole_space(cls, dim: int) -> "TropicalComplex":
-        return cls(dim, (Cell((), ()),), ((0,) * (dim + 1),) * 2)
-
     def contains(self, w: Sequence[Fraction]) -> bool:
         W, den = clear_denominators(w)
         if len(W) != self.ambient_dim:
@@ -83,9 +80,11 @@ def trop_hypersurface(f: ValuedPolynomial) -> TropicalComplex:
     """The locus where the minimum of v(a_u) + u.w is attained at least twice.
 
     One cell per pair of terms achieving a common minimum; empty cells are
-    pruned by exact feasibility, one double-description sweep in all.
+    pruned by exact feasibility, one double-description sweep in all.  The
+    zero polynomial vanishes everywhere, so its complex, not memoised, is the
+    whole space: one cell without rows, and two zero term rows.
 
-    Memoised on ``f.nvars`` and the pairs (dv u, dv v(a)) of
+    Otherwise memoised on ``f.nvars`` and the pairs (dv u, dv v(a)) of
     ``f.weight_forms``, all that the complex depends on: dv is left out,
     since scaling every (u, v(a)) by one positive factor moves no cell.  So
     polynomials that differ in their residues, or by such a factor
@@ -93,7 +92,8 @@ def trop_hypersurface(f: ValuedPolynomial) -> TropicalComplex:
     ``COMPLEX_CACHE_SIZE`` are kept.
     """
     if f.is_zero():
-        raise ValueError("tropical hypersurface of the zero polynomial")
+        return TropicalComplex(f.nvars, (Cell((), ()),),
+                               ((0,) * (f.nvars + 1),) * 2)
     if len(f.terms) > MAX_COMPLEX_TERMS:
         raise InputError(f"expected at most {MAX_COMPLEX_TERMS} terms in a "
                          f"tropical hypersurface, got {len(f.terms)}")
@@ -150,21 +150,6 @@ def membership_set2(f: ValuedPolynomial, w: Sequence[ExtendedRational]) -> bool:
     return not form.is_monomial()
 
 
-def _orbit_complex(f: ValuedPolynomial, sigma: frozenset[int]
-                   ) -> TropicalComplex:
-    """The tropical set of f on the orbit where the sigma coordinates vanish.
-
-    The empty sigma is the torus, where f is its own restriction.  A zero
-    restriction means the hypersurface contains the whole orbit, so the
-    full stratum is returned; a monomial has no pair of terms, so
-    ``trop_hypersurface`` gives it the complex with no cells.
-    """
-    g = f.restrict_to_orbit(sigma) if sigma else f
-    if g.is_zero():
-        return TropicalComplex.whole_space(g.nvars)
-    return trop_hypersurface(g)
-
-
 def extended_trop_sets(f: ValuedPolynomial
                        ) -> dict[frozenset[int], TropicalComplex]:
     """Per-orbit tropical sets of the extended theorem (0-based orbit indices)."""
@@ -173,7 +158,8 @@ def extended_trop_sets(f: ValuedPolynomial
     m = f.nvars
     sigmas = (frozenset(i for i in range(m) if mask >> i & 1)
               for mask in range(1 << m))
-    return {sigma: _orbit_complex(f, sigma) for sigma in sigmas}
+    return {sigma: trop_hypersurface(f.restrict_to_orbit(sigma))
+            for sigma in sigmas}
 
 
 def membership_set1(f: ValuedPolynomial, w: Sequence[ExtendedRational]) -> bool:
@@ -181,7 +167,7 @@ def membership_set1(f: ValuedPolynomial, w: Sequence[ExtendedRational]) -> bool:
     w = f._check_weight(w)
     sigma = frozenset(i for i, x in enumerate(w) if x is INF)
     finite = tuple(x for x in w if x is not INF)
-    return _orbit_complex(f, sigma).contains(finite)
+    return trop_hypersurface(f.restrict_to_orbit(sigma)).contains(finite)
 
 
 @dataclass(frozen=True)
@@ -252,10 +238,10 @@ def check_equivalence(f: ValuedPolynomial,
                       ) -> EquivalenceReport:
     """Cross-check fundamental-theorem sets on samples and witness points.
 
-    Samples go through ``membership_set1``, which restricts f to the orbit
-    of their infinite entries; witnesses are tested against the set of f on
-    the torus, ``_orbit_complex(f, frozenset())``, the complex that
-    ``trop_hypersurface`` builds once and then returns from its cache.
+    Samples and the valuations of witnesses alike go through
+    ``membership_set1``, which restricts f to the orbit of a weight's
+    infinite entries; a witness's valuations are finite, so its orbit is the
+    torus.
     """
     report = EquivalenceReport()
     for w in samples:
@@ -267,7 +253,6 @@ def check_equivalence(f: ValuedPolynomial,
         value = f.evaluate(p.coordinates)
         vv = p.valuations()
         report.witnesses.append(WitnessVerdict(
-            valuations=vv,
-            residual_zero=not value,
-            in_complex=_orbit_complex(f, frozenset()).contains(vv)))
+            valuations=vv, residual_zero=not value,
+            in_complex=membership_set1(f, vv)))
     return report

@@ -36,6 +36,7 @@ from .linalg import (
     InputError,
     clear_denominators,
     rational_from_input,
+    vec,
 )
 
 
@@ -85,8 +86,8 @@ class PuiseuxScalar:
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple] ) -> "PuiseuxScalar":
-        return cls(tuple(sorted(_collect(
-            (Fraction(e), Fraction(c)) for e, c in terms).items())))
+        """The sum of the terms c t^e, each pair (e, c) read by ``vec``."""
+        return cls(tuple(sorted(_collect(map(vec, terms)).items())))
 
     @classmethod
     def zero(cls) -> "PuiseuxScalar":
@@ -94,11 +95,11 @@ class PuiseuxScalar:
 
     @classmethod
     def rational(cls, q) -> "PuiseuxScalar":
-        return cls.from_terms([(Fraction(0), Fraction(q))])
+        return cls.from_terms([(0, q)])
 
     @classmethod
     def t_power(cls, exponent, coeff=1) -> "PuiseuxScalar":
-        return cls.from_terms([(Fraction(exponent), Fraction(coeff))])
+        return cls.from_terms([(exponent, coeff)])
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -349,11 +350,14 @@ class ValuedPolynomial:
         """Drop terms with positive exponent on sigma (0-based) and reindex.
 
         Models restriction to the torus orbit where the sigma coordinates
-        vanish; only defined in ordinary mode.
+        vanish.  The empty sigma is the torus, an orbit in either mode, where
+        the polynomial is its own restriction; any other needs ordinary mode.
         """
+        sigma = frozenset(sigma)
+        if not sigma:
+            return self
         if self.laurent:
             raise ValueError("orbit restriction requires ordinary mode")
-        sigma = frozenset(sigma)
         if any(type(i) is not int or not 0 <= i < self.nvars for i in sigma):
             raise ValueError(f"orbit index out of range: expected ints in "
                              f"range({self.nvars}), got {set(sigma)!r}")

@@ -26,7 +26,6 @@ from __future__ import annotations
 from math import lcm
 
 from .linalg import DomainError, IntVector, embed_from_chart, primitive
-from .polyhedra import Cone
 from .troposphere import ExtendedTrop, Stratum
 
 # Half-width of the frame both figures draw in, and the number of ASCII
@@ -49,16 +48,16 @@ def _anchor(s: Stratum) -> tuple[IntVector, int]:
 def _embedded_pieces(t: ExtendedTrop):
     """Per stratum: (dim, anchor (A, den), rows, labels), the rows the int
     plane directions, or the facet rows of a two-dimensional piece, which
-    in rank <= 2 is full-dimensional with apex 0."""
+    in rank <= 2 is full-dimensional with apex 0: its face is {0}, whose
+    chart is the identity, so they are its image's own."""
     if t.ambient_rank > 2:
         raise DomainError("rendering supports rank <= 2 only")
     pieces = []
     for key in sorted(t.strata):
         s = t.strata[key]
         img = s.valuation_cone_image
-        rows = [_pad2(embed_from_chart(s.chart, g)) for g in img.generators]
-        if img.dim() == 2:
-            rows = Cone.from_generators(rows, 2).inequalities
+        rows = (img.inequalities if img.dim() == 2 else
+                [_pad2(embed_from_chart(s.chart, g)) for g in img.generators])
         pieces.append((img.dim(), _anchor(s), rows, sorted(s.labels)))
     return pieces
 

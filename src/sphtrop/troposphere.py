@@ -4,10 +4,10 @@ The tropicalization of an embedding with colored fan Sigma is the disjoint
 union, over all colored faces tau, of the image V_tau of the valuation cone
 in the quotient N_Q / span(tau).  A valid fan is closed under colored faces,
 so each member's own colored faces give its strata and the faces below it;
-equal colored faces of several members are glued into one stratum.  Points
-of a stratum are stored in a canonical chart on tau-perp, and evaluation
-against lattice functionals recovers the extended (rational or infinite)
-semigroup homomorphism.
+equal colored faces of several members are glued into one stratum.  An
+``ExtendedPoint`` of a stratum is its exact value (``vec``) in a canonical
+chart on tau-perp, and evaluation against lattice functionals recovers the
+extended (rational or infinite) semigroup homomorphism.
 
 ``Stratum.of`` is the one builder of V_tau: it fixes the chart of a face and
 projects the valuation cone into it by one integer ``rref``
@@ -81,9 +81,6 @@ class Stratum:
     def quotient_dim(self) -> int:
         return len(self.chart)
 
-    def point(self, value: Sequence) -> "ExtendedPoint":
-        return ExtendedPoint(self, vec(value))
-
 
 @lru_cache(maxsize=CONE_CACHE_SIZE)
 def _quotient_image(valuation_cone: Cone, equations: tuple[IntVector, ...]
@@ -104,6 +101,7 @@ class ExtendedPoint:
     value: Vector
 
     def __post_init__(self):
+        object.__setattr__(self, "value", vec(self.value))
         if len(self.value) != self.stratum.quotient_dim:
             raise ValueError("point dimension does not match the stratum chart")
 
@@ -170,7 +168,7 @@ def limit_point(trop: ExtendedTrop, w: Sequence, tau: Cone) -> ExtendedPoint:
     s, w = trop.stratum_of_face(tau), vec(w)
     if len(w) != trop.ambient_rank:
         raise ValueError("dimension mismatch")
-    return s.point(project_to_chart(s.chart, w))
+    return ExtendedPoint(s, project_to_chart(s.chart, w))
 
 
 def contains_point(trop: ExtendedTrop, p: ExtendedPoint) -> bool:

@@ -260,6 +260,18 @@ def test_ftt_zero_polynomial_is_in_set_1_on_the_torus(capsys):
         {"valuations": ["1"], "residual_zero": True, "in_complex": True}]
 
 
+@pytest.mark.parametrize("mode", [[], ["--ordinary"]],
+                         ids=["laurent", "ordinary"])
+def test_hypersurface_of_the_zero_polynomial_is_the_whole_space(capsys, mode):
+    """The zero polynomial vanishes everywhere, so its set is one cell
+    without rows, in the one variable that the text names."""
+    rc, out = run(capsys, "poly", "hypersurface", "--poly", "x1 - x1", *mode)
+    assert rc == 0
+    assert json.loads(out) == {
+        "ambient_dim": 1,
+        "cells": [{"equalities": [], "inequalities": []}]}
+
+
 def test_examples_unknown_name(capsys):
     with pytest.raises(SystemExit):
         main(["examples", "nope"])

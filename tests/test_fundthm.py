@@ -72,11 +72,30 @@ def test_a_single_term_takes_no_feasibility_sweep(monkeypatch):
     assert len(trop_hypersurface(LINE).cells) == 3 and len(calls) == 1
 
 
-def test_zero_polynomial_rejected():
-    # on every call: the memo behind trop_hypersurface caches no exception
-    for _ in range(3):
-        with pytest.raises(ValueError):
-            trop_hypersurface(ValuedPolynomial.zero(2, laurent=False))
+@pytest.mark.parametrize("laurent", [True, False], ids=["laurent", "ordinary"])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_the_zero_polynomial_has_the_whole_space(m, laurent):
+    """The zero polynomial vanishes everywhere: its set is one cell without
+    rows, and it holds every weight of the grid {-1, 0, 1}^m."""
+    cx = trop_hypersurface(ValuedPolynomial.zero(m, laurent))
+    assert cx.ambient_dim == m and cx.cells == (Cell((), ()),)
+    assert all(cx.contains(w) for w in itertools.product(
+        (F(-1), F(0), F(1)), repeat=m))
+
+
+@pytest.mark.parametrize("text, sigma", [
+    ("x1*x2", {0}), ("x1*x2", {1}), ("x1*x2", {0, 1}),
+    ("t*x1 + x1*x2^2", {0}), ("x3 + x1*x3", {2}),
+])
+def test_a_zero_restriction_has_the_set_of_the_zero_polynomial(text, sigma):
+    """f vanishes on the orbit of sigma, so its set there is the complex
+    that ``trop_hypersurface`` gives the zero polynomial in the orbit's
+    coordinates."""
+    f = ValuedPolynomial.parse(text, laurent=False)
+    cx = extended_trop_sets(f)[frozenset(sigma)]
+    assert cx == trop_hypersurface(ValuedPolynomial.zero(f.nvars - len(sigma),
+                                                         laurent=False))
+    assert cx.terms == ((0,) * (f.nvars - len(sigma) + 1),) * 2
 
 
 def test_e3_memberships():
@@ -309,7 +328,7 @@ def test_a_hypersurface_weight_takes_one_dot_per_term(monkeypatch):
                 cx.contains(w)
                 assert len(calls) == n
         calls.clear()
-        assert TropicalComplex.whole_space(m).contains(grid[0])
+        assert trop_hypersurface(ValuedPolynomial.zero(m)).contains(grid[0])
         assert len(calls) == 2
 
 
@@ -373,7 +392,7 @@ def test_property_one_sweep_gives_the_per_pair_cells(f):
     region under the graph of the tropical polynomial holds the cells of one
     test per pair, in the same order."""
     for sigma, cx in extended_trop_sets(f).items():
-        g = f.restrict_to_orbit(sigma) if sigma else f
+        g = f.restrict_to_orbit(sigma)
         if not g.is_zero():
             assert cx.cells == per_pair_complex_of(
                 g.nvars, g.weight_forms[0]).cells
@@ -555,7 +574,7 @@ def test_an_exponent_of_the_wrong_length_raises(call, terms):
 @pytest.mark.parametrize("cx", [
     TropicalComplex(2, (Cell((), ()),)),
     TropicalComplex(2, (Cell(((1, -1, 0),), ((1, 0, 0),)),)),
-    TropicalComplex.whole_space(2),
+    trop_hypersurface(ValuedPolynomial.zero(2)),
 ], ids=["rowless", "with-rows", "whole-space"])
 @pytest.mark.parametrize("w", [(F(1),), (F(1), F(2), F(3))],
                          ids=["short", "long"])
@@ -572,7 +591,7 @@ def test_cell_contains_refuses_a_weight_of_the_wrong_length(cx, w):
 def test_property_the_whole_space_holds_every_exact_weight(case):
     """Its two zero term rows tie at every weight, in dimensions 0-4."""
     m, w = case
-    assert TropicalComplex.whole_space(m).contains(w)
+    assert trop_hypersurface(ValuedPolynomial.zero(m)).contains(w)
 
 
 @settings(max_examples=100, deadline=None)
@@ -601,7 +620,7 @@ def test_both_sets_refuse_a_malformed_weight_with_one_message(membership, f,
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: TropicalComplex.whole_space(2).contains((F(0),)),
+    (lambda: trop_hypersurface(ValuedPolynomial.zero(2)).contains((F(0),)),
      "dimension mismatch"),
     (lambda: extended_trop_sets(ValuedPolynomial.parse("x1 + 1")),
      "extended sets require ordinary mode"),
@@ -614,7 +633,7 @@ def test_a_refused_input_raises_its_message(call, message):
 @pytest.mark.parametrize("call", [
     lambda w: trop_hypersurface(LINE).contains(w),
     lambda w: TropicalComplex(2, trop_hypersurface(LINE).cells[:1]).contains(w),
-    lambda w: TropicalComplex.whole_space(2).contains(w),
+    lambda w: trop_hypersurface(ValuedPolynomial.zero(2)).contains(w),
     lambda w: membership_set1(LINE, w),
     lambda w: LINE.trop_eval(w),
     lambda w: LINE.initial_form(w),

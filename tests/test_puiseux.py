@@ -103,8 +103,19 @@ class TestOrbitRestriction:
 
     def test_laurent_cannot_restrict(self):
         f = ValuedPolynomial.parse("x1^-1 + x2")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^orbit restriction requires ordinary mode$"):
             f.restrict_to_orbit({0})
+
+    @pytest.mark.parametrize("laurent", [True, False],
+                             ids=["laurent", "ordinary"])
+    @pytest.mark.parametrize("sigma", [(), set(), frozenset()])
+    def test_the_torus_restriction_is_the_polynomial_itself(self, laurent,
+                                                            sigma):
+        """The torus is an orbit in either mode, where f is its own
+        restriction: the object itself, with its integer form."""
+        f = ValuedPolynomial.parse("x1 + t*x2 + 1", laurent=laurent)
+        assert f.restrict_to_orbit(sigma) is f
 
 
 class TestEvaluate:
@@ -624,3 +635,24 @@ def test_an_orbit_index_that_is_not_an_int_in_range_is_refused(sigma):
     ``ValueError`` as an index out of range, not a ``TypeError``."""
     with pytest.raises(ValueError, match="orbit index out of range"):
         LINE.restrict_to_orbit(sigma)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: PuiseuxScalar.rational(x),
+    lambda x: PuiseuxScalar.t_power(x),
+    lambda x: PuiseuxScalar.t_power(F(1, 2), x),
+    lambda x: PuiseuxScalar.from_terms([(x, 3)]),
+    lambda x: PuiseuxScalar.from_terms([(1, x)]),
+], ids=["rational", "t_power-exponent", "t_power-coeff",
+        "from_terms-exponent", "from_terms-coeff"])
+@pytest.mark.parametrize("x", [F(1, 2), 0.1, "1/2", True],
+                         ids=["exact", "float", "str", "bool"])
+def test_a_scalar_entry_must_be_exact(call, x):
+    """A float is not read as the rational of its binary value, a string is
+    not parsed and a bool is not read as 1: every constructor of a scalar
+    takes ``int`` and ``Fraction`` entries only."""
+    if type(x) is F:
+        assert call(x)
+    else:
+        with pytest.raises(ValueError, match="expected exact rationals"):
+            call(x)

@@ -19,9 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphtrop import render
+from sphtrop.examples import all_fans, blowup_a4
 from sphtrop.linalg import Vector, dot, embed_from_chart, primitive, vec
 from sphtrop.polyhedra import Cone
-from sphtrop.spherical import Color, ColoredCone, ColoredFan, SphericalDatum
+from sphtrop.spherical import (Color, ColoredCone, ColoredFan, SphericalDatum,
+                               validate_colored_fan)
 from sphtrop.troposphere import ExtendedTrop, Stratum, tropicalize_embedding
 from test_linalg import vadd, vscale
 
@@ -266,6 +268,45 @@ def tropicalizations(draw, bounds=(2, 40)):
 
 
 EXTENTS = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**3))
+
+
+# -- the facets of a two-dimensional piece: its image's own ------------------
+
+
+def former_facets(s: Stratum):
+    """The facet rows that ``render._embedded_pieces`` once rebuilt from the
+    embedded generators of a two-dimensional piece, kept as the oracle."""
+    rows = [render._pad2(embed_from_chart(s.chart, g))
+            for g in s.valuation_cone_image.generators]
+    return Cone.from_generators(rows, 2).inequalities
+
+
+def assert_facets_are_the_former_ones(t: ExtendedTrop) -> int:
+    """The number of two-dimensional pieces, each checked."""
+    pieces = [(piece, t.strata[key]) for piece, key
+              in zip(render._embedded_pieces(t), sorted(t.strata))
+              if piece[0] == 2]
+    for (_, _, rows, _), s in pieces:
+        assert rows == former_facets(s)
+    return len(pieces)
+
+
+def test_corpus_facets_are_the_former_ones():
+    checked = 0
+    for _, datum, fan, _ in [*all_fans(), ("blowup-a4", *blowup_a4(), None)]:
+        if datum.rank <= 2 and validate_colored_fan(datum, fan).ok:
+            checked += assert_facets_are_the_former_ones(
+                tropicalize_embedding(datum, fan))
+    assert checked
+
+
+@settings(max_examples=150, deadline=None)
+@given(tropicalizations())
+def test_property_facets_are_the_former_ones(t):
+    """A two-dimensional piece lies over the face {0}, whose chart is the
+    identity, so its image's facets are the rows rebuilt from its embedded
+    generators."""
+    assert_facets_are_the_former_ones(t)
 
 
 # -- the shaded polygon: box ∩ cone, from every pair of lines ----------------

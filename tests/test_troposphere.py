@@ -19,6 +19,7 @@ from sphtrop.spherical import (Color, ColoredCone, ColoredFan,
                                relint_meets_valuation_cone,
                                validate_colored_fan)
 from sphtrop.troposphere import (
+    ExtendedPoint,
     ExtendedTrop,
     Stratum,
     StratumKey,
@@ -83,11 +84,11 @@ def test_evaluate_point():
 
 @pytest.mark.parametrize("call", [
     lambda t, x: Color("D", (x, 0)),
-    lambda t, x: t.stratum_of_face(
-        Cone.from_generators([(1, 1)], 2)).point((x,)),
+    lambda t, x: ExtendedPoint(t.stratum_of_face(
+        Cone.from_generators([(1, 1)], 2)), (x,)),
     lambda t, x: evaluate_point(limit_point(t, (3, 1), Cone.zero(2)), (x, 0)),
     lambda t, x: limit_point(t, (x, 1), Cone.from_generators([(1, 1)], 2)),
-], ids=["Color", "Stratum.point", "evaluate_point", "limit_point"])
+], ids=["Color", "ExtendedPoint", "evaluate_point", "limit_point"])
 @pytest.mark.parametrize("x", [F(1, 2), 0.5, "1/2", True],
                          ids=["exact", "float", "str", "bool"])
 def test_a_vector_entry_must_be_exact(call, x):
@@ -129,12 +130,12 @@ def test_evaluate_point_at_zero_on_a_full_dimensional_face():
 def test_contains_point():
     _, t = bl0a4_trop()
     open_s = t.stratum_of_face(Cone.zero(2))
-    assert contains_point(t, open_s.point((5, 1)))
-    assert not contains_point(t, open_s.point((0, 1)))
+    assert contains_point(t, ExtendedPoint(open_s, (5, 1)))
+    assert not contains_point(t, ExtendedPoint(open_s, (0, 1)))
     ray_s = t.stratum_of_face(Cone.from_generators([(1, 1)], 2))
     good = ray_s.valuation_cone_image.relint_point()
-    assert contains_point(t, ray_s.point(good))
-    assert not contains_point(t, ray_s.point(vscale(F(-1), good)))
+    assert contains_point(t, ExtendedPoint(ray_s, good))
+    assert not contains_point(t, ExtendedPoint(ray_s, vscale(F(-1), good)))
 
 
 def test_convergence_to_limit_point():
@@ -408,11 +409,11 @@ def stranger(t):
 
 @pytest.mark.parametrize("error, message, call", [
     (ValueError, "point dimension does not match the stratum chart",
-     lambda t: open_stratum(t).point((1,))),
+     lambda t: ExtendedPoint(open_stratum(t), (1,))),
     (KeyError, "no stratum with the given face",
      lambda t: t.stratum_of_face(Cone.from_generators([(1, -1)], 2))),
     (KeyError, "unknown stratum",
-     lambda t: contains_point(t, stranger(t).point((0,)))),
+     lambda t: contains_point(t, ExtendedPoint(stranger(t), (0,)))),
     # A full-dimensional face has an empty chart, which reads no entry of w.
     (ValueError, "dimension mismatch", lambda t: limit_point(
         t, (3,), Cone.from_generators([(1, 0), (1, 1)], 2))),
