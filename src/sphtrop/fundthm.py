@@ -177,6 +177,8 @@ class WitnessPoint:
     coordinates: tuple[PuiseuxScalar, ...]
 
     def __post_init__(self):
+        if any(not isinstance(c, PuiseuxScalar) for c in self.coordinates):
+            raise ValueError("witness coordinates must be Puiseux scalars")
         if any(not c for c in self.coordinates):
             raise ValueError("witness coordinates must be nonzero")
 

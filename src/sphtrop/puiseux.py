@@ -74,6 +74,15 @@ ExtendedRational = Fraction | _Infinity
 ExtendedWeight = tuple[ExtendedRational, ...]
 
 
+# Most term pairs of one scalar product (where (1 + t)^n has n + 1 terms),
+# or of all the products of one parse.
+MAX_TERM_PAIRS = 2 ** 16
+# Most bits (numerator plus denominator) that the largest coefficients of
+# the two factors of a scalar product may have together: 2^n has one term
+# but n + 1 bits, so a power of a constant is unbounded work too.
+MAX_COEFF_BITS = 2 ** 16
+
+
 @dataclass(frozen=True)
 class PuiseuxScalar:
     """A finite sum of rational powers of t with rational coefficients.
@@ -114,21 +123,36 @@ class PuiseuxScalar:
         return self + (-other)
 
     def __mul__(self, other: "PuiseuxScalar") -> "PuiseuxScalar":
+        """The product; ``InputError`` past ``MAX_TERM_PAIRS`` term pairs or
+        ``MAX_COEFF_BITS`` coefficient bits, checked in that order."""
+        m, n = len(self.terms), len(other.terms)
+        if m * n > MAX_TERM_PAIRS:
+            raise InputError(
+                f"a product of Puiseux scalars with {m} x {n} terms "
+                f"exceeds the bound of {MAX_TERM_PAIRS} term pairs")
+        bits = sum(max((c.numerator.bit_length() + c.denominator.bit_length()
+                        for _, c in s.terms), default=0)
+                   for s in (self, other))
+        if bits > MAX_COEFF_BITS:
+            raise InputError(
+                f"a product of Puiseux scalars whose largest coefficients "
+                f"have {bits} bits together exceeds the bound of "
+                f"{MAX_COEFF_BITS} bits")
         return PuiseuxScalar.from_terms(
             (e1 + e2, c1 * c2)
             for e1, c1 in self.terms for e2, c2 in other.terms)
 
     def __pow__(self, n: int) -> "PuiseuxScalar":
-        """Repeated squaring; each product is bounded by ``MAX_TERM_PAIRS``."""
+        """Repeated squaring, each product a bounded ``*``."""
         if n < 0:
             raise ValueError("negative powers of Puiseux scalars are not finite-support")
         out, base = PuiseuxScalar.rational(1), self
         while n:
             if n & 1:
-                out = _bounded_product(out, base)
+                out = out * base
             n >>= 1
             if n:
-                base = _bounded_product(base, base)
+                base = base * base
         return out
 
     def valuation(self) -> ExtendedRational:
@@ -148,37 +172,10 @@ class PuiseuxScalar:
                 return c
         return Fraction(0)
 
-    def shift(self, exponent) -> "PuiseuxScalar":
-        d = Fraction(exponent)
-        return PuiseuxScalar(tuple((e + d, c) for e, c in self.terms))
-
     def __str__(self) -> str:
         return _signed_sum(
             _term(str(c), "t" if e == 1 else f"t^{_exp_str(e)}" if e else "")
             for e, c in self.terms)
-
-
-# Most term pairs of one product in a power or witness evaluation (where
-# (1 + t)^n has n + 1 terms), and of all the products in one parse.
-MAX_TERM_PAIRS = 2 ** 16
-# Most bits (numerator plus denominator) that the largest coefficients of
-# the two factors of such a product may have together: 2^n has one term but
-# n + 1 bits, so a power of a constant is unbounded work too.
-MAX_COEFF_BITS = 2 ** 16
-
-
-def _bounded_product(a: PuiseuxScalar, b: PuiseuxScalar) -> PuiseuxScalar:
-    m, n = len(a.terms), len(b.terms)
-    if m * n > MAX_TERM_PAIRS:
-        raise InputError(f"a product of Puiseux scalars with {m} x {n} terms "
-                         f"exceeds the bound of {MAX_TERM_PAIRS} term pairs")
-    bits = sum(max((c.numerator.bit_length() + c.denominator.bit_length()
-                    for _, c in s.terms), default=0) for s in (a, b))
-    if bits > MAX_COEFF_BITS:
-        raise InputError(
-            f"a product of Puiseux scalars whose largest coefficients have "
-            f"{bits} bits together exceeds the bound of {MAX_COEFF_BITS} bits")
-    return a * b
 
 
 WeightForms = tuple[tuple[tuple[tuple[int, ...], int], ...], int]
@@ -245,7 +242,7 @@ class ResiduePolynomial:
     def from_dict(cls, nvars: int, coeffs: Mapping[tuple[int, ...], Fraction]
                   ) -> "ResiduePolynomial":
         items = tuple(sorted(
-            ((u, Fraction(c)) for u, c in coeffs.items() if c != 0),
+            ((u, c) for u, c in zip(coeffs, vec(coeffs.values())) if c),
             key=lambda t: t[0], reverse=True))
         return cls(nvars, items)
 
@@ -282,6 +279,9 @@ class ValuedPolynomial:
                 raise ValueError("exponent vector length mismatch")
             if not laurent and any(e < 0 for e in u):
                 raise ValueError("negative exponent in ordinary mode")
+            if not isinstance(c, PuiseuxScalar):
+                raise ValueError(
+                    f"coefficients must be Puiseux scalars, got {c!r}")
             if c:
                 items.append((u, c))
         return cls(nvars, laurent, tuple(sorted(items, key=lambda t: t[0], reverse=True)))
@@ -342,7 +342,7 @@ class ValuedPolynomial:
         best = self.trop_eval(w)
         coeffs = {}
         for u, c in self.terms:
-            shifted = c.shift(sum(ui * wi for ui, wi in zip(u, w)) - best)
+            shifted = c * PuiseuxScalar.t_power(sum(map(mul, u, w)) - best)
             coeffs[u] = shifted.constant_residue()
         return ResiduePolynomial.from_dict(self.nvars, coeffs)
 
@@ -372,13 +372,14 @@ class ValuedPolynomial:
         """Exact evaluation at a torus point (all coordinates nonzero).
 
         For Laurent input the polynomial is first multiplied by a monomial
-        clearing negative exponents, which does not change vanishing.  No
-        product of scalars, powers included, may form more than
-        ``MAX_TERM_PAIRS`` term pairs; ``InputError`` is raised instead.
+        clearing negative exponents, which does not change vanishing.  Every
+        product of scalars, powers included, is a bounded ``*``.
         """
         point = list(point)
         if len(point) != self.nvars:
             raise ValueError("point length mismatch")
+        if any(not isinstance(p, PuiseuxScalar) for p in point):
+            raise ValueError("point coordinates must be Puiseux scalars")
         if any(not p for p in point):
             raise ValueError("torus point must have nonzero coordinates")
         shift = [min(0, min((u[i] for u, _ in self.terms), default=0))
@@ -387,7 +388,7 @@ class ValuedPolynomial:
         for u, c in self.terms:
             val = c
             for i, p in enumerate(point):
-                val = _bounded_product(val, p ** (u[i] - shift[i]))
+                val = val * p ** (u[i] - shift[i])
             total = total + val
         return total
 
@@ -422,19 +423,15 @@ class ValuedPolynomial:
 # -- parsing --------------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z]\w*|\^|\*|\+|-|\(|\))")
+_TOKENS = re.compile(f"(?:{_TOKEN.pattern})*")
 
 
 def _tokenize(text: str) -> list[str]:
-    out, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"cannot tokenize {text[pos:]!r}")
-            break
-        out.append(m.group(1))
-        pos = m.end()
-    return out
+    """The tokens of text, which may end in whitespace only."""
+    end = _TOKENS.match(text).end()
+    if text[end:].strip():
+        raise ValueError(f"cannot tokenize {text[end:]!r}")
+    return _TOKEN.findall(text, 0, end)
 
 
 # Deepest nesting of parentheses in polynomial text: the parser recurses

@@ -624,7 +624,12 @@ def test_both_sets_refuse_a_malformed_weight_with_one_message(membership, f,
      "dimension mismatch"),
     (lambda: extended_trop_sets(ValuedPolynomial.parse("x1 + 1")),
      "extended sets require ordinary mode"),
-], ids=["complex-contains-weight-length", "extended-sets-laurent"])
+    (lambda: check_equivalence(LINE, (), [WitnessPoint((0.5, ONE))]),
+     "witness coordinates must be Puiseux scalars"),
+    (lambda: WitnessPoint((ONE, "1/2")),
+     "witness coordinates must be Puiseux scalars"),
+], ids=["complex-contains-weight-length", "extended-sets-laurent",
+        "witness-float-coordinate", "witness-str-coordinate"])
 def test_a_refused_input_raises_its_message(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -222,8 +222,6 @@ UNREAD_PUBLIC = {
         "reader paired with complex_to_json; the benchmark tracer wraps it",
     "polyhedra.py: dual":
         "the dual cone, part of the Cone interface for callers",
-    "puiseux.py: t_power":
-        "the monomial scalar c t^e, the short way for callers to write one",
     "puiseux.py: initial_form_substitution":
         "the substitution definition that criterion 5 compares with "
         "initial_form",

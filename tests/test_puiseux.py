@@ -51,6 +51,22 @@ class TestScalar:
         with pytest.raises(ValueError):
             scalar("t") ** -1
 
+    @pytest.mark.parametrize("a, b, message", [
+        (PuiseuxScalar.from_terms([(k, 1) for k in range(300)]),
+         PuiseuxScalar.from_terms([(k, 1) for k in range(300)]),
+         "a product of Puiseux scalars with 300 x 300 terms exceeds the "
+         "bound of 65536 term pairs"),
+        (PuiseuxScalar.rational(2 ** 35000),
+         PuiseuxScalar.rational(2 ** 35001),
+         "a product of Puiseux scalars whose largest coefficients have "
+         "70005 bits together exceeds the bound of 65536 bits"),
+    ], ids=["term-pairs", "coefficient-bits"])
+    def test_a_product_past_a_bound_raises_input_error(self, a, b, message):
+        """``*`` is the one product of scalars, and it carries both bounds,
+        so a library product is refused as a power or a witness is."""
+        with pytest.raises(InputError, match=f"^{message}$"):
+            a * b
+
 
 class TestTropEval:
     def test_e3_values(self):
@@ -618,9 +634,22 @@ ONE = PuiseuxScalar.rational(1)
     (lambda: LINE.evaluate((ONE,)), "point length mismatch"),
     (lambda: LINE.evaluate((ONE, PuiseuxScalar.zero())),
      "torus point must have nonzero coordinates"),
+    (lambda: LINE.evaluate((0.5, ONE)),
+     "point coordinates must be Puiseux scalars"),
+    (lambda: ValuedPolynomial.from_dict(1, {(1,): 0.5}),
+     "coefficients must be Puiseux scalars"),
+    (lambda: ValuedPolynomial.from_dict(1, {(1,): "1/2"}),
+     "coefficients must be Puiseux scalars"),
+    (lambda: ValuedPolynomial.from_dict(1, {(1,): F(1, 2)}),
+     "coefficients must be Puiseux scalars"),
+    (lambda: ValuedPolynomial.from_dict(1, {(1,): F(0)}),
+     "coefficients must be Puiseux scalars"),
 ], ids=["from-dict-exponent-length", "substitution-infinite-weight",
         "orbit-index-out-of-range", "evaluate-point-length",
-        "evaluate-zero-coordinate"])
+        "evaluate-zero-coordinate", "evaluate-float-coordinate",
+        "from-dict-float-coefficient", "from-dict-str-coefficient",
+        "from-dict-fraction-coefficient",
+        "from-dict-zero-fraction-coefficient"])
 def test_a_refused_input_raises_its_message(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -643,8 +672,9 @@ def test_an_orbit_index_that_is_not_an_int_in_range_is_refused(sigma):
     lambda x: PuiseuxScalar.t_power(F(1, 2), x),
     lambda x: PuiseuxScalar.from_terms([(x, 3)]),
     lambda x: PuiseuxScalar.from_terms([(1, x)]),
+    lambda x: ResiduePolynomial.from_dict(1, {(1,): x}),
 ], ids=["rational", "t_power-exponent", "t_power-coeff",
-        "from_terms-exponent", "from_terms-coeff"])
+        "from_terms-exponent", "from_terms-coeff", "residue-from_dict-coeff"])
 @pytest.mark.parametrize("x", [F(1, 2), 0.1, "1/2", True],
                          ids=["exact", "float", "str", "bool"])
 def test_a_scalar_entry_must_be_exact(call, x):
